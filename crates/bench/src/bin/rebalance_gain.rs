@@ -37,8 +37,8 @@
 use bench::{json_object, print_table};
 use fairq::WfqRank;
 use scheduler::{
-    HwScheduler, ParallelShardedScheduler, Placement, RebalancerConfig, SchedulerConfig,
-    ShardStats, ShardedScheduler, WrapPolicy,
+    Executor, HwScheduler, Inline, Placement, RebalancerConfig, SchedulerConfig, ShardedFrontend,
+    Threads, WrapPolicy,
 };
 use tagsort::SortRetrieveCircuit;
 use traffic::{FlowId, FlowSpec, Packet, ScaleConfig, ScaleWorkload};
@@ -51,51 +51,10 @@ const LOAD: f64 = 0.97;
 const SEED: u64 = 20;
 const REBALANCE_EVERY: u64 = 1024;
 
-/// The two sharded frontends behind one drive loop, so the sequential
-/// and threaded runs are *provably* driven identically.
-trait Frontend {
-    fn enqueue_ok(&mut self, pkt: Packet) -> bool;
-    fn dequeue_port(&mut self, port: usize) -> Option<Packet>;
-    fn rebalance_round(&mut self);
-    fn frontend_stats(&mut self) -> ShardStats;
-    fn migrations(&self) -> u64;
-}
-
-impl Frontend for ShardedScheduler<SortRetrieveCircuit, WfqRank> {
-    fn enqueue_ok(&mut self, pkt: Packet) -> bool {
-        self.enqueue(pkt).is_ok()
-    }
-    fn dequeue_port(&mut self, port: usize) -> Option<Packet> {
-        ShardedScheduler::dequeue_port(self, port)
-    }
-    fn rebalance_round(&mut self) {
-        self.maybe_rebalance();
-    }
-    fn frontend_stats(&mut self) -> ShardStats {
-        self.stats()
-    }
-    fn migrations(&self) -> u64 {
-        ShardedScheduler::migrations(self)
-    }
-}
-
-impl Frontend for ParallelShardedScheduler<SortRetrieveCircuit, WfqRank> {
-    fn enqueue_ok(&mut self, pkt: Packet) -> bool {
-        self.enqueue(pkt).is_ok()
-    }
-    fn dequeue_port(&mut self, port: usize) -> Option<Packet> {
-        ParallelShardedScheduler::dequeue_port(self, port)
-    }
-    fn rebalance_round(&mut self) {
-        self.maybe_rebalance();
-    }
-    fn frontend_stats(&mut self) -> ShardStats {
-        self.stats()
-    }
-    fn migrations(&self) -> u64 {
-        ParallelShardedScheduler::migrations(self)
-    }
-}
+/// The frontend under test on executor `X`: the sequential and threaded
+/// runs share this type and one drive loop, so they are *provably*
+/// driven identically.
+type Frontend<X> = ShardedFrontend<SortRetrieveCircuit, WfqRank, X>;
 
 fn workload(packets: u64) -> ScaleWorkload {
     ScaleWorkload::new(ScaleConfig {
@@ -142,7 +101,12 @@ struct RunResult {
 /// [`REBALANCE_EVERY`] arrivals. The departure hash folds
 /// `(port, flow, seq)` in service order — the sequential/parallel
 /// agreement witness.
-fn drive<F: Frontend>(fe: &mut F, packets: u64, port_rate: f64, rebalance: bool) -> RunResult {
+fn drive<X: Executor<SortRetrieveCircuit, WfqRank>>(
+    fe: &mut Frontend<X>,
+    packets: u64,
+    port_rate: f64,
+    rebalance: bool,
+) -> RunResult {
     let mut free_at = [0.0f64; PORTS];
     let mut served = 0u64;
     let mut dropped = 0u64;
@@ -169,10 +133,10 @@ fn drive<F: Frontend>(fe: &mut F, packets: u64, port_rate: f64, rebalance: bool)
                 fold(port, &p);
             }
         }
-        if fe.enqueue_ok(pkt) {
+        if fe.enqueue(pkt).is_ok() {
             arrivals += 1;
             if rebalance && arrivals.is_multiple_of(REBALANCE_EVERY) {
-                fe.rebalance_round();
+                fe.maybe_rebalance();
             }
         } else {
             dropped += 1;
@@ -187,7 +151,7 @@ fn drive<F: Frontend>(fe: &mut F, packets: u64, port_rate: f64, rebalance: bool)
         }
     }
     let makespan_s = free_at.iter().copied().fold(0.0, f64::max);
-    let stats = fe.frontend_stats();
+    let stats = fe.stats();
     RunResult {
         makespan_s,
         balance: stats.shard_balance(),
@@ -198,11 +162,12 @@ fn drive<F: Frontend>(fe: &mut F, packets: u64, port_rate: f64, rebalance: bool)
     }
 }
 
-fn sequential(
+/// A frontend on executor `X`; dynamic placement arms the rebalancer.
+fn frontend<X: Executor<SortRetrieveCircuit, WfqRank>>(
     placement: Placement,
     port_rate: f64,
-) -> ShardedScheduler<SortRetrieveCircuit, WfqRank> {
-    let fe = ShardedScheduler::with_policy_port_rates_placement(
+) -> Frontend<X> {
+    let fe = ShardedFrontend::with_policy_port_rates_placement(
         &flow_table(),
         &[port_rate; PORTS],
         config(port_rate),
@@ -213,17 +178,6 @@ fn sequential(
         Placement::Dynamic => fe.with_rebalancer(RebalancerConfig::default()),
         Placement::Hash => fe,
     }
-}
-
-fn parallel(port_rate: f64) -> ParallelShardedScheduler<SortRetrieveCircuit, WfqRank> {
-    ParallelShardedScheduler::with_policy_placement(
-        &flow_table(),
-        &[port_rate; PORTS],
-        config(port_rate),
-        &WfqRank::default(),
-        Placement::Dynamic,
-    )
-    .with_rebalancer(RebalancerConfig::default())
 }
 
 /// The checkpoint byte-diff gate: the same logical state must
@@ -264,18 +218,23 @@ fn main() {
     let port_rate = RATE_BPS / LOAD / PORTS as f64;
 
     let stat = drive(
-        &mut sequential(Placement::Hash, port_rate),
+        &mut frontend::<Inline<_, _>>(Placement::Hash, port_rate),
         packets,
         port_rate,
         false,
     );
     let dyn_seq = drive(
-        &mut sequential(Placement::Dynamic, port_rate),
+        &mut frontend::<Inline<_, _>>(Placement::Dynamic, port_rate),
         packets,
         port_rate,
         true,
     );
-    let dyn_par = drive(&mut parallel(port_rate), packets, port_rate, true);
+    let dyn_par = drive(
+        &mut frontend::<Threads<_, _>>(Placement::Dynamic, port_rate),
+        packets,
+        port_rate,
+        true,
+    );
 
     let agree = dyn_seq.hash == dyn_par.hash && dyn_seq.migrations == dyn_par.migrations;
     let ckpt_ok = checkpoint_deterministic(packets);

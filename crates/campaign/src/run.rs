@@ -18,8 +18,8 @@ use fairq::{AnyPolicy, RankPolicy};
 use fastpath::FfsSorter;
 use faultsim::FaultConfig;
 use scheduler::{
-    HwScheduler, ParallelShardedScheduler, Placement, RebalancerConfig, SchedulerConfig,
-    ShardedScheduler, WrapPolicy,
+    Executor, HwScheduler, Inline, Placement, RebalancerConfig, SchedulerConfig, ShardedFrontend,
+    Threads, WrapPolicy,
 };
 use tagsort::{
     CleanupPolicy, HeapSorter, MemoryKind, ResidentMemory, SortBackend, SortRetrieveCircuit,
@@ -113,9 +113,9 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellResult {
     let runs: Vec<ModeRun> = modes_for(spec, cell)
         .into_iter()
         .map(|paged| match cell.backend.as_str() {
-            "trie" => run_one::<SortRetrieveCircuit>(spec, cell, paged),
-            "fastpath" => run_one::<FfsSorter>(spec, cell, paged),
-            "heap" => run_one::<HeapSorter>(spec, cell, paged),
+            "trie" => run_backend::<SortRetrieveCircuit>(spec, cell, paged),
+            "fastpath" => run_backend::<FfsSorter>(spec, cell, paged),
+            "heap" => run_backend::<HeapSorter>(spec, cell, paged),
             other => unreachable!("backend {other} passed validation"),
         })
         .collect();
@@ -189,19 +189,19 @@ struct FrontendTail {
 }
 
 /// One cell's scheduler behind a uniform enqueue/dequeue surface, so
-/// the link loop below is written once for all three frontends.
-enum AnyFrontend<B: SortBackend + Send + 'static> {
+/// the link loop below is written once for every frontend. `X` is the
+/// sharded frontend's executor: inline for `sharded`, one worker thread
+/// per port for `parallel`.
+enum AnyFrontend<B: SortBackend, X> {
     Single(Box<HwScheduler<B, AnyPolicy>>),
-    Sharded(Box<ShardedScheduler<B, AnyPolicy>>),
-    Parallel(Box<ParallelShardedScheduler<B, AnyPolicy>>),
+    Sharded(Box<ShardedFrontend<B, AnyPolicy, X>>),
 }
 
-impl<B: SortBackend + Send + 'static> AnyFrontend<B> {
+impl<B: SortBackend, X: Executor<B, AnyPolicy>> AnyFrontend<B, X> {
     fn enqueue(&mut self, pkt: Packet) -> bool {
         match self {
             AnyFrontend::Single(s) => s.enqueue(pkt).is_ok(),
             AnyFrontend::Sharded(s) => s.enqueue(pkt).is_ok(),
-            AnyFrontend::Parallel(s) => s.enqueue(pkt).is_ok(),
         }
     }
 
@@ -209,20 +209,13 @@ impl<B: SortBackend + Send + 'static> AnyFrontend<B> {
         match self {
             AnyFrontend::Single(s) => s.dequeue(),
             AnyFrontend::Sharded(s) => s.dequeue().map(|(_, p)| p),
-            AnyFrontend::Parallel(s) => s.dequeue().map(|(_, p)| p),
         }
     }
 
     /// One rebalance round; a no-op without an armed rebalancer.
     fn maybe_rebalance(&mut self) {
-        match self {
-            AnyFrontend::Single(_) => {}
-            AnyFrontend::Sharded(s) => {
-                s.maybe_rebalance();
-            }
-            AnyFrontend::Parallel(s) => {
-                s.maybe_rebalance();
-            }
+        if let AnyFrontend::Sharded(s) = self {
+            s.maybe_rebalance();
         }
     }
 
@@ -239,17 +232,6 @@ impl<B: SortBackend + Send + 'static> AnyFrontend<B> {
                 }
             }
             AnyFrontend::Sharded(mut s) => {
-                s.reconcile_faults();
-                let stats = s.stats();
-                FrontendTail {
-                    pushed_out: stats.aggregate.pushed_out,
-                    resident: None,
-                    faults: s.fault_totals(),
-                    shard_balance: Some(stats.shard_balance()),
-                    migrations: s.migrations(),
-                }
-            }
-            AnyFrontend::Parallel(mut s) => {
                 let faults = s.reconcile_faults();
                 let stats = s.stats();
                 FrontendTail {
@@ -264,7 +246,21 @@ impl<B: SortBackend + Send + 'static> AnyFrontend<B> {
     }
 }
 
-fn run_one<B: SortBackend + Send + 'static>(
+/// Runs a cell on backend `B`, with the executor its frontend asks for.
+fn run_backend<B: SortBackend + Send + 'static>(
+    spec: &CampaignSpec,
+    cell: &Cell,
+    paged: bool,
+) -> ModeRun {
+    match cell.frontend {
+        Frontend::Parallel => run_one::<B, Threads<B, AnyPolicy>>(spec, cell, paged),
+        Frontend::Single | Frontend::Sharded => {
+            run_one::<B, Inline<B, AnyPolicy>>(spec, cell, paged)
+        }
+    }
+}
+
+fn run_one<B: SortBackend, X: Executor<B, AnyPolicy>>(
     spec: &CampaignSpec,
     cell: &Cell,
     paged: bool,
@@ -319,9 +315,9 @@ fn run_one<B: SortBackend + Send + 'static>(
             }
             AnyFrontend::Single(Box::new(s))
         }
-        Frontend::Sharded => {
+        Frontend::Sharded | Frontend::Parallel => {
             let rates = vec![service_rate / spec.ports as f64; spec.ports];
-            let mut s = ShardedScheduler::<B, AnyPolicy>::with_policy_port_rates_placement(
+            let mut s = ShardedFrontend::<B, AnyPolicy, X>::with_policy_port_rates_placement(
                 &flows,
                 &rates,
                 config,
@@ -332,20 +328,6 @@ fn run_one<B: SortBackend + Send + 'static>(
                 s = s.with_rebalancer(RebalancerConfig::default());
             }
             AnyFrontend::Sharded(Box::new(s))
-        }
-        Frontend::Parallel => {
-            let rates = vec![service_rate / spec.ports as f64; spec.ports];
-            let mut s = ParallelShardedScheduler::<B, AnyPolicy>::with_policy_placement(
-                &flows,
-                &rates,
-                config,
-                &proto,
-                spec.placement,
-            );
-            if spec.placement == Placement::Dynamic {
-                s = s.with_rebalancer(RebalancerConfig::default());
-            }
-            AnyFrontend::Parallel(Box::new(s))
         }
     };
 
@@ -691,6 +673,34 @@ mod tests {
         assert_eq!(seq.departure_hash, par.departure_hash);
         assert_eq!(seq.migrations, par.migrations);
         assert!(a.text.contains("migrations="));
+    }
+
+    #[test]
+    fn push_out_overload_serves_identically_on_both_executors() {
+        // A critically loaded two-port frontend with a 16-packet buffer:
+        // push-out evicts a queued packet for nearly every admission, so
+        // per-port occupancy only stays right if it is the shard's own.
+        let text = "frontends = sharded, parallel\n\
+                    admissions = push-out\n\
+                    capacity = 16\n\
+                    load = 1.0\n\
+                    ports = 2\n\
+                    flows = 64\n";
+        let report = run(&CampaignSpec::parse("push_out_overload", text).unwrap());
+        let (sharded, parallel): (Vec<_>, Vec<_>) = report
+            .results
+            .iter()
+            .partition(|r| r.cell.frontend == Frontend::Sharded);
+        assert_eq!(sharded.len(), parallel.len());
+        for (seq, par) in sharded.iter().zip(&parallel) {
+            let (seq, par) = (seq.primary(), par.primary());
+            assert!(seq.pushed_out > 0, "the overload must push packets out");
+            assert_eq!(seq.departure_hash, par.departure_hash);
+            assert_eq!(
+                (seq.served, seq.dropped, seq.pushed_out),
+                (par.served, par.dropped, par.pushed_out)
+            );
+        }
     }
 
     #[test]

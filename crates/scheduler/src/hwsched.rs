@@ -624,21 +624,30 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         }
     }
 
-    /// Installs the shard-local → global flow id map used when emitting
-    /// trace events (`ids[local]` = global id). Sharded frontends call
-    /// this so `Enqueue`/`Dequeue`/`Drop` events from different ports
-    /// join on one global flow namespace; flows outside the map keep
-    /// their local id.
+    /// Installs the shard-local → global flow id map (`ids[local]` =
+    /// global id). Sharded frontends call this so `Enqueue`/`Dequeue`/
+    /// `Drop` events from different ports join on one global flow
+    /// namespace, and restore global ids on dequeue through
+    /// [`HwScheduler::global_flow`]; flows outside the map keep their
+    /// local id.
     pub fn set_global_flow_ids(&mut self, ids: Vec<u32>) {
         self.global_flows = ids;
     }
 
+    /// The global id of local flow `flow` under the map installed by
+    /// [`HwScheduler::set_global_flow_ids`] (the identity without one).
+    pub fn global_flow(&self, flow: FlowId) -> FlowId {
+        FlowId(
+            self.global_flows
+                .get(flow.0 as usize)
+                .copied()
+                .unwrap_or(flow.0),
+        )
+    }
+
     /// The flow id trace events carry for local flow `flow`.
     fn event_flow(&self, flow: u32) -> u64 {
-        self.global_flows
-            .get(flow as usize)
-            .copied()
-            .unwrap_or(flow) as u64
+        u64::from(self.global_flow(FlowId(flow)).0)
     }
 
     /// Connects this scheduler to a telemetry registry, recording as

@@ -54,9 +54,8 @@ pub use hwsched::{
     SchedulerStats, SojournStamp,
 };
 pub use quantize::{QuantizeOutcome, TagQuantizer, WrapPolicy};
-pub use shard::parallel::ParallelShardedScheduler;
 pub use shard::{
-    shard_of, BatchError, PortDeparture, ShardError, ShardMap, ShardStats, ShardedLinkSim,
-    ShardedScheduler,
+    shard_of, BatchError, Executor, Inline, ParallelShardedScheduler, PortDeparture, ShardError,
+    ShardMap, ShardStats, ShardedFrontend, ShardedLinkSim, ShardedScheduler, Threads,
 };
 pub use statesync::{Placement, RebalanceHint, Rebalancer, RebalancerConfig, ShardLoad};

@@ -240,8 +240,7 @@ fn parallel_frontend_reconciles_fault_ledgers_like_the_sequential_one() {
         while let Some(served) = seq.dequeue() {
             seq_order.push(served);
         }
-        seq.reconcile_faults();
-        let seq_totals = seq.fault_totals();
+        let seq_totals = seq.reconcile_faults();
 
         let mut par = ParallelShardedScheduler::new(&fl, 1e9, 4, config);
         for p in &trace {

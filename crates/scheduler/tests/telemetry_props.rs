@@ -76,9 +76,9 @@ proptest! {
         prop_assert_eq!(snap.value("sched_dropped_total"), Some(0.0));
     }
 
-    /// Thread-per-shard frontend: telemetry attached at construction
-    /// must not perturb the drained global sequence relative to an
-    /// uninstrumented parallel run.
+    /// Thread-per-shard frontend: attached telemetry must not perturb
+    /// the drained global sequence relative to an uninstrumented
+    /// parallel run.
     #[test]
     fn instrumented_parallel_frontend_matches_bare_run(
         picks in proptest::collection::vec(0u32..10_000, 16..200),
@@ -86,15 +86,14 @@ proptest! {
     ) {
         let fl = flows(24);
         let trace = stream(&picks, 24);
-        let rates = vec![1e9; ports];
 
         let mut bare = ParallelShardedScheduler::new(&fl, 1e9, ports, SchedulerConfig::default());
         bare.enqueue_batch(&trace).unwrap();
         let reference = bare.drain();
 
         let tel = Telemetry::with_tracing(ports, 4);
-        let mut wired =
-            ParallelShardedScheduler::with_telemetry(&fl, &rates, SchedulerConfig::default(), &tel);
+        let mut wired = ParallelShardedScheduler::new(&fl, 1e9, ports, SchedulerConfig::default());
+        wired.attach_telemetry(&tel);
         wired.enqueue_batch(&trace).unwrap();
         let observed = wired.drain();
 
