@@ -144,6 +144,12 @@ pub trait SortBackend {
     /// The smallest stored tag, without removing it (no cycle charge).
     fn peek_min(&self) -> Option<(Tag, PacketRef)>;
 
+    /// The largest stored tag — the one [`SortBackend::pop_max`] would
+    /// evict — without removing it (no cycle charge). Push-out admission
+    /// reads it to decide whether an arrival outranks the worst queued
+    /// packet before paying for the eviction.
+    fn peek_max(&self) -> Option<Tag>;
+
     /// Bulk-deletes one wrapped top-level section (Fig. 6): clears its
     /// stale markers so the virtual clock can wrap into it. Returns the
     /// number of markers cleared. Costs no storage cycles.
@@ -383,6 +389,10 @@ impl SortBackend for SortRetrieveCircuit {
 
     fn peek_min(&self) -> Option<(Tag, PacketRef)> {
         self.peek_min()
+    }
+
+    fn peek_max(&self) -> Option<Tag> {
+        self.peek_max()
     }
 
     fn recycle_section(&mut self, section: u32) -> usize {

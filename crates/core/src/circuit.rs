@@ -338,6 +338,22 @@ impl SortRetrieveCircuit {
         self.store.peek_min()
     }
 
+    /// The largest stored tag — the one [`SortRetrieveCircuit::pop_max`]
+    /// would evict — without a storage access or cycle charge. The
+    /// trie's highest marker answers it in one descent: stale markers
+    /// left by lazy cleanup never sit above the live maximum. In
+    /// tolerant mode a faulted marker may lie, so the answer comes from
+    /// the same uncharged tail walk `pop_max` takes.
+    pub fn peek_max(&self) -> Option<Tag> {
+        if self.store.is_empty() {
+            return None;
+        }
+        if self.tolerant {
+            return self.store.peek_max();
+        }
+        self.trie.max()
+    }
+
     /// Total tag-storage cycles consumed.
     pub fn cycles(&self) -> Cycle {
         self.store.cycles()

@@ -188,6 +188,10 @@ impl SortBackend for HeapSorter {
             .map(|&Reverse((value, _, payload))| (Tag(value), PacketRef(payload)))
     }
 
+    fn peek_max(&self) -> Option<Tag> {
+        self.live.keys().next_back().map(|&value| Tag(value))
+    }
+
     fn recycle_section(&mut self, section: u32) -> usize {
         let span = (self.geometry.tag_space() / u64::from(self.geometry.sections())) as u32;
         let lo = section * span;

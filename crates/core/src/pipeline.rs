@@ -499,6 +499,10 @@ impl SortBackend for PipelinedSortBackend {
         self.circuit.peek_min()
     }
 
+    fn peek_max(&self) -> Option<Tag> {
+        self.circuit.peek_max()
+    }
+
     fn recycle_section(&mut self, section: u32) -> usize {
         // Bulk maintenance between wraps, not a pipelined datapath op.
         self.circuit.recycle_section(section)

@@ -452,6 +452,37 @@ impl TagStore {
         self.head.map(|(a, _)| a)
     }
 
+    /// The largest stored tag — the tail [`TagStore::pop_max`] would
+    /// unlink — found by the same uncharged walk, without unlinking it.
+    pub fn peek_max(&self) -> Option<Tag> {
+        self.find_tail().map(|(_, (_, tail), _)| tail.tag)
+    }
+
+    /// Walks the list to its tail through the uncharged debug port,
+    /// returning the tail, its predecessor, and whether the walk was
+    /// truncated. The walk is bounded by the occupancy counter: a list
+    /// of `len` links has `len - 1` hops, so a walk still going past
+    /// that bound is chasing a corrupted pointer cycle and stops there
+    /// rather than walk forever.
+    #[allow(clippy::type_complexity)]
+    fn find_tail(&self) -> Option<(Option<(LinkAddr, Link)>, (LinkAddr, Link), bool)> {
+        let mut cur = self.head?;
+        let mut prev: Option<(LinkAddr, Link)> = None;
+        let mut hops = self.len.saturating_sub(1);
+        while let Some(next) = cur.1.next {
+            if hops == 0 {
+                return Some((prev, cur, true));
+            }
+            hops -= 1;
+            let link = self
+                .layout
+                .unpack(self.sram.peek(next.0 as usize).expect("valid link address"));
+            prev = Some(cur);
+            cur = (next, link);
+        }
+        Some((prev, cur, false))
+    }
+
     /// Inserts `tag` after the link at `prev` (`None` inserts at the
     /// head). `prev` comes from the search tree via the translation
     /// table and must hold a tag ≤ `tag` whose successor's tag is ≥
@@ -580,36 +611,18 @@ impl TagStore {
     /// Panics if the internal cycle schedule faults the SRAM model.
     #[allow(clippy::type_complexity)]
     pub fn pop_max(&mut self) -> Option<(Tag, PacketRef, LinkAddr, Option<(LinkAddr, Tag)>)> {
-        let (head_addr, head_link) = self.head?;
         let base = self.clock.now();
-        // Uncharged tail search (see above), bounded by the occupancy
-        // counter: a list of `len` links has `len - 1` hops, so a walk
-        // still going past that bound is chasing a corrupted pointer
-        // cycle. Truncate there (tolerant) rather than walk forever.
-        let mut prev: Option<(LinkAddr, Link)> = None;
-        let mut cur = (head_addr, head_link);
-        let mut hops = self.len.saturating_sub(1);
-        while let Some(next) = cur.1.next {
-            if hops == 0 {
-                assert!(
-                    self.tolerant,
-                    "tag store tail walk exceeded occupancy (corrupted link chain)"
-                );
-                self.corruptions.push(StoreCorruption {
-                    addr: cur.0 .0,
-                    cycle: base,
-                });
-                cur.1.next = None;
-                break;
-            }
-            hops -= 1;
-            let link = self
-                .layout
-                .unpack(self.sram.peek(next.0 as usize).expect("valid link address"));
-            prev = Some(cur);
-            cur = (next, link);
+        let (prev, (tail_addr, tail_link), truncated) = self.find_tail()?;
+        if truncated {
+            assert!(
+                self.tolerant,
+                "tag store tail walk exceeded occupancy (corrupted link chain)"
+            );
+            self.corruptions.push(StoreCorruption {
+                addr: tail_addr.0,
+                cycle: base,
+            });
         }
-        let (tail_addr, tail_link) = cur;
         let pred = match prev {
             None => {
                 // The tail is the head: the list empties.

@@ -513,11 +513,7 @@ impl SortBackend for FfsSorter {
         self.occ_stats.begin_op();
         self.bucket_stats.begin_op();
         self.occ_stats.record_batch(self.depth() as u64);
-        let tag = match Self::descend_max(&self.occ) {
-            Some(tag) if self.buckets[tag].head != NONE => tag,
-            // Corrupt hierarchy: ground-truth scan, as peek_min does.
-            _ => self.buckets.iter().rposition(|b| b.head != NONE)?,
-        };
+        let tag = self.peek_max()?.value() as usize;
         self.bucket_stats.record_read();
         let tail = self.buckets[tag].tail;
         let node = self.nodes[tail as usize];
@@ -570,6 +566,18 @@ impl SortBackend for FfsSorter {
             Tag(tag as u32),
             PacketRef(self.nodes[head as usize].payload),
         ))
+    }
+
+    fn peek_max(&self) -> Option<Tag> {
+        if self.len == 0 {
+            return None;
+        }
+        // Corrupt hierarchy: ground-truth scan, as peek_min does.
+        let tag = match Self::descend_max(&self.occ) {
+            Some(tag) if self.buckets[tag].head != NONE => tag,
+            _ => self.buckets.iter().rposition(|b| b.head != NONE)?,
+        };
+        Some(Tag(tag as u32))
     }
 
     fn recycle_section(&mut self, section: u32) -> usize {

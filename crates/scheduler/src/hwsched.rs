@@ -1,6 +1,5 @@
 //! The integrated hardware scheduler (paper Fig. 1).
 
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -18,7 +17,7 @@ use telemetry::{Counter, EventKind, Gauge, GaugeMerge, Histogram, Snapshot, Tele
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
 use crate::buffer::{BufferStats, PacketBuffer};
-use crate::quantize::{TagQuantizer, WrapPolicy};
+use crate::quantize::{SectionCounts, TagQuantizer, WrapPolicy};
 
 /// What happens when a packet arrives to a full shared buffer.
 ///
@@ -30,13 +29,16 @@ pub enum AdmissionPolicy {
     /// Reject the arriving packet — the classic drop-tail queue.
     #[default]
     TailDrop,
-    /// Rank-aware push-out: if the arriving packet's quantized tick is
-    /// strictly smaller than the largest outstanding tick, the sorter's
-    /// maximum entry is evicted (via [`SortBackend::pop_max`]) to make
-    /// room; otherwise the arrival is tail-dropped. This keeps the
-    /// buffer's contents the best-ranked packets seen so far, which
-    /// matters for low-rank flows under overload. Intended for
-    /// [`WrapPolicy::Saturate`], where tag order equals tick order.
+    /// Rank-aware push-out: if the arriving packet's quantized tag is
+    /// strictly smaller than the largest queued tag
+    /// ([`SortBackend::peek_max`]), the sorter's maximum entry is
+    /// evicted (via [`SortBackend::pop_max`]) to make room; otherwise
+    /// the arrival is tail-dropped. This keeps the buffer's contents the
+    /// best-ranked packets seen so far, which matters for low-rank flows
+    /// under overload. Intended for [`WrapPolicy::Saturate`], where tag
+    /// order equals tick order; under [`WrapPolicy::Wrap`] the
+    /// comparison is in the sorter's tag order, the order `pop_max`
+    /// evicts in.
     PushOut,
     /// Weighted-random early push-out: RED's congestion-avoidance ramp
     /// reinterpreted for a PIFO. Below `min_pct`% occupancy every
@@ -234,7 +236,8 @@ pub struct SchedulerStats {
     /// Times the sorter served a tag that was not the smallest
     /// outstanding tick — possible only under [`WrapPolicy::Wrap`] at
     /// the lap boundary, where wrapped (logically newest) tags overtake
-    /// the old lap's stragglers.
+    /// the old lap's stragglers. Always zero under
+    /// [`WrapPolicy::Saturate`], where tick and tag coincide.
     pub inversions: u64,
     /// Queued packets evicted by [`AdmissionPolicy::PushOut`] to admit a
     /// better-ranked arrival (always zero under tail-drop).
@@ -336,36 +339,6 @@ struct Instruments {
 }
 
 impl Instruments {
-    fn disabled() -> Self {
-        Self {
-            shard: 0,
-            enqueued: Counter::disabled(),
-            dequeued: Counter::disabled(),
-            dropped: Counter::disabled(),
-            clamped: Counter::disabled(),
-            inversions: Counter::disabled(),
-            pushed_out: Counter::disabled(),
-            migrated_in: Counter::disabled(),
-            migrated_out: Counter::disabled(),
-            recycled_sections: Counter::disabled(),
-            recycled_markers: Counter::disabled(),
-            depth: Gauge::disabled(),
-            depth_peak: Gauge::disabled(),
-            sort_cycles: Histogram::disabled(),
-            occupancy: Histogram::disabled(),
-            faults_injected: Counter::disabled(),
-            faults_rejected: Counter::disabled(),
-            faults_detected: Counter::disabled(),
-            faults_repaired: Counter::disabled(),
-            silent_corruptions: Counter::disabled(),
-            scrub_sections_audited: Counter::disabled(),
-            scrub_words_checked: Counter::disabled(),
-            fault_detect_latency: Histogram::disabled(),
-            fault_repair_cost: Histogram::disabled(),
-            tracer: Tracer::disabled(),
-        }
-    }
-
     fn attach(tel: &Telemetry, shard: usize) -> Self {
         Self {
             shard,
@@ -439,9 +412,89 @@ struct FaultState {
     reconciled: bool,
 }
 
-/// Per-slot bookkeeping: (tick, stamp, finishing tag, enqueue cycle,
-/// generational buffer reference).
-type SlotInfo = (u64, u64, VirtualTime, u64, PacketRef);
+impl FaultState {
+    /// Records one detection against the ledger: claims the first
+    /// matching undetected fault (counting it and stamping its latency)
+    /// or emits an unattributed `FaultDetect` event. Returns the claimed
+    /// record index. Panics under [`FaultPolicy::FailFast`].
+    fn note_detection(
+        &mut self,
+        instr: &Instruments,
+        component: FaultComponent,
+        word: Option<usize>,
+        cycle: u64,
+        kind: DetectionKind,
+    ) -> Option<usize> {
+        let claimed = self.ledger.claim(component, word, cycle, kind);
+        if let Some(idx) = claimed {
+            instr.faults_detected.inc(instr.shard, 1);
+            let latency = cycle.saturating_sub(self.ledger.records()[idx].injected_cycle);
+            instr.fault_detect_latency.observe(instr.shard, latency);
+        }
+        // An unclaimed detection — a re-detection of an already-claimed
+        // fault, or damage outside the modeled plan — is traced, not
+        // counted.
+        instr.tracer.emit(
+            instr.shard,
+            cycle,
+            EventKind::FaultDetect,
+            claimed.map_or(u64::MAX, |idx| idx as u64),
+            word.map_or(u64::MAX, |w| w as u64),
+        );
+        if self.policy == FaultPolicy::FailFast {
+            panic!(
+                "{} fault detected in {} (fail-fast policy)",
+                kind.name(),
+                component.name()
+            );
+        }
+        claimed
+    }
+
+    /// Claims one scrub audit's damaged `words` in `component` against
+    /// the ledger. When the audit repaired (`repaired` is `Some((cost,
+    /// restored))`), each claimed fault is marked repaired, and the
+    /// repair is priced at `cost` cycles and traced with its `restored`
+    /// count.
+    fn claim_scrub(
+        &mut self,
+        instr: &Instruments,
+        component: FaultComponent,
+        words: &[Option<usize>],
+        section: u32,
+        repaired: Option<(u64, u64)>,
+        cycle: u64,
+    ) {
+        for &word in words {
+            let claimed = self.note_detection(instr, component, word, cycle, DetectionKind::Scrub);
+            if let (Some(idx), Some(_)) = (claimed, repaired) {
+                self.ledger.mark_repaired(idx, cycle);
+                instr.faults_repaired.inc(instr.shard, 1);
+            }
+        }
+        if let Some((cost, restored)) = repaired {
+            instr.fault_repair_cost.observe(instr.shard, cost);
+            instr.tracer.emit(
+                instr.shard,
+                cycle,
+                EventKind::Repair,
+                u64::from(section),
+                restored,
+            );
+        }
+    }
+}
+
+/// What dequeue reads of a queued packet beyond the sorter's bare slot
+/// index: exact rank, enqueue cycle (sojourn stamp), generational buffer
+/// reference, and the tag's section (its [`SectionCounts`] entry).
+#[derive(Debug, Clone, Copy)]
+struct SlotInfo {
+    finish: VirtualTime,
+    enq_cycle: u64,
+    full: PacketRef,
+    section: u8,
+}
 
 /// The full hardware scheduler: rank computation + quantization +
 /// shared packet buffer + tag sort/retrieve circuit.
@@ -478,13 +531,11 @@ pub struct HwScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = Wfq
     /// Arrivals the WRED coin has judged so far — the counter keying the
     /// deterministic coin stream (checkpointed in one word).
     wred_coins: u64,
-    /// Outstanding assigned ticks, for the quantizer's window tracking.
-    outstanding: BTreeSet<(u64, u64)>,
-    /// (tick, stamp, finishing tag, enqueue cycle, generational buffer
-    /// reference) of each occupied buffer slot. The sorter stores only
-    /// the bare slot index; the generation rides here, scheduler-side.
+    /// Per-section live counts under [`WrapPolicy::Wrap`]; under
+    /// Saturate the sorter's own minimum and maximum are the window.
+    wrap_counts: Option<SectionCounts>,
+    /// Sideband of each occupied buffer slot, indexed by slot.
     slot_info: Vec<Option<SlotInfo>>,
-    next_stamp: u64,
     enqueued: u64,
     dequeued: u64,
     inversions: u64,
@@ -609,9 +660,9 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             cleanup: config.cleanup,
             paged: false,
             wred_coins: 0,
-            outstanding: BTreeSet::new(),
+            wrap_counts: (config.wrap_policy == WrapPolicy::Wrap)
+                .then(|| SectionCounts::new(config.geometry)),
             slot_info: vec![None; config.capacity],
-            next_stamp: 0,
             enqueued: 0,
             dequeued: 0,
             inversions: 0,
@@ -620,7 +671,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             migrated_out: 0,
             global_flows: Vec::new(),
             faults,
-            instr: Instruments::disabled(),
+            instr: Instruments::attach(&Telemetry::disabled(), 0),
         }
     }
 
@@ -775,67 +826,16 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         }
     }
 
-    /// Records one detection against the ledger: claims the first
-    /// matching undetected fault (counting it and stamping its latency)
-    /// or emits an unattributed `FaultDetect` event. Returns the claimed
-    /// record index. Panics under [`FaultPolicy::FailFast`].
-    fn note_detection(
-        &mut self,
-        fs: &mut FaultState,
-        component: FaultComponent,
-        word: Option<usize>,
-        cycle: u64,
-        kind: DetectionKind,
-    ) -> Option<usize> {
-        let word_arg = word.map_or(u64::MAX, |w| w as u64);
-        let claimed = fs.ledger.claim(component, word, cycle, kind);
-        match claimed {
-            Some(idx) => {
-                self.instr.faults_detected.inc(self.instr.shard, 1);
-                let latency = cycle.saturating_sub(fs.ledger.records()[idx].injected_cycle);
-                self.instr
-                    .fault_detect_latency
-                    .observe(self.instr.shard, latency);
-                self.instr.tracer.emit(
-                    self.instr.shard,
-                    cycle,
-                    EventKind::FaultDetect,
-                    idx as u64,
-                    word_arg,
-                );
-            }
-            None => {
-                // A re-detection of an already-claimed fault, or damage
-                // outside the modeled plan: traced, not counted.
-                self.instr.tracer.emit(
-                    self.instr.shard,
-                    cycle,
-                    EventKind::FaultDetect,
-                    u64::MAX,
-                    word_arg,
-                );
-            }
-        }
-        if fs.policy == FaultPolicy::FailFast {
-            panic!(
-                "{} fault detected in {} (fail-fast policy)",
-                kind.name(),
-                component.name()
-            );
-        }
-        claimed
-    }
-
     /// Claims any detections the circuit raised since the last sweep —
     /// SRAM parity alarms, sanitized link corruptions, and service-path
     /// integrity events — against the fault ledger.
     fn fault_sweep(&mut self) {
-        let Some(mut fs) = self.faults.take() else {
+        let Some(fs) = self.faults.as_mut() else {
             return;
         };
         for alarm in self.sorter.take_parity_alarms() {
-            self.note_detection(
-                &mut fs,
+            fs.note_detection(
+                &self.instr,
                 FaultComponent::TagStore,
                 Some(alarm.addr),
                 alarm.cycle.value(),
@@ -843,8 +843,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             );
         }
         for c in self.sorter.take_store_corruptions() {
-            self.note_detection(
-                &mut fs,
+            fs.note_detection(
+                &self.instr,
                 FaultComponent::TagStore,
                 Some(c.addr as usize),
                 c.cycle.value(),
@@ -852,11 +852,11 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             );
         }
         let now = self.sorter.cycles();
-        // Buffer parity alarms raised outside the dequeue fast path (the
+        // Buffer parity alarms raised outside the service loop (the
         // push-out eviction also releases slots).
         for slot in self.buffer.take_fault_alarms() {
-            self.note_detection(
-                &mut fs,
+            fs.note_detection(
+                &self.instr,
                 FaultComponent::Buffer,
                 Some(slot as usize),
                 now,
@@ -874,9 +874,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                     (FaultComponent::Translation, Some(tag.value() as usize))
                 }
             };
-            self.note_detection(&mut fs, component, word, now, DetectionKind::Structural);
+            fs.note_detection(&self.instr, component, word, now, DetectionKind::Structural);
         }
-        self.faults = Some(fs);
     }
 
     /// Runs one fault round: materializes every plan entry due at the
@@ -885,7 +884,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// Called at the top of every dequeue round, *before* the pop, so a
     /// repair can land before the damaged state is served.
     fn fault_round(&mut self) {
-        let Some(mut fs) = self.faults.take() else {
+        let Some(fs) = self.faults.as_mut() else {
             return;
         };
         while let Some(pf) = fs.plan.next_due(fs.op) {
@@ -941,32 +940,23 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         let repair = fs.policy == FaultPolicy::ScrubAndRepair;
         let budget = fs.scrub_sections.min(sections) as usize;
         let mut chosen: Vec<u32> = Vec::with_capacity(budget);
-        match fs.scrub_order {
-            ScrubOrder::RoundRobin => {
-                while chosen.len() < budget {
-                    chosen.push(fs.scrub_cursor % sections);
-                    fs.scrub_cursor = (fs.scrub_cursor + 1) % sections;
-                }
-            }
-            ScrubOrder::WritePriority => {
-                // Recently-written sections first (ascending index), then
-                // the round-robin cursor fills any leftover budget so
-                // cold sections still age into an audit.
-                while chosen.len() < budget && fs.dirty != 0 {
-                    let section = fs.dirty.trailing_zeros();
-                    fs.dirty &= !(1u64 << section);
-                    chosen.push(section);
-                }
-                let mut scanned = 0;
-                while chosen.len() < budget && scanned < sections {
-                    let section = fs.scrub_cursor % sections;
-                    fs.scrub_cursor = (fs.scrub_cursor + 1) % sections;
-                    scanned += 1;
-                    if !chosen.contains(&section) {
-                        fs.dirty &= !(1u64 << section);
-                        chosen.push(section);
-                    }
-                }
+        // Recently-written sections first (ascending index; only
+        // ScrubOrder::WritePriority marks any dirty), then the round-robin
+        // cursor fills the leftover budget so cold sections still age
+        // into an audit.
+        while chosen.len() < budget && fs.dirty != 0 {
+            let section = fs.dirty.trailing_zeros();
+            fs.dirty &= !(1u64 << section);
+            chosen.push(section);
+        }
+        let mut scanned = 0;
+        while chosen.len() < budget && scanned < sections {
+            let section = fs.scrub_cursor % sections;
+            fs.scrub_cursor = (fs.scrub_cursor + 1) % sections;
+            scanned += 1;
+            if !chosen.contains(&section) {
+                fs.dirty &= !(1u64 << section);
+                chosen.push(section);
             }
         }
         for section in chosen {
@@ -974,7 +964,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             // treats it as ground truth, so a repair must land before
             // the trie section is rebuilt from it.
             let tscrub = self.sorter.scrub_translation(section, repair);
-            let cycle = self.sorter.cycles();
             self.instr
                 .scrub_words_checked
                 .inc(self.instr.shard, tscrub.words_checked);
@@ -982,77 +971,50 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 // Attribute per damaged entry when ground truth named
                 // them; a latched mismatch whose content healed (or
                 // lazy-mode detect-only) claims by component alone.
-                let claims: Vec<Option<usize>> = if tscrub.damaged_words.is_empty() {
+                let words: Vec<Option<usize>> = if tscrub.damaged_words.is_empty() {
                     vec![None]
                 } else {
                     tscrub.damaged_words.iter().map(|&w| Some(w)).collect()
                 };
-                for word in claims {
-                    let claimed = self.note_detection(
-                        &mut fs,
-                        FaultComponent::Translation,
-                        word,
-                        cycle,
-                        DetectionKind::Scrub,
-                    );
-                    if tscrub.repaired {
-                        if let Some(idx) = claimed {
-                            fs.ledger.mark_repaired(idx, cycle);
-                            self.instr.faults_repaired.inc(self.instr.shard, 1);
-                        }
-                    }
-                }
-                if tscrub.repaired {
-                    // Modeled repair cost: the audit reads plus one
-                    // write per restored entry.
-                    let cost = tscrub.words_checked + tscrub.repaired_entries;
-                    self.instr.fault_repair_cost.observe(self.instr.shard, cost);
-                    self.instr.tracer.emit(
-                        self.instr.shard,
-                        cycle,
-                        EventKind::Repair,
-                        section as u64,
-                        tscrub.repaired_entries,
-                    );
-                }
+                // Modeled repair cost: the audit reads plus one write
+                // per restored entry.
+                let repaired = tscrub.repaired.then_some((
+                    tscrub.words_checked + tscrub.repaired_entries,
+                    tscrub.repaired_entries,
+                ));
+                let cycle = self.sorter.cycles();
+                fs.claim_scrub(
+                    &self.instr,
+                    FaultComponent::Translation,
+                    &words,
+                    section,
+                    repaired,
+                    cycle,
+                );
             }
             let scrub = self.sorter.scrub_section(section, repair);
-            let cycle = self.sorter.cycles();
             self.instr.scrub_sections_audited.inc(self.instr.shard, 1);
             self.instr
                 .scrub_words_checked
                 .inc(self.instr.shard, scrub.words_checked);
-            for m in &scrub.mismatches {
-                let claimed = self.note_detection(
-                    &mut fs,
-                    FaultComponent::Trie,
-                    Some(m.flat),
-                    cycle,
-                    DetectionKind::Scrub,
-                );
-                if scrub.repaired {
-                    if let Some(idx) = claimed {
-                        fs.ledger.mark_repaired(idx, cycle);
-                        self.instr.faults_repaired.inc(self.instr.shard, 1);
-                    }
-                }
-            }
-            if scrub.repaired {
-                // Modeled repair cost: the audit reads plus one
-                // insertion pass per restored marker.
-                let cost = scrub.words_checked
-                    + scrub.repaired_markers * u64::from(self.sorter.geometry().levels());
-                self.instr.fault_repair_cost.observe(self.instr.shard, cost);
-                self.instr.tracer.emit(
-                    self.instr.shard,
-                    cycle,
-                    EventKind::Repair,
-                    section as u64,
-                    scrub.repaired_markers,
-                );
-            }
+            let words: Vec<Option<usize>> = scrub.mismatches.iter().map(|m| Some(m.flat)).collect();
+            // Modeled repair cost: the audit reads plus one insertion
+            // pass per restored marker.
+            let repaired = scrub.repaired.then_some((
+                scrub.words_checked
+                    + scrub.repaired_markers * u64::from(self.sorter.geometry().levels()),
+                scrub.repaired_markers,
+            ));
+            let cycle = self.sorter.cycles();
+            fs.claim_scrub(
+                &self.instr,
+                FaultComponent::Trie,
+                &words,
+                section,
+                repaired,
+                cycle,
+            );
         }
-        self.faults = Some(fs);
     }
 
     /// Handles a popped sorter entry whose buffer-side record is gone —
@@ -1061,17 +1023,17 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// structural corruption and the pop is skipped.
     fn note_pointer_corruption(&mut self) {
         let cycle = self.sorter.cycles();
-        let Some(mut fs) = self.faults.take() else {
-            panic!("sorter and buffer agree on occupancy");
-        };
-        self.note_detection(
-            &mut fs,
+        let fs = self
+            .faults
+            .as_mut()
+            .expect("sorter and buffer agree on occupancy");
+        fs.note_detection(
+            &self.instr,
             FaultComponent::TagStore,
             None,
             cycle,
             DetectionKind::Structural,
         );
-        self.faults = Some(fs);
     }
 
     /// Accepts a packet: computes its rank (the WFQ finishing tag under
@@ -1083,34 +1045,45 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// [`SchedulerError::UnknownFlow`], [`SchedulerError::BufferFull`],
     /// or a wrapped [`SortError`].
     pub fn enqueue(&mut self, pkt: Packet) -> Result<(), SchedulerError> {
-        if let Some(fs) = self.faults.as_mut() {
-            fs.op += 1;
-        }
+        let Some(fs) = self.faults.as_mut() else {
+            let finish = self.rank_arrival(&pkt)?;
+            return self.admit_ranked(pkt, finish, true).map(drop);
+        };
+        // Under a fault campaign every operation advances the plan, and
+        // detections are claimed before and after it.
+        fs.op += 1;
         self.fault_sweep();
+        let finish = self.rank_arrival(&pkt)?;
+        let tag = self.admit_ranked(pkt, finish, true)?;
+        self.note_section_write(tag);
+        self.fault_sweep();
+        Ok(())
+    }
+
+    /// Ranks an arriving packet, refusing flows outside the table.
+    fn rank_arrival(&mut self, pkt: &Packet) -> Result<VirtualTime, SchedulerError> {
         if pkt.flow.0 as usize >= self.flows {
             return Err(SchedulerError::UnknownFlow {
                 flow: pkt.flow.0,
                 flows: self.flows,
             });
         }
-        let finish = self.policy.rank(&pkt);
-        self.admit_ranked(pkt, finish, true)?;
-        self.fault_sweep();
-        Ok(())
+        Ok(self.policy.rank(pkt))
     }
 
     /// The shared admission tail: quantizes an already-computed rank,
-    /// parks the packet, and sorts the tag in. `arrival` distinguishes
-    /// a fresh arrival ([`HwScheduler::enqueue`] — admission policy
-    /// applies, `enqueued` counts, an `Enqueue` event is traced) from a
-    /// migrated install ([`HwScheduler::install_flow`] — the packet was
-    /// already admitted on its source shard, so none of those fire).
+    /// parks the packet, and sorts the tag in, returning the tag.
+    /// `arrival` distinguishes a fresh arrival ([`HwScheduler::enqueue`]
+    /// — admission policy applies, `enqueued` counts, an `Enqueue` event
+    /// is traced) from a migrated install ([`HwScheduler::install_flow`]
+    /// — the packet was already admitted on its source shard, so none of
+    /// those fire).
     fn admit_ranked(
         &mut self,
         pkt: Packet,
         finish: VirtualTime,
         arrival: bool,
-    ) -> Result<(), SchedulerError> {
+    ) -> Result<Tag, SchedulerError> {
         if self.sorter.is_empty()
             && self.quantizer.policy() == WrapPolicy::Saturate
             && self.policy.monotone()
@@ -1124,8 +1097,9 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             // rebase — their ranks already live in a fixed window.
             self.quantizer.rebase(self.policy.rank_floor());
         }
-        let min_outstanding_tick = self.outstanding.iter().next().map(|&(t, _)| t);
-        let out = self.quantizer.quantize(finish, min_outstanding_tick);
+        // The window needs no minimum from here: Saturate's is lap 0,
+        // and Wrap's recycle guard below reads the section counts.
+        let out = self.quantizer.quantize(finish, None);
         if out.clamped || !out.recycle.is_empty() {
             self.instr.clamped.inc(self.instr.shard, out.clamped as u64);
             self.instr.tracer.emit(
@@ -1137,6 +1111,10 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             );
         }
         for section in &out.recycle {
+            // Only Wrap recycles, so the counts are always there.
+            if let Some(counts) = &self.wrap_counts {
+                counts.assert_recyclable(*section);
+            }
             let removed = self.sorter.recycle_section(*section);
             self.instr.recycled_sections.inc(self.instr.shard, 1);
             self.instr
@@ -1157,7 +1135,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 max_p_pm,
             } = self.admission
             {
-                self.wred_early_push_out(out.tick, min_pct, max_pct, max_p_pm);
+                self.wred_early_push_out(out.tag, min_pct, max_pct, max_p_pm);
             }
         }
         let evicting = matches!(
@@ -1167,7 +1145,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         let stored = match self.buffer.store(pkt) {
             Some(full) => Some(full),
             None if arrival && evicting => self
-                .try_push_out(out.tick)
+                .try_push_out(out.tag)
                 .and_then(|()| self.buffer.store(pkt)),
             None => None,
         };
@@ -1193,12 +1171,16 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         self.instr
             .sort_cycles
             .observe(self.instr.shard, self.sorter.cycles() - cycles_before);
-        self.note_section_write(out.tag);
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
         let enq_cycle = self.sorter.cycles();
-        self.outstanding.insert((out.tick, stamp));
-        self.slot_info[slot.index() as usize] = Some((out.tick, stamp, finish, enq_cycle, full));
+        if let Some(counts) = self.wrap_counts.as_mut() {
+            counts.admit(out.tick);
+        }
+        self.slot_info[slot.index() as usize] = Some(SlotInfo {
+            finish,
+            enq_cycle,
+            full,
+            section: self.sorter.geometry().section_of(out.tag) as u8,
+        });
         if arrival {
             self.enqueued += 1;
             self.instr.enqueued.inc(self.instr.shard, 1);
@@ -1216,7 +1198,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 pkt.seq,
             );
         }
-        Ok(())
+        Ok(out.tag)
     }
 
     /// The WRED ramp (see [`AdmissionPolicy::Wred`]): below `min_pct`%
@@ -1225,7 +1207,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// or above `max_pct`% evicts unconditionally. The eviction reuses
     /// [`HwScheduler::try_push_out`], so an arrival that itself ranks
     /// worst never evicts a better-ranked resident.
-    fn wred_early_push_out(&mut self, tick: u64, min_pct: u8, max_pct: u8, max_p_pm: u16) {
+    fn wred_early_push_out(&mut self, tag: Tag, min_pct: u8, max_pct: u8, max_p_pm: u16) {
         let occupied = self.buffer.stats().occupied;
         let capacity = self.buffer.capacity();
         let min = capacity * min_pct as usize / 100;
@@ -1241,7 +1223,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             self.wred_coin() < threshold_pm
         };
         if evict {
-            let _ = self.try_push_out(tick);
+            let _ = self.try_push_out(tag);
         }
     }
 
@@ -1262,13 +1244,12 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     }
 
     /// Attempts to free one buffer slot for an arrival quantized to
-    /// `tick` by evicting the sorter's maximum entry
+    /// `tag` by evicting the sorter's maximum entry
     /// ([`AdmissionPolicy::PushOut`]). Succeeds only when the arrival
-    /// strictly outranks the largest outstanding tick; the victim is
-    /// dropped (counted and traced like any refused packet).
-    fn try_push_out(&mut self, tick: u64) -> Option<()> {
-        let &(max_tick, _) = self.outstanding.iter().next_back()?;
-        if tick >= max_tick {
+    /// strictly outranks the largest queued tag; the victim is dropped
+    /// (counted and traced like any refused packet).
+    fn try_push_out(&mut self, tag: Tag) -> Option<()> {
+        if tag >= self.sorter.peek_max()? {
             return None;
         }
         let (_, slot) = self.sorter.pop_max()?;
@@ -1276,14 +1257,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             .slot_info
             .get_mut(slot.index() as usize)
             .and_then(Option::take);
-        let Some((vtick, vstamp, _finish, _enq, full)) = entry else {
+        let Some(evicted) = entry else {
             self.note_pointer_corruption();
             return None;
         };
-        self.outstanding.remove(&(vtick, vstamp));
+        self.uncount(evicted.section);
         self.pushed_out += 1;
         self.instr.pushed_out.inc(self.instr.shard, 1);
-        match self.buffer.try_release(full) {
+        match self.buffer.try_release(evicted.full) {
             Some(victim) => {
                 self.note_drop(victim.flow.0);
                 Some(())
@@ -1336,37 +1317,40 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// values the traced `Enqueue`/`Dequeue` events carry, so direct
     /// stamping and event-joined attribution agree exactly).
     pub fn dequeue_stamped(&mut self) -> Option<(Packet, SojournStamp)> {
-        if let Some(fs) = self.faults.as_mut() {
-            fs.op += 1;
-        }
+        let Some(fs) = self.faults.as_mut() else {
+            let (_, slot) = self.pop_min_timed()?;
+            let info = self.slot_info[slot.index() as usize]
+                .take()
+                .expect("sorter and buffer agree on occupancy");
+            let pkt = self.buffer.release(info.full);
+            return Some(self.complete_service(pkt, info));
+        };
+        fs.op += 1;
         // Faults due this round land now, and the scrubber gets its
         // audit slice *before* the pop — so a repair can restore state
         // the pop is about to read.
         self.fault_round();
         self.fault_sweep();
-        loop {
-            let cycles_before = self.sorter.cycles();
-            let Some((tag, slot)) = self.sorter.pop_min() else {
-                self.fault_sweep();
-                return None;
+        // A popped entry whose packet pointer or descriptor was corrupted
+        // is claimed against the ledger and skipped instead of served.
+        let served = loop {
+            let Some((tag, slot)) = self.pop_min_timed() else {
+                break None;
             };
-            self.instr
-                .sort_cycles
-                .observe(self.instr.shard, self.sorter.cycles() - cycles_before);
             self.note_section_write(tag);
             let entry = self
                 .slot_info
                 .get_mut(slot.index() as usize)
                 .and_then(Option::take);
-            let Some((tick, stamp, finish, enq_cycle, full)) = entry else {
+            let Some(info) = entry else {
                 // Corrupted packet pointer: the sorter served a slot the
                 // buffer never issued (or already retired).
                 self.note_pointer_corruption();
                 continue;
             };
-            let Some(pkt) = self.buffer.try_release(full) else {
+            let Some(pkt) = self.buffer.try_release(info.full) else {
                 self.note_pointer_corruption();
-                self.outstanding.remove(&(tick, stamp));
+                self.uncount(info.section);
                 continue;
             };
             // The release ran the buffer's descriptor parity check; an
@@ -1377,61 +1361,78 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             let alarms = self.buffer.take_fault_alarms();
             if !alarms.is_empty() {
                 let cycle = self.sorter.cycles();
-                if let Some(mut fs) = self.faults.take() {
-                    for &alarm_slot in &alarms {
-                        self.note_detection(
-                            &mut fs,
-                            FaultComponent::Buffer,
-                            Some(alarm_slot as usize),
-                            cycle,
-                            DetectionKind::Parity,
-                        );
-                    }
-                    self.faults = Some(fs);
+                let fs = self.faults.as_mut().expect("a fault campaign is active");
+                for &alarm_slot in &alarms {
+                    fs.note_detection(
+                        &self.instr,
+                        FaultComponent::Buffer,
+                        Some(alarm_slot as usize),
+                        cycle,
+                        DetectionKind::Parity,
+                    );
                 }
-                if alarms.contains(&full.index()) {
-                    self.outstanding.remove(&(tick, stamp));
+                if alarms.contains(&info.full.index()) {
+                    self.uncount(info.section);
                     self.note_drop(pkt.flow.0);
                     continue;
                 }
             }
-            // Service feedback for state-coupled policies (STFQ's
-            // virtual time follows the served rank); a no-op for the
-            // default WFQ policy.
-            self.policy.on_service(&pkt, finish);
-            // An inversion means the linear sorter's head was not the
-            // logically smallest outstanding tick — the wrap-boundary
-            // overtaking that only WrapPolicy::Wrap permits.
-            let min_tick = self
-                .outstanding
-                .iter()
-                .next()
-                .map(|&(t, _)| t)
-                .unwrap_or(tick);
-            if tick > min_tick {
+            break Some(self.complete_service(pkt, info));
+        };
+        self.fault_sweep();
+        served
+    }
+
+    /// Pops the sorter's minimum, observing its sort latency.
+    fn pop_min_timed(&mut self) -> Option<(Tag, PacketRef)> {
+        let cycles_before = self.sorter.cycles();
+        let popped = self.sorter.pop_min()?;
+        self.instr
+            .sort_cycles
+            .observe(self.instr.shard, self.sorter.cycles() - cycles_before);
+        Some(popped)
+    }
+
+    /// Serves a popped packet: rank feedback, inversion accounting,
+    /// counters, and the `Dequeue` event.
+    fn complete_service(&mut self, pkt: Packet, info: SlotInfo) -> (Packet, SojournStamp) {
+        // Service feedback for state-coupled policies (STFQ's virtual
+        // time follows the served rank); a no-op for the default WFQ
+        // policy.
+        self.policy.on_service(&pkt, info.finish);
+        // Only Wrap lets the linear sorter's head overtake older ticks,
+        // at the lap boundary: that is an inversion.
+        if let Some(counts) = self.wrap_counts.as_mut() {
+            if counts.retire(info.section) {
                 self.inversions += 1;
                 self.instr.inversions.inc(self.instr.shard, 1);
             }
-            self.outstanding.remove(&(tick, stamp));
-            self.dequeued += 1;
-            self.instr.dequeued.inc(self.instr.shard, 1);
-            self.note_depth();
-            let deq_cycle = self.sorter.cycles();
-            self.instr.tracer.emit(
-                self.instr.shard,
-                deq_cycle,
-                EventKind::Dequeue,
-                self.event_flow(pkt.flow.0),
-                pkt.seq,
-            );
-            self.fault_sweep();
-            return Some((
-                pkt,
-                SojournStamp {
-                    enqueued: enq_cycle,
-                    dequeued: deq_cycle,
-                },
-            ));
+        }
+        self.dequeued += 1;
+        self.instr.dequeued.inc(self.instr.shard, 1);
+        self.note_depth();
+        let deq_cycle = self.sorter.cycles();
+        self.instr.tracer.emit(
+            self.instr.shard,
+            deq_cycle,
+            EventKind::Dequeue,
+            self.event_flow(pkt.flow.0),
+            pkt.seq,
+        );
+        (
+            pkt,
+            SojournStamp {
+                enqueued: info.enq_cycle,
+                dequeued: deq_cycle,
+            },
+        )
+    }
+
+    /// Drops an entry from the Wrap section counts without judging it:
+    /// push-out victims, migrated entries, and faulted pops.
+    fn uncount(&mut self, section: u8) {
+        if let Some(counts) = self.wrap_counts.as_mut() {
+            counts.retire(section);
         }
     }
 
@@ -1490,7 +1491,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         b.word(admission_word(self.admission));
         b.word(self.paged as u64);
         b.word(policy_name_word(self.policy.name()));
-        b.word(self.next_stamp);
         b.word(self.enqueued);
         b.word(self.dequeued);
         b.word(self.inversions);
@@ -1498,13 +1498,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         b.word(self.wred_coins);
         b.word(self.migrated_in);
         b.word(self.migrated_out);
+        // The Wrap section counts re-derive from the entries' tags; only
+        // the oldest-section cursor needs a word of its own.
+        b.word(self.wrap_counts.as_ref().map_or(0, SectionCounts::oldest));
         b.slice(&self.quantizer.state_words());
         b.slice(&self.policy.state_words());
         b.word(entries.len() as u64);
         for e in &entries {
             b.word(u64::from(e.tag.value()));
-            b.word(e.tick);
-            b.word(e.stamp);
             b.float(e.finish.value());
             b.word(e.enq_cycle);
             b.word(u64::from(e.pkt.flow.0));
@@ -1580,7 +1581,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             "checkpoint rank policy differs from the restore prototype ({})",
             s.policy.name()
         );
-        s.next_stamp = r.word()?;
         s.enqueued = r.word()?;
         s.dequeued = r.word()?;
         s.inversions = r.word()?;
@@ -1588,69 +1588,65 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         s.wred_coins = r.word()?;
         s.migrated_in = r.word()?;
         s.migrated_out = r.word()?;
+        let oldest_section = r.word()?;
         s.quantizer.load_state_words(&r.slice()?);
         s.policy.load_state_words(&r.slice()?);
         let n = r.word()? as usize;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
-            let tag = Tag(u32::try_from(r.word()?).expect("checkpointed tag fits the geometry"));
-            let tick = r.word()?;
-            let stamp = r.word()?;
-            let finish = VirtualTime(r.float()?);
-            let enq_cycle = r.word()?;
-            let flow = FlowId(u32::try_from(r.word()?).expect("checkpointed flow id fits u32"));
-            let seq = r.word()?;
-            let size_bytes = u32::try_from(r.word()?).expect("checkpointed packet size fits u32");
-            let arrival = Time(r.float()?);
+            // Fields evaluate in the order written: the checkpoint's.
             entries.push(CkptEntry {
-                tag,
-                tick,
-                stamp,
-                finish,
-                enq_cycle,
+                tag: Tag(u32::try_from(r.word()?).expect("checkpointed tag fits the geometry")),
+                finish: VirtualTime(r.float()?),
+                enq_cycle: r.word()?,
                 pkt: Packet {
-                    flow,
-                    size_bytes,
-                    arrival,
-                    seq,
+                    flow: FlowId(u32::try_from(r.word()?).expect("checkpointed flow id fits u32")),
+                    seq: r.word()?,
+                    size_bytes: u32::try_from(r.word()?)
+                        .expect("checkpointed packet size fits u32"),
+                    arrival: Time(r.float()?),
                 },
             });
         }
         s.install_entries(&entries);
+        if let Some(counts) = s.wrap_counts.as_mut() {
+            let geometry = s.sorter.geometry();
+            counts.reload(
+                entries.iter().map(|e| geometry.section_of(e.tag)),
+                oldest_section,
+            );
+        }
         Ok(s)
     }
 
     /// Drains every queued entry (ascending tag, FIFO among ties) with
-    /// its full sideband, releasing buffer slots and clearing the
-    /// outstanding-tick window. The queue is empty afterwards; pair
+    /// its full sideband, releasing buffer slots. The queue is empty
+    /// afterwards, but the Wrap section counts still describe it: pair
     /// with [`HwScheduler::install_entries`] to put it back.
     fn snapshot_entries(&mut self) -> Vec<CkptEntry> {
         let mut out = Vec::with_capacity(self.sorter.len());
         while let Some((tag, slot)) = self.sorter.pop_min() {
-            let (tick, stamp, finish, enq_cycle, full) = self.slot_info[slot.index() as usize]
+            let info = self.slot_info[slot.index() as usize]
                 .take()
                 .expect("sorter entry has sideband");
             let pkt = self
                 .buffer
-                .try_release(full)
+                .try_release(info.full)
                 .expect("sorter entry has a live buffer slot");
             out.push(CkptEntry {
                 tag,
-                tick,
-                stamp,
-                finish,
-                enq_cycle,
+                finish: info.finish,
+                enq_cycle: info.enq_cycle,
                 pkt,
             });
         }
-        self.outstanding.clear();
         out
     }
 
     /// Reinstalls snapshot entries in order: buffer slot, sorter tag,
-    /// outstanding tick, sideband. Slot indices may differ from the
-    /// original run (the buffer free list is private); every observable
-    /// — tag order, FIFO ties, ranks, stamps — is preserved.
+    /// sideband. Slot indices may differ from the original run (the
+    /// buffer free list is private); every observable — tag order, FIFO
+    /// ties, ranks, stamps — is preserved.
     fn install_entries(&mut self, entries: &[CkptEntry]) {
         for e in entries {
             let full = self
@@ -1661,9 +1657,12 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             self.sorter
                 .insert(e.tag, slot)
                 .expect("checkpointed tag reinserts under eager cleanup");
-            self.outstanding.insert((e.tick, e.stamp));
-            self.slot_info[slot.index() as usize] =
-                Some((e.tick, e.stamp, e.finish, e.enq_cycle, full));
+            self.slot_info[slot.index() as usize] = Some(SlotInfo {
+                finish: e.finish,
+                enq_cycle: e.enq_cycle,
+                full,
+                section: self.sorter.geometry().section_of(e.tag) as u8,
+            });
         }
     }
 
@@ -1694,21 +1693,22 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         let slot_info = &self.slot_info;
         let buffer = &self.buffer;
         let taken = self.sorter.extract_flow(&mut |slot: PacketRef| {
-            slot_info[slot.index() as usize]
-                .map(|(_, _, _, _, full)| buffer.peek(full).flow == flow)
-                .unwrap_or(false)
+            slot_info[slot.index() as usize].is_some_and(|info| buffer.peek(info.full).flow == flow)
         });
         let mut entries = Vec::with_capacity(taken.len());
         for (_, slot) in taken {
-            let (tick, stamp, finish, _enq_cycle, full) = self.slot_info[slot.index() as usize]
+            let info = self.slot_info[slot.index() as usize]
                 .take()
                 .expect("extracted entry has sideband");
             let packet = self
                 .buffer
-                .try_release(full)
+                .try_release(info.full)
                 .expect("extracted entry has a live buffer slot");
-            self.outstanding.remove(&(tick, stamp));
-            entries.push(MigratedEntry { packet, finish });
+            self.uncount(info.section);
+            entries.push(MigratedEntry {
+                packet,
+                finish: info.finish,
+            });
         }
         self.migrated_out += entries.len() as u64;
         self.instr
@@ -1765,7 +1765,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         for e in &mf.entries {
             let mut pkt = e.packet;
             pkt.flow = flow;
-            self.admit_ranked(pkt, xlat.translate(e.finish), false)?;
+            let tag = self.admit_ranked(pkt, xlat.translate(e.finish), false)?;
+            self.note_section_write(tag);
         }
         self.migrated_in += mf.entries.len() as u64;
         self.instr
@@ -1826,12 +1827,10 @@ impl MigratedFlow {
     }
 }
 
-/// One checkpointed queue entry: the sorter tag, its quantizer tick and
-/// FIFO stamp, the exact rank, the enqueue cycle stamp, and the packet.
+/// One checkpointed queue entry: the sorter tag, the exact rank, the
+/// enqueue cycle stamp, and the packet.
 struct CkptEntry {
     tag: Tag,
-    tick: u64,
-    stamp: u64,
     finish: VirtualTime,
     enq_cycle: u64,
     pkt: Packet,
@@ -2086,6 +2085,68 @@ mod tests {
         }
         while s.dequeue().is_some() {}
         assert_eq!(s.stats().inversions, 0);
+    }
+
+    #[test]
+    fn saturate_serves_in_clamped_tick_order_when_a_busy_period_opens_past_the_range() {
+        // One big weight-1 packet opens the busy period at a tick past
+        // 2^12; thirty-nine weight-10 packets follow with lower ticks.
+        // Every served packet's min(tick, 2^12 - 1) must be
+        // nondecreasing, so the early clamp cannot re-anchor the window.
+        // 1625-byte packets put a tick (3900) between the opener's old
+        // re-anchored tag (12000 mod 4096 = 3808) and the range top.
+        for bytes in [1625, 1500] {
+            let fl = flows(&[1.0, 10.0]);
+            let config = SchedulerConfig {
+                tick_scale: 1.0,
+                ..SchedulerConfig::default()
+            };
+            let mut s = HwScheduler::new(&fl, 1e9, config);
+            let mut oracle = fairq::GpsVirtualClock::new(&[1.0, 10.0], 1e9);
+            let mut tick_of = std::collections::HashMap::new();
+            let top = Geometry::paper().tag_space() - 1;
+            for (seq, (flow, bytes)) in std::iter::once((0u32, 1500u32))
+                .chain(std::iter::repeat_n((1, bytes), 39))
+                .enumerate()
+            {
+                let p = pkt(seq as u64, flow, 0.0, bytes);
+                s.enqueue(p).unwrap();
+                let (_, f) = oracle.on_arrival(p.flow, p.size_bits(), p.arrival);
+                tick_of.insert(p.seq, (f.value().floor() as u64).min(top));
+            }
+            assert_eq!(tick_of[&0], top, "the opening tick is past the range");
+            let served: Vec<u64> = std::iter::from_fn(|| s.dequeue())
+                .map(|p| tick_of[&p.seq])
+                .collect();
+            assert_eq!(served.len(), 40);
+            assert!(
+                served.windows(2).all(|w| w[0] <= w[1]),
+                "{bytes} B: clamped ticks served out of order: {served:?}"
+            );
+            assert_eq!(s.stats().inversions, 0, "{bytes} B");
+        }
+    }
+
+    #[test]
+    fn saturate_never_recycles_even_at_a_vanishing_tick_scale() {
+        // Ticks of ~10^10 clamp to the range top instead of walking the
+        // sections in between.
+        let mut s = HwScheduler::new(
+            &flows(&[1.0]),
+            1e9,
+            SchedulerConfig {
+                tick_scale: 1e-9,
+                ..SchedulerConfig::default()
+            },
+        );
+        for seq in 0..4 {
+            s.enqueue(pkt(seq, 0, 0.0, 1500)).unwrap();
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| s.dequeue()).map(|p| p.seq).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        let stats = s.stats();
+        assert_eq!(stats.circuit.recycled_sections, 0);
+        assert_eq!(stats.clamped, 4);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! newest) tags before the old lap's largest tags. This module makes the
 //! resolution explicit via [`WrapPolicy`]:
 //!
-//! * [`WrapPolicy::Saturate`] (default) — tags that would wrap while
-//!   older tags still occupy the top of the range are clamped to the
-//!   range top. Service order is preserved exactly; the clamp introduces
-//!   a bounded quantization error that disappears as soon as the window
-//!   clears (and the base is rebased whenever the system drains empty).
+//! * [`WrapPolicy::Saturate`] (default) — the tag window is lap 0: every
+//!   tick at or above 2^W is clamped to 2^W − 1, whatever is queued. So
+//!   tick and tag coincide for every live tag, service order is
+//!   preserved exactly, and Saturate never recycles a section. The
+//!   clamp introduces a bounded quantization error that disappears once
+//!   the system drains empty and the base is rebased.
 //! * [`WrapPolicy::Wrap`] — the paper-literal behaviour: tags wrap
 //!   modulo 2^W. Order inversions at the boundary are possible and are
 //!   *measured* by experiment E4 rather than hidden.
@@ -25,7 +26,7 @@ use tagsort::{Geometry, Tag};
 /// How tags behave at the top of the W-bit range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WrapPolicy {
-    /// Clamp new tags to the range top until the old lap drains
+    /// Clamp ticks past the range top to 2^W − 1 until the system drains
     /// (order-preserving; bounded extra quantization error).
     #[default]
     Saturate,
@@ -39,9 +40,8 @@ pub enum WrapPolicy {
 pub struct QuantizeOutcome {
     /// The W-bit tag to hand to the sorter.
     pub tag: Tag,
-    /// The unwrapped tick the tag was derived from. Callers track the
-    /// minimum outstanding tick with this and feed it back into
-    /// [`TagQuantizer::quantize`].
+    /// The unwrapped tick the tag was derived from (equal to the tag
+    /// under [`WrapPolicy::Saturate`]).
     pub tick: u64,
     /// Sections that must be recycled (cleared) before this tag is
     /// inserted, in circular order — usually empty or one entry; more
@@ -135,14 +135,16 @@ impl TagQuantizer {
         self.policy
     }
 
-    /// Quantizes a finishing tag given the smallest *tick* still
-    /// outstanding in the sorter (`None` when the sorter is empty).
-    /// Outstanding ticks are the [`QuantizeOutcome::tick`] values of
-    /// previous calls whose tags have not yet been served.
+    /// Quantizes a finishing tag. Under [`WrapPolicy::Wrap`],
+    /// `min_outstanding_tick` is the smallest [`QuantizeOutcome::tick`]
+    /// of earlier calls whose tags are still queued (`None` when the
+    /// sorter is empty), and bounds the live window; under
+    /// [`WrapPolicy::Saturate`] it is ignored, because the window is
+    /// always lap 0.
     ///
     /// Returns the sorter tag plus any sections that must be recycled
-    /// first. Callers must perform the recycling *before* inserting the
-    /// tag.
+    /// first (never any under Saturate). Callers must perform the
+    /// recycling *before* inserting the tag.
     ///
     /// # Panics
     ///
@@ -161,17 +163,16 @@ impl TagQuantizer {
         );
         let space = self.geometry.tag_space();
         let mut tick = ((finish.value() - self.base) / self.scale).floor() as u64;
-        let min_tick = min_outstanding_tick.unwrap_or(tick);
         let mut clamped = false;
         if self.policy == WrapPolicy::Saturate {
-            // Order preservation requires every live tick to sit in the
-            // same lap-aligned window (modular reduction is monotone only
-            // within one lap). Clamp to the top of the oldest live tag's
-            // lap; a rebase when the sorter drains restores headroom.
-            let lap_base = (min_tick / space) * space;
-            let limit = lap_base + space - 1;
-            if tick > limit {
-                tick = limit;
+            // Modular reduction is monotone only within one lap, so every
+            // live tick stays in lap 0: clamping to its top keeps tick ==
+            // tag and order exact. A clamp anchored anywhere else could
+            // re-anchor when a lower tick arrives later in the busy
+            // period and serve packets out of order. The rebase when the
+            // sorter drains restores headroom.
+            if tick > space - 1 {
+                tick = space - 1;
                 clamped = true;
                 self.clamped += 1;
             }
@@ -181,7 +182,7 @@ impl TagQuantizer {
             // One section of slack guarantees that when allocation enters
             // a wrapped section, the same section of the previous lap has
             // fully drained — the precondition for recycling it.
-            let window = tick.saturating_sub(min_tick);
+            let window = tick.saturating_sub(min_outstanding_tick.unwrap_or(tick));
             assert!(
                 window <= space - self.section_ticks,
                 "live tag window ({window} ticks) leaves no recycling slack"
@@ -241,6 +242,98 @@ impl TagQuantizer {
         self.max_tick = words[1];
         self.prepared_through = words[2];
         self.clamped = words[3];
+    }
+}
+
+/// Live-entry counts per top-level section under [`WrapPolicy::Wrap`]
+/// (Fig. 6's recycle unit, at most 64 sections), with a cursor on the
+/// oldest live one — the Wrap window, kept by the scheduler as entries
+/// are queued and leave.
+///
+/// The recycle guard never lets allocation enter a section whose
+/// previous lap is still queued, so live sections are distinct modulo
+/// the section count and can be counted by the tag's section. (An
+/// arrival a whole lap below the newest queued tick would alias two
+/// laps in one count; the counts assume PGPS lag never reaches that
+/// far.) That answers both questions the
+/// scheduler asks: recycling a section is safe exactly when its count
+/// is zero, and a served entry is an inversion exactly when it did not
+/// come from the oldest live section. (Within one section the sorter
+/// serves ticks in order, so it can only overtake across sections.)
+#[derive(Debug, Clone)]
+pub(crate) struct SectionCounts {
+    live: Vec<u32>,
+    /// Absolute section (tick ÷ section ticks) of the oldest queued
+    /// entry; stale while nothing is queued.
+    oldest: u64,
+    queued: u64,
+    section_ticks: u64,
+}
+
+impl SectionCounts {
+    pub(crate) fn new(geometry: Geometry) -> Self {
+        let sections = geometry.sections();
+        Self {
+            live: vec![0; sections as usize],
+            oldest: 0,
+            queued: 0,
+            section_ticks: geometry.tag_space() / u64::from(sections),
+        }
+    }
+
+    /// Counts a queued entry quantized to `tick`.
+    pub(crate) fn admit(&mut self, tick: u64) {
+        let abs = tick / self.section_ticks;
+        if self.queued == 0 || abs < self.oldest {
+            self.oldest = abs;
+        }
+        self.queued += 1;
+        let section = abs % self.live.len() as u64;
+        self.live[section as usize] += 1;
+    }
+
+    /// Uncounts an entry of `section`, returning whether it lay outside
+    /// the oldest live section (an inversion, when the entry was served).
+    pub(crate) fn retire(&mut self, section: u8) -> bool {
+        let n = self.live.len() as u64;
+        self.live[usize::from(section)] -= 1;
+        self.queued -= 1;
+        if u64::from(section) != self.oldest % n {
+            return true;
+        }
+        while self.queued > 0 && self.live[(self.oldest % n) as usize] == 0 {
+            self.oldest += 1;
+        }
+        false
+    }
+
+    /// The Fig. 6 recycle guard: allocation may enter a wrapped section
+    /// only once the previous lap's entries in it have all departed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `section` still holds queued entries.
+    pub(crate) fn assert_recyclable(&self, section: u32) {
+        let live = self.live[section as usize];
+        assert!(
+            live == 0,
+            "live tag window leaves no recycling slack ({live} tags still queued in section {section})"
+        );
+    }
+
+    /// The oldest-section cursor, for checkpoints.
+    pub(crate) fn oldest(&self) -> u64 {
+        self.oldest
+    }
+
+    /// Recounts restored entries from their tags' sections, with the
+    /// checkpointed cursor.
+    pub(crate) fn reload(&mut self, sections: impl Iterator<Item = u32>, oldest: u64) {
+        for section in sections {
+            self.live[section as usize] += 1;
+            self.queued += 1;
+        }
+        self.oldest = oldest;
     }
 }
 
@@ -314,6 +407,28 @@ mod tests {
         assert_eq!(q.clamped_count(), 1);
         // A clamped tag never sorts below the live minimum.
         assert!(out.tag.value() >= 10);
+    }
+
+    #[test]
+    fn saturate_window_is_lap_zero_whatever_the_minimum() {
+        let mut q = quant();
+        // A busy period that opens past 2^W clamps to the top of lap 0,
+        // not of the opening tick's lap; a later, lower tick then still
+        // sorts at or below it instead of re-anchoring the window.
+        let first = q.quantize(VirtualTime(5000.0), None);
+        assert_eq!(
+            (first.tick, first.tag, first.clamped),
+            (4095, Tag(4095), true)
+        );
+        let later = q.quantize(VirtualTime(4200.0), Some(first.tick));
+        assert_eq!(later.tag, Tag(4095));
+        let lower = q.quantize(VirtualTime(100.0), Some(first.tick));
+        assert_eq!((lower.tag, lower.clamped), (Tag(100), false));
+        // Saturate never recycles, even for ticks far past the range: a
+        // tiny scale must not enumerate the sections in between.
+        let mut fine = TagQuantizer::new(Geometry::paper(), 1e-9);
+        let out = fine.quantize(VirtualTime(1e3), None);
+        assert_eq!((out.tag, out.recycle.len()), (Tag(4095), 0));
     }
 
     #[test]

@@ -390,6 +390,74 @@ proptest! {
             "stall/forward/conflict counts must be deterministic"
         );
     }
+
+    /// `peek_max` names the tag `pop_max` would pop — the live maximum,
+    /// never a stale lazy-cleanup marker — on every backend, under eager
+    /// and lazy cleanup alike, and charges no cycles.
+    #[test]
+    fn peek_max_names_the_tag_pop_max_pops(
+        ops in proptest::collection::vec(direct_op_strategy(), 1..200),
+    ) {
+        for cleanup in [CleanupPolicy::Eager, CleanupPolicy::Lazy] {
+            check_peek_max::<SortRetrieveCircuit>(&ops, cleanup);
+            check_peek_max::<FfsSorter>(&ops, cleanup);
+            check_peek_max::<HeapSorter>(&ops, cleanup);
+            check_peek_max::<PipelinedSortBackend>(&ops, cleanup);
+        }
+    }
+}
+
+/// Drives a direct program against a fresh `B`, checking before every
+/// step that `peek_max` is the live maximum and leaves the cycle count
+/// alone, and at every `PopMax` that the popped tag is the peeked one.
+fn check_peek_max<B: SortBackend>(ops: &[DirectOp], cleanup: CleanupPolicy) {
+    let mut backend = B::build(&BackendSpec {
+        geometry: Geometry::paper(),
+        capacity: 16,
+        cleanup,
+        memory: MemoryKind::SinglePort,
+    });
+    let mut live: Vec<Tag> = Vec::new();
+    let take = |live: &mut Vec<Tag>, popped: Option<(Tag, PacketRef)>| {
+        if let Some((tag, _)) = popped {
+            let at = live.iter().position(|&t| t == tag).expect("popped live");
+            live.swap_remove(at);
+        }
+    };
+    let name = backend.name();
+    for (i, op) in ops.iter().enumerate() {
+        let cycles = backend.cycles();
+        let peeked = backend.peek_max();
+        assert_eq!(
+            backend.cycles(),
+            cycles,
+            "{name}/{cleanup:?}: peek_max charged"
+        );
+        assert_eq!(
+            peeked,
+            live.iter().max().copied(),
+            "{name}/{cleanup:?} before op #{i}: peek_max is not the live maximum"
+        );
+        match op {
+            DirectOp::Insert { section, offset } => {
+                let tag = Tag(u32::from(*section) << 8 | u32::from(*offset));
+                if backend.insert(tag, PacketRef(i as u32)).is_ok() {
+                    live.push(tag);
+                }
+            }
+            DirectOp::PopMin => take(&mut live, backend.pop_min()),
+            DirectOp::PopMax => {
+                let popped = backend.pop_max();
+                assert_eq!(popped.map(|(t, _)| t), peeked, "{name}/{cleanup:?} op #{i}");
+                take(&mut live, popped);
+            }
+            DirectOp::Recycle { section } => {
+                if !live.iter().any(|&t| t.0 >> 8 == u32::from(*section)) {
+                    backend.recycle_section(u32::from(*section));
+                }
+            }
+        }
+    }
 }
 
 /// One direct-drive step against a bare `SortBackend`, biased so

@@ -215,7 +215,7 @@ impl RefRank for RefHwfq {
 }
 
 /// The reference scheduler: rank → quantize (floor-divide by the tick
-/// scale, saturate-clamp to the oldest live tick's lap, rebase to the
+/// scale, saturate-clamp to the top of lap 0, rebase to the
 /// rank floor whenever the queue drains under a monotone policy) →
 /// serve the smallest tick, FIFO among equals.
 struct RefModel<R: RefRank> {
@@ -245,10 +245,7 @@ impl<R: RefRank> RefModel<R> {
         if self.queue.is_empty() && self.rank.monotone() {
             self.base = self.rank.rank_floor();
         }
-        let mut tick = ((r - self.base) / self.scale).floor() as u64;
-        let min_tick = self.queue.iter().map(|e| e.0).min().unwrap_or(tick);
-        let limit = (min_tick / self.space) * self.space + self.space - 1;
-        tick = tick.min(limit);
+        let tick = (((r - self.base) / self.scale).floor() as u64).min(self.space - 1);
         self.queue.push((tick, self.counter, pkt, r));
         self.counter += 1;
     }

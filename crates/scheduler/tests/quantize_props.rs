@@ -48,11 +48,11 @@ proptest! {
         }
     }
 
-    /// Under Saturate, every assigned tick stays within the lap of the
-    /// oldest outstanding tick — the invariant that makes modular
-    /// reduction order-preserving.
+    /// Under Saturate, every assigned tick stays in lap 0 — the
+    /// invariant that makes modular reduction order-preserving — and no
+    /// section is ever recycled, whatever minimum the caller passes.
     #[test]
-    fn saturate_confines_ticks_to_the_live_lap(
+    fn saturate_confines_ticks_to_lap_zero(
         steps in proptest::collection::vec(0.0f64..3000.0, 1..150),
     ) {
         let mut q = TagQuantizer::new(Geometry::paper(), 1.0);
@@ -62,10 +62,9 @@ proptest! {
             v += s;
             let min = outstanding.iter().min().copied();
             let out = q.quantize(VirtualTime(v), min);
-            if let Some(m) = min {
-                let lap = m / 4096;
-                prop_assert_eq!(out.tick / 4096, lap, "tick left the live lap");
-            }
+            prop_assert_eq!(out.tick / 4096, 0, "tick left lap 0");
+            prop_assert_eq!(out.tag.value() as u64, out.tick, "tick is the tag");
+            prop_assert!(out.recycle.is_empty(), "saturate recycled a section");
             outstanding.push(out.tick);
             if outstanding.len() > 6 {
                 outstanding.remove(0);
