@@ -537,17 +537,20 @@ impl RankPolicy for LeakyBucketRank {
 ///
 /// Class membership is `flow id % classes` (over the link's dense local
 /// ids — under a sharded frontend, each port classes its own local
-/// population). With one class the policy degenerates *exactly* to
-/// [`WfqRank`]: one clock, the full weight vector, the full link rate.
+/// population). Each class clock holds only its members, flow `f` under
+/// the local id `f / classes`, so the policy keeps one clock record per
+/// flow whatever the class count. With one class the policy
+/// degenerates *exactly* to [`WfqRank`]: one clock, the full weight
+/// vector, the full link rate.
 #[derive(Debug, Clone)]
 pub struct HierarchicalWfqRank {
     /// Configured class count (clamped to the flow count at build).
     classes: usize,
-    /// One GPS clock per class, running at the class's share of the
-    /// link rate. Empty in the prototype.
+    /// One GPS clock per class over its members, running at the
+    /// class's share of the link rate. Empty in the prototype.
     clocks: Vec<GpsVirtualClock>,
-    /// Flow id → class index. Empty in the prototype.
-    class_of: Vec<usize>,
+    /// The link's flow count. Zero in the prototype.
+    flows: usize,
 }
 
 impl Default for HierarchicalWfqRank {
@@ -571,13 +574,26 @@ impl HierarchicalWfqRank {
         Self {
             classes,
             clocks: Vec::new(),
-            class_of: Vec::new(),
+            flows: 0,
         }
     }
 
     /// The class a flow is assigned to (after [`RankPolicy::for_link`]).
     pub fn class_of(&self, flow: u32) -> Option<usize> {
-        self.class_of.get(flow as usize).copied()
+        let flow = flow as usize;
+        (flow < self.flows).then(|| flow % self.clocks.len())
+    }
+
+    /// The flow's class clock and its id on that clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow id is out of range.
+    fn locate(&self, flow: FlowId) -> (usize, FlowId) {
+        let class = self
+            .class_of(flow.0)
+            .unwrap_or_else(|| panic!("unknown {flow}"));
+        (class, FlowId(flow.0 / self.clocks.len() as u32))
     }
 }
 
@@ -585,33 +601,28 @@ impl RankPolicy for HierarchicalWfqRank {
     fn for_link(&self, flows: &[FlowSpec], link_rate_bps: f64) -> Self {
         let weights = dense_weights(flows);
         let classes = self.classes.min(flows.len()).max(1);
-        let class_of: Vec<usize> = (0..flows.len()).map(|f| f % classes).collect();
         let total: f64 = weights.iter().sum();
         let clocks = (0..classes)
             .map(|c| {
-                let class_weight: f64 = weights
-                    .iter()
-                    .enumerate()
-                    .filter(|&(f, _)| class_of[f] == c)
-                    .map(|(_, &w)| w)
-                    .sum();
-                // Each class clock sees the full dense weight vector but
-                // only its members' arrivals, so GPS virtual time inside
-                // the class advances exactly as if the others were idle.
-                GpsVirtualClock::new(&weights, link_rate_bps * class_weight / total)
+                let members: Vec<f64> = weights.iter().skip(c).step_by(classes).copied().collect();
+                let class_weight: f64 = members.iter().sum();
+                // A class clock sees only its members' arrivals, so GPS
+                // virtual time inside the class advances exactly as if
+                // the other classes were idle.
+                GpsVirtualClock::new(&members, link_rate_bps * class_weight / total)
             })
             .collect();
         Self {
             classes: self.classes,
             clocks,
-            class_of,
+            flows: flows.len(),
         }
     }
 
     fn rank(&mut self, pkt: &Packet) -> VirtualTime {
-        let class = self.class_of[pkt.flow.0 as usize];
+        let (class, local) = self.locate(pkt.flow);
         self.clocks[class]
-            .on_arrival(pkt.flow, pkt.size_bits(), pkt.arrival)
+            .on_arrival(local, pkt.size_bits(), pkt.arrival)
             .1
     }
 
@@ -654,24 +665,33 @@ impl RankPolicy for HierarchicalWfqRank {
             words.first().copied().unwrap_or(0),
             self.clocks.len(),
         );
-        let mut at = 1;
-        for clock in &mut self.clocks {
-            let len = words[at] as usize;
-            at += 1;
-            clock.load_state_words(&words[at..at + len]);
-            at += len;
+        let mut rest = &words[1..];
+        for (class, clock) in self.clocks.iter_mut().enumerate() {
+            let body = rest
+                .split_first()
+                .and_then(|(&len, tail)| tail.split_at_checked(usize::try_from(len).ok()?));
+            let Some((state, tail)) = body else {
+                panic!("hwfq state truncated in class {class}");
+            };
+            clock.load_state_words(state);
+            rest = tail;
         }
-        assert_eq!(at, words.len(), "trailing words in hwfq state");
+        assert!(
+            rest.is_empty(),
+            "hwfq state has {} trailing words",
+            rest.len()
+        );
     }
 
     fn flow_finish(&self, flow: FlowId) -> VirtualTime {
-        self.clocks[self.class_of[flow.0 as usize]].last_finish_of(flow)
+        let (class, local) = self.locate(flow);
+        self.clocks[class].last_finish_of(local)
     }
 
     fn adopt_flow(&mut self, flow: FlowId, finish: VirtualTime) {
-        let class = self.class_of[flow.0 as usize];
-        let cur = self.clocks[class].last_finish_of(flow);
-        self.clocks[class].set_last_finish(flow, cur.max(finish));
+        let (class, local) = self.locate(flow);
+        let cur = self.clocks[class].last_finish_of(local);
+        self.clocks[class].set_last_finish(local, cur.max(finish));
     }
 }
 
@@ -937,6 +957,57 @@ mod tests {
             small.load_state_words(&words)
         }));
         assert!(result.is_err(), "cross-population restore must panic");
+    }
+
+    #[test]
+    fn hwfq_refuses_truncated_and_trailing_images() {
+        let fl = flows(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let mut live = HierarchicalWfqRank::with_classes(2).for_link(&fl, 1e6);
+        for i in 0..10u32 {
+            live.rank(&pkt(i % 5, f64::from(i) * 1e-4, 300));
+        }
+        let words = live.state_words();
+        let restore = |image: &[u64]| {
+            let mut twin = HierarchicalWfqRank::with_classes(2).for_link(&fl, 1e6);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                twin.load_state_words(image)
+            }))
+            .map_err(|e| {
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .expect("a formatted panic message")
+            })
+        };
+        assert!(restore(&words).is_ok());
+        for cut in 1..words.len() {
+            let err = restore(&words[..cut]).expect_err("truncated image restored");
+            assert!(
+                err.contains("truncated") || err.contains("cannot restore"),
+                "cut at {cut}: {err}"
+            );
+        }
+        let mut long = words.clone();
+        long.push(0);
+        assert!(restore(&long)
+            .expect_err("trailing word restored")
+            .contains("trailing"));
+        // A length word past the end must not overflow the slice bound.
+        let mut huge = words;
+        huge[1] = u64::MAX;
+        assert!(restore(&huge)
+            .expect_err("oversized length")
+            .contains("truncated"));
+    }
+
+    #[test]
+    fn hwfq_class_clocks_hold_only_their_members() {
+        let fl = flows(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let h = HierarchicalWfqRank::with_classes(2).for_link(&fl, 1e6);
+        // Class 0 holds flows 0, 2, 4 and class 1 flows 1, 3: one clock
+        // record per flow in all, each a finish and a busy word.
+        let clock_flows: Vec<u64> = h.clocks.iter().map(|c| c.state_words()[2]).collect();
+        assert_eq!(clock_flows, [3, 2]);
+        assert_eq!(h.class_of(5), None);
     }
 
     #[test]

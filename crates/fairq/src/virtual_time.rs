@@ -1,7 +1,6 @@
 //! The GPS virtual clock — the algorithm inside the paper's WFQ tag
 //! computation circuit (eq. (1), reference \[8\]).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use traffic::{FlowId, Time};
@@ -66,6 +65,25 @@ impl fmt::Display for VirtualTime {
 /// \[8\] performs, including its dependence on `F_min` — the smallest tag
 /// still in the sorter — via the session-drain events.
 ///
+/// # Data layout
+///
+/// Each flow has one record: its weight, its last finishing tag, and
+/// its position in the busy heap (`IDLE` when the flow is not busy).
+/// A busy flow drains when V reaches its last finishing tag, so that
+/// tag is its heap key; no second copy is kept. The busy set is an
+/// indexed 4-ary min-heap of flow ids ordered by `(last finish, flow
+/// id)`, the finish compared with `f64::total_cmp`. That order is total
+/// and unique per flow, so sessions drain in one fixed sequence — ties
+/// on the finish tag leave in flow-id order — and V is a pure function
+/// of the arrivals. Each operation touches one heap path:
+///
+/// - an arrival on an idle flow pushes it;
+/// - an arrival on a busy flow grows its key: one sift-down from its
+///   position;
+/// - a session drain pops the root;
+/// - [`GpsVirtualClock::set_last_finish`] removes the flow from its
+///   position and pushes it again if it is still ahead of V.
+///
 /// # Example
 ///
 /// ```
@@ -80,18 +98,13 @@ impl fmt::Display for VirtualTime {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GpsVirtualClock {
-    weights: Vec<f64>,
+    flows: Vec<FlowRec>,
+    /// Busy flow ids: a 4-ary min-heap under [`GpsVirtualClock::less`].
+    /// `flows[heap[i]].pos == i` for every slot.
+    heap: Vec<u32>,
     rate_bps: f64,
     v: f64,
     t_last: f64,
-    /// Per-flow largest finishing tag handed out so far.
-    last_finish: Vec<f64>,
-    /// Busy sessions keyed by their drain virtual time (last finish tag).
-    /// Values are flow indices; keys are unique per flow by construction
-    /// (ties broken with the flow index in the key).
-    busy: BTreeMap<(VirtualTime, u32), ()>,
-    /// Current key of each busy flow, if busy.
-    busy_key: Vec<Option<VirtualTime>>,
     sum_phi_busy: f64,
     /// Breakpoints of the piecewise-linear V(t) trajectory, recorded for
     /// virtual→real inversion when enabled (the fluid GPS reference
@@ -100,16 +113,37 @@ pub struct GpsVirtualClock {
     record_segments: bool,
 }
 
+/// One flow's clock state.
+#[derive(Debug, Clone, Copy)]
+struct FlowRec {
+    weight: f64,
+    /// Largest finishing tag handed out so far; the heap key while busy.
+    last_finish: f64,
+    /// Slot in the busy heap, or [`IDLE`].
+    pos: u32,
+}
+
+/// `FlowRec::pos` of a flow outside the busy heap.
+const IDLE: u32 = u32::MAX;
+
+/// Children per busy-heap node: four 4-byte ids share a cache line, and
+/// the heap is half as deep as a binary one.
+const ARITY: usize = 4;
+
 impl GpsVirtualClock {
     /// Creates a clock for flows `0..weights.len()` on a link of
     /// `rate_bps`.
     ///
     /// # Panics
     ///
-    /// Panics if `weights` is empty, any weight is non-positive, or the
-    /// rate is non-positive.
+    /// Panics if `weights` is empty or holds `u32::MAX` flows or more,
+    /// any weight is non-positive, or the rate is non-positive.
     pub fn new(weights: &[f64], rate_bps: f64) -> Self {
         assert!(!weights.is_empty(), "at least one flow required");
+        assert!(
+            weights.len() < IDLE as usize,
+            "flow ids must fit below u32::MAX"
+        );
         assert!(
             weights.iter().all(|w| *w > 0.0 && w.is_finite()),
             "weights must be positive and finite"
@@ -119,13 +153,18 @@ impl GpsVirtualClock {
             "rate must be positive and finite"
         );
         Self {
-            weights: weights.to_vec(),
+            flows: weights
+                .iter()
+                .map(|&weight| FlowRec {
+                    weight,
+                    last_finish: 0.0,
+                    pos: IDLE,
+                })
+                .collect(),
+            heap: Vec::new(),
             rate_bps,
             v: 0.0,
             t_last: 0.0,
-            last_finish: vec![0.0; weights.len()],
-            busy: BTreeMap::new(),
-            busy_key: vec![None; weights.len()],
             sum_phi_busy: 0.0,
             breakpoints: vec![(0.0, 0.0)],
             record_segments: false,
@@ -146,7 +185,7 @@ impl GpsVirtualClock {
 
     /// Number of GPS-busy sessions.
     pub fn busy_sessions(&self) -> usize {
-        self.busy.len()
+        self.heap.len()
     }
 
     /// Advances the clock to real time `to`, processing session drains.
@@ -163,26 +202,21 @@ impl GpsVirtualClock {
         );
         let to = to.max(self.t_last);
         loop {
-            if self.busy.is_empty() {
+            let Some(&head) = self.heap.first() else {
                 // Idle: V holds (a zero-slope plateau).
                 self.t_last = to;
                 self.push_breakpoint();
                 return;
-            }
+            };
             let slope = self.rate_bps / self.sum_phi_busy;
-            let (&(drain_v, flow_idx), _) = self.busy.iter().next().expect("non-empty");
-            let t_hit = self.t_last + (drain_v.0 - self.v) / slope;
+            let drain_v = self.flows[head as usize].last_finish;
+            let t_hit = self.t_last + (drain_v - self.v) / slope;
             if t_hit <= to {
                 // The head session drains before (or at) `to`.
-                self.v = drain_v.0;
+                self.v = drain_v;
                 self.t_last = t_hit;
                 self.push_breakpoint();
-                self.busy.remove(&(drain_v, flow_idx));
-                self.busy_key[flow_idx as usize] = None;
-                self.sum_phi_busy -= self.weights[flow_idx as usize];
-                if self.busy.is_empty() {
-                    self.sum_phi_busy = 0.0; // kill accumulated error
-                }
+                self.remove(head);
             } else {
                 self.v += (to - self.t_last) * slope;
                 self.t_last = to;
@@ -197,8 +231,8 @@ impl GpsVirtualClock {
     ///
     /// # Panics
     ///
-    /// Panics if the flow id is out of range or `at` precedes an earlier
-    /// event.
+    /// Panics if the flow id is out of range, the size is negative or
+    /// NaN, or `at` precedes an earlier event.
     pub fn on_arrival(
         &mut self,
         flow: FlowId,
@@ -206,28 +240,34 @@ impl GpsVirtualClock {
         at: Time,
     ) -> (VirtualTime, VirtualTime) {
         let idx = flow.0 as usize;
-        assert!(idx < self.weights.len(), "unknown {flow}");
+        assert!(idx < self.flows.len(), "unknown {flow}");
+        assert!(
+            size_bits >= 0.0,
+            "packet size must be non-negative, got {size_bits}"
+        );
         self.advance(at);
-        let start = self.v.max(self.last_finish[idx]);
-        let finish = start + size_bits / self.weights[idx];
-        self.last_finish[idx] = finish;
-        // Reposition the flow in the busy set under its new drain tag.
-        if let Some(old) = self.busy_key[idx].take() {
-            self.busy.remove(&(old, flow.0));
+        let rec = &mut self.flows[idx];
+        let start = self.v.max(rec.last_finish);
+        let finish = start + size_bits / rec.weight;
+        rec.last_finish = finish;
+        let pos = rec.pos;
+        if pos == IDLE {
+            self.sum_phi_busy += rec.weight;
+            self.push(flow.0);
         } else {
-            self.sum_phi_busy += self.weights[idx];
+            // A non-negative size never lowers the key.
+            self.sift_down(pos as usize, flow.0);
         }
-        self.busy.insert((VirtualTime(finish), flow.0), ());
-        self.busy_key[idx] = Some(VirtualTime(finish));
         (VirtualTime(start), VirtualTime(finish))
     }
 
     /// Advances until every busy session drains; returns the real time at
     /// which the GPS system empties.
     pub fn drain(&mut self) -> Time {
-        while let Some((&(drain_v, _), _)) = self.busy.iter().next().map(|kv| (kv.0, ())) {
+        while let Some(&head) = self.heap.first() {
             let slope = self.rate_bps / self.sum_phi_busy;
-            let t_hit = self.t_last + (drain_v.0 - self.v) / slope;
+            let drain_v = self.flows[head as usize].last_finish;
+            let t_hit = self.t_last + (drain_v - self.v) / slope;
             self.advance(Time(t_hit));
         }
         Time(self.t_last)
@@ -265,8 +305,8 @@ impl GpsVirtualClock {
     /// Panics if the flow id is out of range.
     pub fn last_finish_of(&self, flow: FlowId) -> VirtualTime {
         let idx = flow.0 as usize;
-        assert!(idx < self.weights.len(), "unknown {flow}");
-        VirtualTime(self.last_finish[idx])
+        assert!(idx < self.flows.len(), "unknown {flow}");
+        VirtualTime(self.flows[idx].last_finish)
     }
 
     /// Overwrites one flow's last finishing tag, keeping the busy set
@@ -281,20 +321,15 @@ impl GpsVirtualClock {
     /// Panics if the flow id is out of range or the tag is non-finite.
     pub fn set_last_finish(&mut self, flow: FlowId, v: VirtualTime) {
         let idx = flow.0 as usize;
-        assert!(idx < self.weights.len(), "unknown {flow}");
+        assert!(idx < self.flows.len(), "unknown {flow}");
         assert!(v.0.is_finite(), "finish tag must be finite, got {v}");
-        if let Some(old) = self.busy_key[idx].take() {
-            self.busy.remove(&(old, flow.0));
-            self.sum_phi_busy -= self.weights[idx];
-            if self.busy.is_empty() {
-                self.sum_phi_busy = 0.0; // kill accumulated error
-            }
+        if self.flows[idx].pos != IDLE {
+            self.remove(flow.0);
         }
-        self.last_finish[idx] = v.0;
+        self.flows[idx].last_finish = v.0;
         if v.0 > self.v {
-            self.busy.insert((v, flow.0), ());
-            self.busy_key[idx] = Some(v);
-            self.sum_phi_busy += self.weights[idx];
+            self.sum_phi_busy += self.flows[idx].weight;
+            self.push(flow.0);
         }
     }
 
@@ -305,13 +340,13 @@ impl GpsVirtualClock {
     /// loads these words. Segment recording is excluded too (the fluid
     /// GPS reference records; scheduler clocks never do).
     pub fn state_words(&self) -> Vec<u64> {
-        let n = self.weights.len();
+        let n = self.flows.len();
         let mut words = Vec::with_capacity(3 + 2 * n);
         words.push(self.v.to_bits());
         words.push(self.t_last.to_bits());
         words.push(n as u64);
-        words.extend(self.last_finish.iter().map(|f| f.to_bits()));
-        words.extend(self.busy_key.iter().map(|k| u64::from(k.is_some())));
+        words.extend(self.flows.iter().map(|r| r.last_finish.to_bits()));
+        words.extend(self.flows.iter().map(|r| u64::from(r.pos != IDLE)));
         words
     }
 
@@ -325,26 +360,47 @@ impl GpsVirtualClock {
     ///
     /// Panics if the words do not describe a clock over the same number
     /// of flows (a checkpoint CRC guards against corruption upstream;
-    /// this guards against restoring into the wrong link).
+    /// this guards against restoring into the wrong link), if V, the
+    /// last event time or a finish tag is not finite, or if a busy flag
+    /// is neither 0 nor 1. A non-finite busy key would sort outside
+    /// every real tag and never drain, freezing V's slope.
     pub fn load_state_words(&mut self, words: &[u64]) {
-        let n = self.weights.len();
+        let n = self.flows.len();
         assert!(
             words.len() == 3 + 2 * n && words[2] as usize == n,
             "clock state for {} flows cannot restore into {n}",
             words.get(2).copied().unwrap_or(0),
         );
-        self.v = f64::from_bits(words[0]);
-        self.t_last = f64::from_bits(words[1]);
-        self.busy.clear();
+        let v = f64::from_bits(words[0]);
+        let t_last = f64::from_bits(words[1]);
+        assert!(v.is_finite(), "clock state V is not finite: {v}");
+        assert!(
+            t_last.is_finite(),
+            "clock state last event time is not finite: {t_last}"
+        );
+        let (finishes, flags) = words[3..].split_at(n);
+        for (i, (&f, &busy)) in finishes.iter().zip(flags).enumerate() {
+            let f = f64::from_bits(f);
+            assert!(
+                f.is_finite(),
+                "clock state finish tag of flow {i} is not finite: {f}"
+            );
+            assert!(
+                busy <= 1,
+                "clock state busy flag of flow {i} is {busy}, not 0 or 1"
+            );
+        }
+        self.v = v;
+        self.t_last = t_last;
+        self.heap.clear();
         self.sum_phi_busy = 0.0;
-        for i in 0..n {
-            self.last_finish[i] = f64::from_bits(words[3 + i]);
-            self.busy_key[i] = None;
-            if words[3 + n + i] != 0 {
-                let key = VirtualTime(self.last_finish[i]);
-                self.busy.insert((key, i as u32), ());
-                self.busy_key[i] = Some(key);
-                self.sum_phi_busy += self.weights[i];
+        for (i, (&f, &busy)) in finishes.iter().zip(flags).enumerate() {
+            let rec = &mut self.flows[i];
+            rec.last_finish = f64::from_bits(f);
+            rec.pos = IDLE;
+            if busy == 1 {
+                self.sum_phi_busy += rec.weight;
+                self.push(i as u32);
             }
         }
         self.breakpoints = vec![(self.t_last, self.v)];
@@ -358,6 +414,84 @@ impl GpsVirtualClock {
         if self.breakpoints.last() != Some(&point) {
             self.breakpoints.push(point);
         }
+    }
+
+    /// The busy-heap order: `(last finish, flow id)`, finish under
+    /// `total_cmp`.
+    fn less(&self, a: u32, b: u32) -> bool {
+        let fa = self.flows[a as usize].last_finish;
+        let fb = self.flows[b as usize].last_finish;
+        fa.total_cmp(&fb).then(a.cmp(&b)).is_lt()
+    }
+
+    fn place(&mut self, slot: usize, flow: u32) {
+        self.heap[slot] = flow;
+        self.flows[flow as usize].pos = slot as u32;
+    }
+
+    fn push(&mut self, flow: u32) {
+        self.heap.push(flow);
+        self.sift_up(self.heap.len() - 1, flow);
+    }
+
+    /// Takes a busy flow out of the heap and out of the busy weight.
+    fn remove(&mut self, flow: u32) {
+        let rec = &mut self.flows[flow as usize];
+        let slot = rec.pos as usize;
+        rec.pos = IDLE;
+        self.sum_phi_busy -= rec.weight;
+        let last = self.heap.pop().expect("a busy flow is in the heap");
+        if last != flow {
+            // The last slot's flow fills the hole, from either side.
+            if slot > 0 && self.less(last, self.heap[(slot - 1) / ARITY]) {
+                self.sift_up(slot, last);
+            } else {
+                self.sift_down(slot, last);
+            }
+        }
+        if self.heap.is_empty() {
+            self.sum_phi_busy = 0.0; // kill accumulated error
+        }
+    }
+
+    /// Moves `flow` from `slot` towards the root until its parent is
+    /// smaller.
+    fn sift_up(&mut self, mut slot: usize, flow: u32) {
+        while slot > 0 {
+            let parent = (slot - 1) / ARITY;
+            let above = self.heap[parent];
+            if !self.less(flow, above) {
+                break;
+            }
+            self.place(slot, above);
+            slot = parent;
+        }
+        self.place(slot, flow);
+    }
+
+    /// Moves `flow` from `slot` towards the leaves until no child is
+    /// smaller.
+    fn sift_down(&mut self, mut slot: usize, flow: u32) {
+        let len = self.heap.len();
+        loop {
+            let first = slot * ARITY + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            for child in first + 1..(first + ARITY).min(len) {
+                if self.less(self.heap[child], self.heap[best]) {
+                    best = child;
+                }
+            }
+            let below = self.heap[best];
+            if !self.less(below, flow) {
+                break;
+            }
+            self.place(slot, below);
+            slot = best;
+        }
+        self.place(slot, flow);
     }
 }
 
@@ -467,11 +601,50 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_non_finite_words_and_bad_busy_flags() {
+        let mut src = GpsVirtualClock::new(&[1.0, 2.0], 1e6);
+        src.on_arrival(FlowId(0), 8000.0, Time(0.0));
+        src.on_arrival(FlowId(1), 8000.0, Time(1e-3));
+        let words = src.state_words();
+        // Words: V, last event time, flow count, finish tags, busy flags.
+        let negative_nan = (-f64::NAN).to_bits();
+        let bad = [
+            (0, negative_nan, "V is not finite"),
+            (0, f64::INFINITY.to_bits(), "V is not finite"),
+            (1, f64::NAN.to_bits(), "last event time is not finite"),
+            (3, negative_nan, "finish tag of flow 0"),
+            (4, f64::NEG_INFINITY.to_bits(), "finish tag of flow 1"),
+            (6, 2, "busy flag of flow 1 is 2"),
+        ];
+        for (at, word, want) in bad {
+            let mut image = words.clone();
+            image[at] = word;
+            let mut dst = GpsVirtualClock::new(&[1.0, 2.0], 1e6);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dst.load_state_words(&image)
+            }))
+            .expect_err("bad word restored");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains(want), "word {at}: {msg}");
+        }
+        let mut dst = GpsVirtualClock::new(&[1.0, 2.0], 1e6);
+        dst.load_state_words(&words);
+        assert_eq!(dst.state_words(), words);
+    }
+
+    #[test]
     #[should_panic(expected = "time went backwards")]
     fn time_reversal_rejected() {
         let mut c = GpsVirtualClock::new(&[1.0], 1e6);
         c.advance(Time(1.0));
         c.advance(Time(0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "packet size must be non-negative")]
+    fn negative_size_rejected() {
+        let mut c = GpsVirtualClock::new(&[1.0], 1e6);
+        c.on_arrival(FlowId(0), -1.0, Time(0.0));
     }
 
     #[test]

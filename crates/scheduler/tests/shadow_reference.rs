@@ -491,10 +491,19 @@ fn seal(words: &mut [u64]) {
     *last = hash;
 }
 
+/// Every older format is refused, not reinterpreted. Version 2 is the
+/// last one whose hierarchical-WFQ state held every flow in every class
+/// clock, so the image here is taken under that policy.
 #[test]
-fn version_one_checkpoints_are_refused() {
+fn older_checkpoint_versions_are_refused() {
     let config = SchedulerConfig::default();
-    let mut s = HwScheduler::new(&flows(), RATE, config);
+    let hwfq = AnyPolicy::by_name("hwfq").expect("hwfq is a policy");
+    let mut s = HwScheduler::<SortRetrieveCircuit, AnyPolicy>::with_backend_and_policy(
+        &flows(),
+        RATE,
+        config,
+        &hwfq,
+    );
     for seq in 0..5 {
         s.enqueue(Packet {
             flow: FlowId(seq as u32 % 3),
@@ -504,20 +513,23 @@ fn version_one_checkpoints_are_refused() {
         })
         .unwrap();
     }
-    let mut words = s.checkpoint().words().to_vec();
-    assert_eq!(words[1], statesync::VERSION);
-    words[1] = 1;
-    seal(&mut words);
-    let old = Checkpoint::from_words(words);
-    let restored = HwScheduler::<SortRetrieveCircuit>::restore(
-        &flows(),
-        RATE,
-        config,
-        &Default::default(),
-        &old,
-    );
-    assert_eq!(
-        restored.err(),
-        Some(CheckpointError::BadVersion { found: 1 })
-    );
+    let current = s.checkpoint().words().to_vec();
+    assert_eq!(current[1], statesync::VERSION);
+    for version in 1..statesync::VERSION {
+        let mut words = current.clone();
+        words[1] = version;
+        seal(&mut words);
+        let old = Checkpoint::from_words(words);
+        let restored = HwScheduler::<SortRetrieveCircuit, AnyPolicy>::restore(
+            &flows(),
+            RATE,
+            config,
+            &hwfq,
+            &old,
+        );
+        assert_eq!(
+            restored.err(),
+            Some(CheckpointError::BadVersion { found: version })
+        );
+    }
 }

@@ -18,8 +18,10 @@ const MAGIC: u64 = 0x5746_5143_4b50_5431;
 /// Current checkpoint format version. Bump on any layout change; old
 /// versions are refused at restore, never reinterpreted. Version 2
 /// dropped the per-entry quantizer tick and FIFO stamp, which the
-/// scheduler no longer keeps.
-pub const VERSION: u64 = 2;
+/// scheduler no longer keeps. Version 3 gives each hierarchical-WFQ
+/// class clock only its member flows, which shortens that policy's
+/// state.
+pub const VERSION: u64 = 3;
 
 /// Header words before the payload (magic, version, payload length).
 const HEADER_WORDS: usize = 3;
