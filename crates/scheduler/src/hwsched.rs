@@ -308,7 +308,8 @@ impl SchedulerStats {
 ///
 /// Metric names are shared across schedulers attached to the same
 /// registry — each scheduler records on its own shard's cells, so the
-/// snapshot shows both per-port columns and merged totals.
+/// snapshot shows both per-port columns and merged totals. A clone
+/// shares these cells (see [`HwScheduler::attach_telemetry`]).
 #[derive(Debug, Clone)]
 struct Instruments {
     shard: usize,
@@ -705,6 +706,15 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// `shard` (pass 0 for a standalone scheduler). Must be called
     /// before the run being measured; attaching a second time rebinds
     /// the handles (same registry ⇒ same storage).
+    ///
+    /// The scheduler becomes the one writer of `shard`'s cells, and
+    /// records with plain loads and stores rather than atomic
+    /// read-modify-writes. Only one scheduler may record on a shard at a
+    /// time: a clone of this scheduler shares its cells, so the two must
+    /// not run concurrently, and neither may a second scheduler attached
+    /// as the same `shard`. Either would silently lose counts; debug
+    /// builds panic instead. Moving the scheduler to another thread (a
+    /// channel handoff, a join) is fine.
     ///
     /// # Panics
     ///

@@ -29,6 +29,8 @@ pub struct Port<B: SortBackend, P: RankPolicy> {
     index: usize,
     shard: HwScheduler<B, P>,
     /// Packets handed to this port (disabled until telemetry attaches).
+    /// Recorded on whichever thread runs the port, like the scheduler's
+    /// own cells: the port is its shard's one writer.
     handoffs: Counter,
     /// Event tracer (disabled until telemetry attaches).
     tracer: Tracer,

@@ -3,13 +3,42 @@
 //!
 //! Registration (naming a metric) takes a short-lived mutex and happens
 //! at scheduler construction; **recording never locks**. Every metric
-//! owns one cache-line-padded atomic cell per shard, and the contract is
-//! that shard `i`'s cells are written only from the thread driving shard
-//! `i` (plus the snapshotting thread, which only reads), so relaxed
-//! atomics are both correct and contention-free. Snapshots merge across
-//! shards: counters and `Sum` gauges add, `Max` gauges take the maximum,
-//! histogram buckets add.
+//! owns one cache-line-padded cell block per shard, and the contract is
+//! that shard `i`'s cells have **one writer**: the thread driving shard
+//! `i` (the snapshotting thread only reads).
+//!
+//! # Single-writer store discipline
+//!
+//! Because each cell has one writer, recording needs no atomic
+//! read-modify-write. Every hook is a relaxed load, the arithmetic, and
+//! a relaxed store — on x86 plain `mov`s instead of a lock-prefixed
+//! `add` or a `cmpxchg` loop. This is exact:
+//!
+//! - the writer reads its own last store (program order on one thread),
+//!   so no update is lost;
+//! - a relaxed atomic location has one modification order that every
+//!   reader follows, and the writer only ever stores a larger counter
+//!   or high-water mark, so a concurrent snapshot never sees one go
+//!   backwards;
+//! - a snapshot taken after the writers are joined (or after any other
+//!   happens-before edge) reads the final values, identical to what
+//!   `fetch_add` would have left.
+//!
+//! Ownership of a shard may move between threads when the move carries
+//! a happens-before edge, as a channel handoff to a worker thread does.
+//! Two writers on the same shard *at once* would silently lose counts,
+//! so debug builds check the contract: each shard's cell block carries
+//! an in-use flag, swapped on at the start of a write and cleared at
+//! the end, and a writer that finds it already set panics. Release
+//! builds carry no guard state. Snapshots merge across shards: counters
+//! and `Sum` gauges add, `Max` gauges take the maximum, histogram
+//! buckets add.
 
+#[cfg(debug_assertions)]
+use std::sync::atomic::{
+    AtomicBool,
+    Ordering::{Acquire, Release},
+};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -17,14 +46,78 @@ use crate::histogram::{bucket_of, BUCKETS};
 use crate::snapshot::{HistogramSnapshot, Snapshot};
 use crate::trace::Tracer;
 
+/// The debug-build check of the single-writer contract on one shard's
+/// cell block: an in-use flag held for the length of each write. In
+/// release builds it is zero-sized and [`WriterGuard::enter`] compiles
+/// to nothing.
+#[derive(Default)]
+struct WriterGuard {
+    #[cfg(debug_assertions)]
+    in_use: AtomicBool,
+}
+
+impl WriterGuard {
+    /// Marks the block as being written until the returned token drops.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if another writer holds the block.
+    #[inline]
+    fn enter(&self) -> Writing<'_> {
+        // Acquire pairs with the Release in `Writing::drop`. It is not
+        // what makes a handoff legal: release builds have no flag, and
+        // the caller's own happens-before edge does that.
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.in_use.swap(true, Acquire),
+            "telemetry: a second writer entered a shard's cells while another \
+             was writing them (each shard's cells take one writer at a time)"
+        );
+        Writing(self)
+    }
+}
+
+/// Proof of a write in progress; dropping it releases the block.
+struct Writing<'a>(#[cfg_attr(not(debug_assertions), allow(dead_code))] &'a WriterGuard);
+
+#[cfg(debug_assertions)]
+impl Drop for Writing<'_> {
+    fn drop(&mut self) {
+        self.0.in_use.store(false, Release);
+    }
+}
+
+/// Adds `n` to a cell only its holder writes: load, add, store.
+#[inline]
+fn add(cell: &AtomicU64, _: &Writing<'_>, n: u64) {
+    cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
+}
+
+/// Raises a cell only its holder writes to `v` if larger.
+#[inline]
+fn raise(cell: &AtomicU64, _: &Writing<'_>, v: u64) {
+    if v > cell.load(Relaxed) {
+        cell.store(v, Relaxed);
+    }
+}
+
 /// One shard's accumulator, padded to a cache line so adjacent shards'
 /// cells never share one (false sharing would serialize the workers the
 /// registry exists to keep independent).
 #[derive(Default)]
 #[repr(align(64))]
-struct Cell(AtomicU64);
+struct Cell {
+    value: AtomicU64,
+    writer: WriterGuard,
+}
 
-fn cells(shards: usize) -> Box<[Cell]> {
+impl Cell {
+    fn get(&self) -> u64 {
+        self.value.load(Relaxed)
+    }
+}
+
+fn cells(shards: usize) -> Arc<[Cell]> {
     (0..shards).map(|_| Cell::default()).collect()
 }
 
@@ -34,7 +127,7 @@ fn cells(shards: usize) -> Box<[Cell]> {
 /// [`Counter::inc`] is one branch and a return.
 #[derive(Clone)]
 pub struct Counter {
-    cells: Option<Arc<Box<[Cell]>>>,
+    cells: Option<Arc<[Cell]>>,
 }
 
 impl Counter {
@@ -51,7 +144,8 @@ impl Counter {
     #[inline]
     pub fn inc(&self, shard: usize, n: u64) {
         if let Some(cells) = &self.cells {
-            cells[shard].0.fetch_add(n, Relaxed);
+            let cell = &cells[shard];
+            add(&cell.value, &cell.writer.enter(), n);
         }
     }
 
@@ -59,7 +153,7 @@ impl Counter {
     pub fn total(&self) -> u64 {
         self.cells
             .as_ref()
-            .map(|c| c.iter().map(|cell| cell.0.load(Relaxed)).sum())
+            .map(|c| c.iter().map(|cell| cell.get()).sum())
             .unwrap_or(0)
     }
 }
@@ -82,7 +176,7 @@ pub enum GaugeMerge {
 /// A named instantaneous value; per-shard and lock-free.
 #[derive(Clone)]
 pub struct Gauge {
-    cells: Option<Arc<Box<[Cell]>>>,
+    cells: Option<Arc<[Cell]>>,
 }
 
 impl Gauge {
@@ -99,7 +193,9 @@ impl Gauge {
     #[inline]
     pub fn set(&self, shard: usize, v: u64) {
         if let Some(cells) = &self.cells {
-            cells[shard].0.store(v, Relaxed);
+            let cell = &cells[shard];
+            let _writing = cell.writer.enter();
+            cell.value.store(v, Relaxed);
         }
     }
 
@@ -111,16 +207,14 @@ impl Gauge {
     #[inline]
     pub fn record_max(&self, shard: usize, v: u64) {
         if let Some(cells) = &self.cells {
-            cells[shard].0.fetch_max(v, Relaxed);
+            let cell = &cells[shard];
+            raise(&cell.value, &cell.writer.enter(), v);
         }
     }
 
     /// One shard's current value (0 when disabled).
     pub fn get(&self, shard: usize) -> u64 {
-        self.cells
-            .as_ref()
-            .map(|c| c[shard].0.load(Relaxed))
-            .unwrap_or(0)
+        self.cells.as_ref().map(|c| c[shard].get()).unwrap_or(0)
     }
 }
 
@@ -131,19 +225,23 @@ impl std::fmt::Debug for Gauge {
 }
 
 /// One shard's histogram storage: log-2 buckets (see
-/// [`crate::histogram`]) plus sum and max, all relaxed atomics.
+/// [`crate::histogram`]) plus sum and max, all relaxed atomics under
+/// one writer guard, cache-line aligned like [`Cell`].
+#[repr(align(64))]
 struct ShardHist {
-    buckets: Box<[AtomicU64]>,
+    buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     max: AtomicU64,
+    writer: WriterGuard,
 }
 
 impl ShardHist {
     fn new() -> Self {
         Self {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
+            writer: WriterGuard::default(),
         }
     }
 }
@@ -152,7 +250,7 @@ impl ShardHist {
 /// observations are per-shard and lock-free.
 #[derive(Clone)]
 pub struct Histogram {
-    shards: Option<Arc<Box<[ShardHist]>>>,
+    shards: Option<Arc<[ShardHist]>>,
 }
 
 impl Histogram {
@@ -170,9 +268,10 @@ impl Histogram {
     pub fn observe(&self, shard: usize, v: u64) {
         if let Some(shards) = &self.shards {
             let h = &shards[shard];
-            h.buckets[bucket_of(v)].fetch_add(1, Relaxed);
-            h.sum.fetch_add(v, Relaxed);
-            h.max.fetch_max(v, Relaxed);
+            let writing = h.writer.enter();
+            add(&h.buckets[bucket_of(v)], &writing, 1);
+            add(&h.sum, &writing, v);
+            raise(&h.max, &writing, v);
         }
     }
 
@@ -295,7 +394,7 @@ impl Telemetry {
             return c.clone();
         }
         let c = Counter {
-            cells: Some(Arc::new(cells(shared.shards))),
+            cells: Some(cells(shared.shards)),
         };
         m.counters.push((name.to_string(), c.clone()));
         c
@@ -321,7 +420,7 @@ impl Telemetry {
             return g.clone();
         }
         let g = Gauge {
-            cells: Some(Arc::new(cells(shared.shards))),
+            cells: Some(cells(shared.shards)),
         };
         m.gauges.push((name.to_string(), merge, g.clone()));
         g
@@ -342,9 +441,7 @@ impl Telemetry {
             return h.clone();
         }
         let h = Histogram {
-            shards: Some(Arc::new(
-                (0..shared.shards).map(|_| ShardHist::new()).collect(),
-            )),
+            shards: Some((0..shared.shards).map(|_| ShardHist::new()).collect()),
         };
         m.histograms.push((name.to_string(), h.clone()));
         h
@@ -360,12 +457,12 @@ impl Telemetry {
         let mut snap = Snapshot::empty(shared.shards);
         for (name, c) in &m.counters {
             let cells = c.cells.as_ref().expect("registered counter has cells");
-            let per_shard: Vec<u64> = cells.iter().map(|cell| cell.0.load(Relaxed)).collect();
+            let per_shard: Vec<u64> = cells.iter().map(|cell| cell.get()).collect();
             snap.add_counter(name.clone(), per_shard);
         }
         for (name, merge, g) in &m.gauges {
             let cells = g.cells.as_ref().expect("registered gauge has cells");
-            let per_shard: Vec<u64> = cells.iter().map(|cell| cell.0.load(Relaxed)).collect();
+            let per_shard: Vec<u64> = cells.iter().map(|cell| cell.get()).collect();
             snap.add_gauge(name.clone(), *merge, per_shard);
         }
         for (name, h) in &m.histograms {
@@ -489,8 +586,10 @@ mod tests {
         let _ = tel.counter("Bad Name");
     }
 
+    /// Each thread the one writer of its own shard: no update is lost.
     #[test]
     fn handles_work_across_threads() {
+        const PER_THREAD: u64 = 100_000;
         let tel = Telemetry::new(4);
         let c = tel.counter("ops");
         let h = tel.histogram("lat");
@@ -499,7 +598,7 @@ mod tests {
                 let c = c.clone();
                 let h = h.clone();
                 std::thread::spawn(move || {
-                    for i in 0..1000u64 {
+                    for i in 0..PER_THREAD {
                         c.inc(shard, 1);
                         h.observe(shard, i % 8);
                     }
@@ -509,7 +608,96 @@ mod tests {
         for j in handles {
             j.join().unwrap();
         }
-        assert_eq!(c.total(), 4000);
-        assert_eq!(tel.snapshot().value("lat_count"), Some(4000.0));
+        assert_eq!(c.total(), 4 * PER_THREAD);
+        let snap = tel.snapshot();
+        for shard in 0..4 {
+            let port = snap.value(&format!("ops_port{shard}"));
+            assert_eq!(port, Some(PER_THREAD as f64));
+        }
+        assert_eq!(snap.value("lat_count"), Some(4.0 * PER_THREAD as f64));
+    }
+    #[test]
+    fn ownership_may_move_between_threads_with_a_handoff() {
+        // Shard 0 is written by one thread, then (after a join, a
+        // happens-before edge) by another: legal, and nothing is lost.
+        let tel = Telemetry::new(1);
+        let c = tel.counter("ops");
+        for _ in 0..3 {
+            let c = c.clone();
+            std::thread::spawn(move || c.inc(0, 10)).join().unwrap();
+        }
+        assert_eq!(c.total(), 30);
+    }
+
+    #[test]
+    fn record_max_never_lowers_a_value() {
+        let tel = Telemetry::new(1);
+        let g = tel.gauge("peak", GaugeMerge::Max);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut high = 0;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = x % 1_000_000;
+            g.record_max(0, v);
+            high = high.max(v);
+            assert_eq!(g.get(0), high);
+        }
+        g.record_max(0, 0);
+        assert_eq!(g.get(0), high);
+    }
+
+    #[test]
+    fn histogram_sum_max_and_count_stay_consistent() {
+        let tel = Telemetry::new(2);
+        let h = tel.histogram("lat");
+        let (mut sum, mut max, mut count) = (0u64, 0u64, 0u64);
+        for i in 0..5_000u64 {
+            let v = (i * 7919) % 4099;
+            h.observe((i % 2) as usize, v);
+            sum += v;
+            max = max.max(v);
+            count += 1;
+            if i % 997 == 0 {
+                let m = h.merged();
+                assert_eq!((m.sum, m.max, m.count), (sum, max, count));
+            }
+        }
+        let m = h.merged();
+        assert_eq!((m.sum, m.max, m.count), (sum, max, count));
+        assert_eq!(m.buckets.iter().sum::<u64>(), count);
+    }
+
+    #[test]
+    fn writer_guard_is_state_only_in_debug_builds() {
+        let expected = if cfg!(debug_assertions) { 1 } else { 0 };
+        assert_eq!(std::mem::size_of::<WriterGuard>(), expected);
+        assert_eq!(std::mem::size_of::<Cell>(), 64);
+    }
+
+    /// A second writer entering a shard's cells while the first holds
+    /// them (here: the test itself, mid-"write") panics in debug builds.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "second writer")]
+    fn debug_guard_rejects_an_overlapping_counter_writer() {
+        let tel = Telemetry::new(2);
+        let c = tel.counter("ops");
+        let cells = c.cells.as_ref().unwrap();
+        let _first = cells[1].writer.enter();
+        c.inc(0, 1); // another shard's cells: fine
+        c.inc(1, 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "second writer")]
+    fn debug_guard_rejects_an_overlapping_histogram_writer() {
+        let tel = Telemetry::new(1);
+        let h = tel.histogram("lat");
+        let shards = h.shards.as_ref().unwrap();
+        let _first = shards[0].writer.enter();
+        h.observe(0, 4);
     }
 }

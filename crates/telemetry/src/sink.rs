@@ -18,9 +18,11 @@
 //!   by [`EventSink::flush`] so the hot emit path never propagates
 //!   `Result`s.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::num::IntErrorKind;
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
@@ -193,9 +195,10 @@ impl CompactEncoder {
 /// # Errors
 ///
 /// Returns a description of the first malformed line (wrong field count,
-/// non-integer field, or unknown kind code).
+/// non-integer field, shard id beyond `u32`, or unknown kind code).
 pub fn parse_compact_event_log(text: &str) -> Result<Vec<Event>, String> {
-    let mut last_cycle: Vec<u64> = Vec::new();
+    // Keyed by shard id, so a sparse large id costs one entry.
+    let mut last_cycle: HashMap<u32, u64> = HashMap::new();
     let mut events = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let fields: Vec<&str> = line.split(' ').collect();
@@ -210,7 +213,12 @@ pub fn parse_compact_event_log(text: &str) -> Result<Vec<Event>, String> {
             s.parse::<u64>()
                 .map_err(|_| format!("line {}: bad {what} {s:?}", lineno + 1))
         };
-        let shard = int(fields[0], "shard")?;
+        let shard = fields[0].parse::<u32>().map_err(|e| match e.kind() {
+            IntErrorKind::PosOverflow => {
+                format!("line {}: shard {} out of range", lineno + 1, fields[0])
+            }
+            _ => format!("line {}: bad shard {:?}", lineno + 1, fields[0]),
+        })?;
         let code = int(fields[1], "kind code")?;
         let delta = int(fields[2], "cycle delta")?;
         let a = int(fields[3], "argument")?;
@@ -219,15 +227,11 @@ pub fn parse_compact_event_log(text: &str) -> Result<Vec<Event>, String> {
             .ok()
             .and_then(EventKind::from_code)
             .ok_or_else(|| format!("line {}: unknown kind code {code}", lineno + 1))?;
-        let shard_idx = shard as usize;
-        if last_cycle.len() <= shard_idx {
-            last_cycle.resize(shard_idx + 1, 0);
-        }
-        let cycle = last_cycle[shard_idx].wrapping_add(delta);
-        last_cycle[shard_idx] = cycle;
+        let last = last_cycle.entry(shard).or_insert(0);
+        *last = last.wrapping_add(delta);
         events.push(Event {
-            shard: shard as u32,
-            cycle,
+            shard,
+            cycle: *last,
             kind,
             a,
             b,
@@ -435,6 +439,28 @@ mod tests {
         assert!(err.contains("bad cycle delta"), "{err}");
         let err = parse_compact_event_log("0 99 0 0 0\n").unwrap_err();
         assert!(err.contains("unknown kind code 99"), "{err}");
+        let err = parse_compact_event_log("-1 0 0 0 0\n").unwrap_err();
+        assert!(err.contains("bad shard"), "{err}");
+    }
+
+    #[test]
+    fn compact_parser_rejects_shard_ids_beyond_u32() {
+        // Shard ids are `u32`: a larger id is a typed error, never a
+        // per-shard table sized by it, an index panic or a truncated id.
+        for id in ["4294967296", "18446744073709551615", "99999999999999999999"] {
+            let err = parse_compact_event_log(&format!("{id} 0 5 1 2")).unwrap_err();
+            assert_eq!(err, format!("line 1: shard {id} out of range"));
+            let err = parse_compact_event_log(&format!("0 0 1 0 0\n{id} 0 5 1 2\n")).unwrap_err();
+            assert_eq!(err, format!("line 2: shard {id} out of range"));
+        }
+    }
+
+    #[test]
+    fn compact_parser_keeps_sparse_large_shard_ids_cheaply() {
+        let text = "4294967295 0 5 1 2\n7 0 3 0 0\n4294967295 1 2 1 2\n";
+        let events = parse_compact_event_log(text).unwrap();
+        let stamps: Vec<(u32, u64)> = events.iter().map(|e| (e.shard, e.cycle)).collect();
+        assert_eq!(stamps, vec![(u32::MAX, 5), (7, 3), (u32::MAX, 7)]);
     }
 
     #[test]
