@@ -11,7 +11,8 @@
 //! The text report is byte-identical across runs and hosts (CI diffs two
 //! invocations verbatim); the JSON carries per-cell served/dropped
 //! counts, `ceil_`-prefixed fairness/sojourn/resident-memory tail
-//! ceilings, and the paged-vs-eager `agree` bits.
+//! ceilings, and per fault-free cell the `agree` bit against the same
+//! cell over the heap sorter.
 
 use bench::json_object;
 use campaign::{run, CampaignSpec};

@@ -12,13 +12,15 @@
 //!
 //! Two properties make million-flow cells tractable:
 //!
-//! * **Paged state** — cells run the sorter with lazily paged
-//!   translation/tag-store memory (`mode = paged`), so resident memory
-//!   tracks *live* tags instead of the tag universe. `mode = both`
-//!   additionally replays the cell eagerly and cross-checks that the
-//!   departure sequences are identical (the `agree` metric).
+//! * **Paged state** — the trie circuit builds its translation table
+//!   and tag store lazily paged, so resident memory tracks *live* tags
+//!   instead of the tag universe.
 //! * **Streaming workloads** — arrivals are generated one at a time
 //!   from `O(1)` state, never materializing the trace.
+//!
+//! Every fault-free cell is checked against the same cell over
+//! [`HeapSorter`](tagsort::HeapSorter): departure hash, served and
+//! dropped counts must match (the `agree` metric).
 //!
 //! See `DESIGN.md` §16 and `EXPERIMENTS.md` E18.
 
@@ -28,5 +30,5 @@
 mod run;
 mod spec;
 
-pub use run::{run, CampaignReport, CellResult, ModeRun};
-pub use spec::{CampaignSpec, Cell, Mode};
+pub use run::{run, CampaignReport, CellResult, CellRun};
+pub use spec::{CampaignSpec, Cell};

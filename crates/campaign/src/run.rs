@@ -7,12 +7,19 @@
 //! free-instant the scheduler's head-of-line packet is served. Per-cell
 //! outputs are exact counters (served/dropped/pushed-out), a per-flow
 //! fairness-error distribution, a log₂-bucketed sojourn histogram, a
-//! running FNV-1a hash of the departure sequence (the paged/eager
-//! equivalence witness), and the sorter's resident-memory accounting.
+//! running FNV-1a hash of the departure sequence, and the sorter's
+//! resident-memory accounting.
+//!
+//! A fault-free cell also runs over [`HeapSorter`], the reference
+//! sorter, with the same flows, policy, admission and frontend; the
+//! cell *agrees* when both runs depart the identical sequence. One
+//! reference run serves every backend of its group.
 //!
 //! Everything downstream of the seed is integer or
 //! order-deterministic float arithmetic, so the rendered report is
 //! byte-identical across runs and platforms — CI diffs it verbatim.
+
+use std::collections::BTreeMap;
 
 use fairq::{AnyPolicy, RankPolicy};
 use fastpath::FfsSorter;
@@ -26,13 +33,11 @@ use tagsort::{
 };
 use traffic::{FlowId, FlowSpec, Packet, ScaleConfig, ScaleWorkload};
 
-use crate::spec::{CampaignSpec, Cell, Frontend, Mode};
+use crate::spec::{CampaignSpec, Cell, Frontend};
 
-/// One cell executed under one storage mode.
+/// What one cell's run measured.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ModeRun {
-    /// Whether the sorter ran with paged state.
-    pub paged: bool,
+pub struct CellRun {
     /// Packets served by the link.
     pub served: u64,
     /// Packets refused at admission (tail drops).
@@ -56,30 +61,33 @@ pub struct ModeRun {
     pub migrations: u64,
 }
 
-/// One grid cell's runs across the spec's storage modes.
+impl CellRun {
+    /// Whether `self` and `other` served the same departure sequence
+    /// with the same served and dropped counts.
+    fn departs_as(&self, other: &CellRun) -> bool {
+        (self.departure_hash, self.served, self.dropped)
+            == (other.departure_hash, other.served, other.dropped)
+    }
+}
+
+/// One grid cell's outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// The grid point.
     pub cell: Cell,
-    /// One entry per storage mode (eager first under [`Mode::Both`]).
-    pub runs: Vec<ModeRun>,
-    /// Whether every mode produced the identical departure sequence.
-    pub agree: bool,
-}
-
-impl CellResult {
-    /// The run metrics are reported from: the paged run when present
-    /// (its resident-memory figures are the interesting ones), else the
-    /// only run.
-    pub fn primary(&self) -> &ModeRun {
-        self.runs.last().expect("every cell runs at least once")
-    }
+    /// The cell's run.
+    pub run: CellRun,
+    /// For a fault-free cell, whether it departs as the same cell over
+    /// [`HeapSorter`] does; `None` for a faulted cell, whose injected
+    /// damage may change the sequence by design.
+    pub agree: Option<bool>,
 }
 
 /// The campaign's deterministic output.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
-    /// Human-readable, byte-stable text (one line per cell per mode).
+    /// Human-readable, byte-stable text (one line per cell, plus one
+    /// `agree` line per fault-free cell).
     pub text: String,
     /// Flat metrics for the bench JSON emitter / `check_regression`.
     /// `ceil_`-prefixed keys are lower-is-better tail ceilings.
@@ -91,43 +99,39 @@ pub struct CampaignReport {
 /// Sweeps the whole grid. Cells run sequentially in
 /// [`CampaignSpec::cells`] order; the report is byte-deterministic.
 pub fn run(spec: &CampaignSpec) -> CampaignReport {
-    let results: Vec<CellResult> = spec.cells().iter().map(|c| run_cell(spec, c)).collect();
+    // Fault-free HeapSorter runs, keyed by the reference cell's key.
+    let mut references: BTreeMap<String, CellRun> = BTreeMap::new();
+    let mut results = Vec::new();
+    for cell in spec.cells() {
+        let (run, agree) = if cell.fault == "none" {
+            let reference_cell = Cell {
+                backend: "heap".into(),
+                ..cell.clone()
+            };
+            let reference = references
+                .entry(reference_cell.key())
+                .or_insert_with(|| run_cell(spec, &reference_cell));
+            let run = if cell.backend == "heap" {
+                reference.clone()
+            } else {
+                run_cell(spec, &cell)
+            };
+            let agree = run.departs_as(reference);
+            (run, Some(agree))
+        } else {
+            (run_cell(spec, &cell), None)
+        };
+        results.push(CellResult { cell, run, agree });
+    }
     render(spec, results)
 }
 
-/// Storage modes a cell actually runs: only the trie backend has paged
-/// off-chip state, so for the others every mode collapses to one eager
-/// run. Sharded frontends never page (dynamic migration walks live
-/// state), so they always run eager.
-fn modes_for(spec: &CampaignSpec, cell: &Cell) -> Vec<bool> {
-    let has_paged = cell.backend == "trie" && cell.frontend == Frontend::Single;
-    match spec.mode {
-        Mode::Eager => vec![false],
-        Mode::Paged => vec![has_paged],
-        Mode::Both if has_paged => vec![false, true],
-        Mode::Both => vec![false],
-    }
-}
-
-fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellResult {
-    let runs: Vec<ModeRun> = modes_for(spec, cell)
-        .into_iter()
-        .map(|paged| match cell.backend.as_str() {
-            "trie" => run_backend::<SortRetrieveCircuit>(spec, cell, paged),
-            "fastpath" => run_backend::<FfsSorter>(spec, cell, paged),
-            "heap" => run_backend::<HeapSorter>(spec, cell, paged),
-            other => unreachable!("backend {other} passed validation"),
-        })
-        .collect();
-    let agree = runs.windows(2).all(|w| {
-        w[0].departure_hash == w[1].departure_hash
-            && w[0].served == w[1].served
-            && w[0].dropped == w[1].dropped
-    });
-    CellResult {
-        cell: cell.clone(),
-        runs,
-        agree,
+fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellRun {
+    match cell.backend.as_str() {
+        "trie" => run_backend::<SortRetrieveCircuit>(spec, cell),
+        "fastpath" => run_backend::<FfsSorter>(spec, cell),
+        "heap" => run_backend::<HeapSorter>(spec, cell),
+        other => unreachable!("backend {other} passed validation"),
     }
 }
 
@@ -247,24 +251,14 @@ impl<B: SortBackend, X: Executor<B, AnyPolicy>> AnyFrontend<B, X> {
 }
 
 /// Runs a cell on backend `B`, with the executor its frontend asks for.
-fn run_backend<B: SortBackend + Send + 'static>(
-    spec: &CampaignSpec,
-    cell: &Cell,
-    paged: bool,
-) -> ModeRun {
+fn run_backend<B: SortBackend + Send + 'static>(spec: &CampaignSpec, cell: &Cell) -> CellRun {
     match cell.frontend {
-        Frontend::Parallel => run_one::<B, Threads<B, AnyPolicy>>(spec, cell, paged),
-        Frontend::Single | Frontend::Sharded => {
-            run_one::<B, Inline<B, AnyPolicy>>(spec, cell, paged)
-        }
+        Frontend::Parallel => run_one::<B, Threads<B, AnyPolicy>>(spec, cell),
+        Frontend::Single | Frontend::Sharded => run_one::<B, Inline<B, AnyPolicy>>(spec, cell),
     }
 }
 
-fn run_one<B: SortBackend, X: Executor<B, AnyPolicy>>(
-    spec: &CampaignSpec,
-    cell: &Cell,
-    paged: bool,
-) -> ModeRun {
+fn run_one<B: SortBackend, X: Executor<B, AnyPolicy>>(spec: &CampaignSpec, cell: &Cell) -> CellRun {
     let workload = ScaleWorkload::new(ScaleConfig {
         flows: cell.flows,
         packets: spec.packets,
@@ -300,21 +294,14 @@ fn run_one<B: SortBackend, X: Executor<B, AnyPolicy>>(
         admission: cell.admission,
     };
     let mut sched = match cell.frontend {
-        Frontend::Single => {
-            let mut s = HwScheduler::<B, AnyPolicy>::with_backend_and_policy(
+        Frontend::Single => AnyFrontend::Single(Box::new(
+            HwScheduler::<B, AnyPolicy>::with_backend_and_policy(
                 &flows,
                 service_rate,
                 config,
                 &proto,
-            );
-            if paged {
-                assert!(
-                    s.set_paged_state(),
-                    "paged mode on a backend without paged storage"
-                );
-            }
-            AnyFrontend::Single(Box::new(s))
-        }
+            ),
+        )),
         Frontend::Sharded | Frontend::Parallel => {
             let rates = vec![service_rate / spec.ports as f64; spec.ports];
             let mut s = ShardedFrontend::<B, AnyPolicy, X>::with_policy_port_rates_placement(
@@ -366,8 +353,7 @@ fn run_one<B: SortBackend, X: Executor<B, AnyPolicy>>(
     }
     let tail = sched.finish();
 
-    ModeRun {
-        paged,
+    CellRun {
         served: link.served_pkts,
         dropped,
         pushed_out: tail.pushed_out,
@@ -430,64 +416,62 @@ fn render(spec: &CampaignSpec, results: Vec<CellResult>) -> CampaignReport {
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let _ = writeln!(
         text,
-        "campaign {}: cells={} packets={} seed={} mode={}",
+        "campaign {}: cells={} packets={} seed={}",
         spec.name,
         results.len(),
         spec.packets,
-        spec.seed,
-        spec.mode
+        spec.seed
     );
     metrics.push(("campaign_cells".into(), results.len() as f64));
     let mut all_agree = true;
     for result in &results {
         let key = result.cell.key();
-        for run in &result.runs {
-            let mode = if run.paged { "paged" } else { "eager" };
+        let run = &result.run;
+        let _ = write!(
+            text,
+            "cell {key} served={} dropped={} pushed_out={} \
+             fairness_p99={:.6} sojourn_p99_ms={:.4} hash={:016x}",
+            run.served,
+            run.dropped,
+            run.pushed_out,
+            run.fairness_p99,
+            run.sojourn_p99_ms,
+            run.departure_hash
+        );
+        if let Some(mem) = run.resident {
             let _ = write!(
                 text,
-                "cell {key} mode={mode} served={} dropped={} pushed_out={} \
-                 fairness_p99={:.6} sojourn_p99_ms={:.4} hash={:016x}",
-                run.served,
-                run.dropped,
-                run.pushed_out,
-                run.fairness_p99,
-                run.sojourn_p99_ms,
-                run.departure_hash
+                " resident_peak_words={} total_words={} ratio={:.6}",
+                mem.peak_resident_words,
+                mem.total_words,
+                mem.peak_resident_words as f64 / mem.total_words as f64
             );
-            if let Some(mem) = run.resident {
-                let _ = write!(
-                    text,
-                    " resident_peak_words={} total_words={} ratio={:.6}",
-                    mem.peak_resident_words,
-                    mem.total_words,
-                    mem.peak_resident_words as f64 / mem.total_words as f64
-                );
-            }
-            if let Some(balance) = run.shard_balance {
-                let _ = write!(
-                    text,
-                    " shard_balance={balance:.4} migrations={}",
-                    run.migrations
-                );
-            }
-            if result.cell.fault != "none" {
-                let (inj, det, rep, silent) = run.faults;
-                let _ = write!(
-                    text,
-                    " faults_injected={inj} faults_detected={det} \
-                     faults_repaired={rep} faults_silent={silent}"
-                );
-            }
-            text.push('\n');
         }
-        let _ = writeln!(
-            text,
-            "cell {key} agree={}",
-            if result.agree { "yes" } else { "NO" }
-        );
-        all_agree &= result.agree;
+        if let Some(balance) = run.shard_balance {
+            let _ = write!(
+                text,
+                " shard_balance={balance:.4} migrations={}",
+                run.migrations
+            );
+        }
+        if result.cell.fault != "none" {
+            let (inj, det, rep, silent) = run.faults;
+            let _ = write!(
+                text,
+                " faults_injected={inj} faults_detected={det} \
+                 faults_repaired={rep} faults_silent={silent}"
+            );
+        }
+        text.push('\n');
+        if let Some(agree) = result.agree {
+            let _ = writeln!(
+                text,
+                "cell {key} agree={}",
+                if agree { "yes" } else { "NO" }
+            );
+            all_agree &= agree;
+        }
 
-        let run = result.primary();
         metrics.push((format!("campaign_{key}_served"), run.served as f64));
         metrics.push((
             format!("ceil_campaign_{key}_dropped"),
@@ -501,10 +485,9 @@ fn render(spec: &CampaignSpec, results: Vec<CellResult>) -> CampaignReport {
             format!("ceil_campaign_{key}_sojourn_p99_ms"),
             run.sojourn_p99_ms,
         ));
-        metrics.push((
-            format!("campaign_{key}_agree"),
-            f64::from(u8::from(result.agree)),
-        ));
+        if let Some(agree) = result.agree {
+            metrics.push((format!("campaign_{key}_agree"), f64::from(u8::from(agree))));
+        }
         if let Some(mem) = run.resident {
             metrics.push((
                 format!("ceil_campaign_{key}_resident_ratio"),
@@ -542,7 +525,7 @@ mod tests {
     use crate::spec::CampaignSpec;
 
     /// A spec small enough for debug-mode unit tests.
-    fn tiny(mode: Mode) -> CampaignSpec {
+    fn tiny() -> CampaignSpec {
         let mut spec = CampaignSpec::builtin("smoke").unwrap();
         spec.name = "tiny".into();
         spec.flows = vec![256];
@@ -550,30 +533,49 @@ mod tests {
         spec.backends = vec!["trie".into()];
         spec.packets = 3_000;
         spec.capacity = 1 << 10;
-        spec.mode = mode;
         spec
     }
 
     #[test]
-    fn paged_and_eager_departures_are_identical() {
-        let report = run(&tiny(Mode::Both));
+    fn fault_free_trie_cell_agrees_with_the_heap_reference() {
+        let report = run(&tiny());
         assert_eq!(report.results.len(), 1);
         let cell = &report.results[0];
-        assert_eq!(cell.runs.len(), 2);
-        assert!(!cell.runs[0].paged && cell.runs[1].paged);
-        assert!(cell.agree, "paged and eager departure sequences differ");
-        assert_eq!(cell.runs[0].departure_hash, cell.runs[1].departure_hash);
-        // The paged run must actually save memory.
-        let mem = cell.runs[1].resident.unwrap();
+        assert_eq!(cell.agree, Some(true), "trie and heap departures differ");
+        // The paged state memories must actually save memory.
+        let mem = cell.run.resident.unwrap();
         assert!(mem.peak_resident_words < mem.total_words);
         // And deliver the traffic: the workload is stable (load < 1).
-        assert!(cell.runs[1].served > 2_900);
+        assert!(cell.run.served > 2_900);
+        assert_eq!(report.text.matches("agree=yes").count(), 2);
+    }
+
+    #[test]
+    fn agreement_compares_hash_served_and_dropped() {
+        let base = run(&tiny()).results[0].run.clone();
+        assert!(base.departs_as(&base));
+        for other in [
+            CellRun {
+                departure_hash: base.departure_hash ^ 1,
+                ..base.clone()
+            },
+            CellRun {
+                served: base.served - 1,
+                ..base.clone()
+            },
+            CellRun {
+                dropped: base.dropped + 1,
+                ..base.clone()
+            },
+        ] {
+            assert!(!base.departs_as(&other));
+        }
     }
 
     #[test]
     fn reports_are_byte_deterministic() {
-        let a = run(&tiny(Mode::Both));
-        let b = run(&tiny(Mode::Both));
+        let a = run(&tiny());
+        let b = run(&tiny());
         assert_eq!(a.text, b.text);
         assert_eq!(a.metrics, b.metrics);
         assert!(a.text.contains("agree=yes"));
@@ -581,7 +583,7 @@ mod tests {
 
     #[test]
     fn metric_keys_are_slugs_and_include_ceilings() {
-        let report = run(&tiny(Mode::Paged));
+        let report = run(&tiny());
         assert!(report
             .metrics
             .iter()
@@ -600,30 +602,35 @@ mod tests {
 
     #[test]
     fn every_backend_serves_the_same_departure_stream() {
-        let mut spec = tiny(Mode::Eager);
+        let mut spec = tiny();
         spec.backends = vec!["trie".into(), "fastpath".into(), "heap".into()];
         let report = run(&spec);
         assert_eq!(report.results.len(), 3);
-        let hash0 = report.results[0].primary().departure_hash;
+        let hash0 = report.results[0].run.departure_hash;
         for cell in &report.results {
-            assert_eq!(cell.primary().departure_hash, hash0, "{}", cell.cell.key());
+            assert_eq!(cell.run.departure_hash, hash0, "{}", cell.cell.key());
         }
     }
 
     #[test]
     fn faulted_cells_reconcile_their_ledger() {
-        let mut spec = tiny(Mode::Eager);
+        let mut spec = tiny();
         spec.faults = vec!["8@3:any:1".into()];
         let report = run(&spec);
-        let (inj, det, _rep, silent) = report.results[0].primary().faults;
+        let (inj, det, _rep, silent) = report.results[0].run.faults;
         assert!(inj > 0, "plan should inject within the horizon");
         assert_eq!(det + silent, inj, "ledger must reconcile");
         assert!(report.text.contains("faults_injected=8"));
+        // Injected damage may change the sequence, so a faulted cell
+        // is not compared with the reference and emits no agree key.
+        assert_eq!(report.results[0].agree, None);
+        assert!(!report.text.contains("agree=NO"));
+        assert!(!report.metrics.iter().any(|(k, _)| k.ends_with("_agree")));
     }
 
     #[test]
     fn frontend_axis_adds_suffixed_cells() {
-        let mut spec = tiny(Mode::Eager);
+        let mut spec = tiny();
         spec.frontends = vec![Frontend::Single, Frontend::Sharded];
         let report = run(&spec);
         assert_eq!(report.results.len(), 2);
@@ -634,42 +641,39 @@ mod tests {
         // The single-frontend key (and thus its baseline entry) is
         // untouched by the new axis.
         assert_eq!(single.cell.key(), {
-            let mut base = tiny(Mode::Eager);
+            let mut base = tiny();
             base.frontends = vec![Frontend::Single];
             base.cells()[0].key()
         });
         // Sharded run drains the same workload and reports balance.
         assert_eq!(
-            single.primary().served + single.primary().dropped,
-            sharded.primary().served + sharded.primary().dropped,
+            single.run.served + single.run.dropped,
+            sharded.run.served + sharded.run.dropped,
         );
-        let balance = sharded.primary().shard_balance.unwrap();
+        let balance = sharded.run.shard_balance.unwrap();
         assert!((1.0..=spec.ports as f64).contains(&balance), "{balance}");
         assert!(report
             .metrics
             .iter()
             .any(|(k, _)| k.ends_with("__sharded_shard_balance") && k.starts_with("ceil_")));
-        assert!(single.primary().shard_balance.is_none());
+        assert!(single.run.shard_balance.is_none());
     }
 
     #[test]
     fn dynamic_frontends_rebalance_and_stay_deterministic() {
-        let mut spec = tiny(Mode::Both);
+        let mut spec = tiny();
         spec.frontends = vec![Frontend::Sharded, Frontend::Parallel];
         spec.placement = scheduler::Placement::Dynamic;
         let a = run(&spec);
         let b = run(&spec);
         assert_eq!(a.text, b.text, "dynamic rebalancing must be deterministic");
-        // Sharded frontends never page: Mode::Both collapses to one
-        // eager run per cell.
         for cell in &a.results {
-            assert_eq!(cell.runs.len(), 1);
-            assert!(!cell.runs[0].paged);
+            assert_eq!(cell.agree, Some(true), "{}", cell.cell.key());
         }
         // The sequential and threaded frontends agree departure for
         // departure, including every migration the rebalancer issued.
-        let seq = a.results[0].primary();
-        let par = a.results[1].primary();
+        let seq = &a.results[0].run;
+        let par = &a.results[1].run;
         assert_eq!(seq.departure_hash, par.departure_hash);
         assert_eq!(seq.migrations, par.migrations);
         assert!(a.text.contains("migrations="));
@@ -693,7 +697,7 @@ mod tests {
             .partition(|r| r.cell.frontend == Frontend::Sharded);
         assert_eq!(sharded.len(), parallel.len());
         for (seq, par) in sharded.iter().zip(&parallel) {
-            let (seq, par) = (seq.primary(), par.primary());
+            let (seq, par) = (&seq.run, &par.run);
             assert!(seq.pushed_out > 0, "the overload must push packets out");
             assert_eq!(seq.departure_hash, par.departure_hash);
             assert_eq!(
@@ -705,7 +709,7 @@ mod tests {
 
     #[test]
     fn push_out_admission_reports_evictions() {
-        let mut spec = tiny(Mode::Eager);
+        let mut spec = tiny();
         // Critically loaded link + tiny buffer: the queue random-walks
         // past capacity and forces admission decisions.
         spec.load = 1.0;
@@ -715,8 +719,8 @@ mod tests {
             scheduler::AdmissionPolicy::PushOut,
         ];
         let report = run(&spec);
-        let tail = report.results[0].primary();
-        let push = report.results[1].primary();
+        let tail = &report.results[0].run;
+        let push = &report.results[1].run;
         assert!(tail.dropped > 0, "overload must drop under tail-drop");
         assert!(push.pushed_out > 0, "push-out must evict under overload");
     }

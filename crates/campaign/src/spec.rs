@@ -6,10 +6,15 @@
 //! (`flows`, `policies`, `backends`, `admissions`, `faults`,
 //! `frontends`) take comma-separated lists and multiply into the grid;
 //! every other key is a scalar shared by all cells (sharded frontends
-//! read the `ports` and `placement` scalars). Two specs are built in — `smoke`
-//! (a small cross-product with paged/eager cross-checking, fast enough
-//! for per-commit CI) and `soak` (one 2²⁰-flow, 10 M-packet churn cell
-//! in paged mode) — and resolve by name before any file path.
+//! read the `ports` and `placement` scalars). The scalar keys are
+//! `ports`, `placement`, `packets`, `seed`, `zipf`, `rate_bps`, `load`,
+//! `min_bytes`, `max_bytes`, `capacity`, `geometry` (`BITSxLEVELS`, at
+//! most 30 tag bits), `churn` (`START_S:DURATION_S:CROWD_FLOWS:BOOST`
+//! or `none`), `scrub_order` and `fault_policy`; an unset key keeps the
+//! `smoke` value. Two specs are built in — `smoke` (a small
+//! cross-product fast enough for per-commit CI) and `soak` (one
+//! 2²⁰-flow, 10 M-packet churn cell) — and resolve by name before any
+//! file path.
 
 use std::fmt;
 use std::str::FromStr;
@@ -61,43 +66,6 @@ impl FromStr for Frontend {
             "parallel" => Ok(Self::Parallel),
             other => Err(format!(
                 "unknown frontend \"{other}\" (expected single, sharded, or parallel)"
-            )),
-        }
-    }
-}
-
-/// Which storage mode(s) each cell runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Fully materialized state memories (the fabricated chip's model).
-    Eager,
-    /// Lazily paged translation table and tag store.
-    Paged,
-    /// Run both and verify the departure sequences are identical.
-    #[default]
-    Both,
-}
-
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Eager => "eager",
-            Self::Paged => "paged",
-            Self::Both => "both",
-        })
-    }
-}
-
-impl FromStr for Mode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "eager" => Ok(Self::Eager),
-            "paged" => Ok(Self::Paged),
-            "both" => Ok(Self::Both),
-            other => Err(format!(
-                "unknown mode \"{other}\" (expected eager, paged, or both)"
             )),
         }
     }
@@ -200,8 +168,6 @@ pub struct CampaignSpec {
     pub capacity: usize,
     /// Sort-tree geometry.
     pub geometry: Geometry,
-    /// Storage mode(s) per cell.
-    pub mode: Mode,
     /// Optional flash-crowd churn window.
     pub churn: Option<ChurnSpec>,
     /// Scrub schedule for faulted cells.
@@ -214,10 +180,9 @@ impl CampaignSpec {
     /// The built-in campaign named `name`, if any.
     ///
     /// * `smoke` — a 2×2×2 grid (flows × policy × backend) of 20 k-packet
-    ///   cells in `both` mode: the per-commit determinism and
-    ///   paged/eager-equivalence gate.
-    /// * `soak` — one 2²⁰-flow, 10 M-packet cell with a flash crowd, in
-    ///   `paged` mode: the memory-scaling gate.
+    ///   cells: the per-commit determinism and backend-agreement gate.
+    /// * `soak` — one 2²⁰-flow, 10 M-packet cell with a flash crowd:
+    ///   the memory-scaling gate.
     pub fn builtin(name: &str) -> Option<Self> {
         match name {
             "smoke" => Some(Self {
@@ -239,7 +204,6 @@ impl CampaignSpec {
                 max_bytes: 1500,
                 capacity: 1 << 12,
                 geometry: Geometry::new(4, 5),
-                mode: Mode::Both,
                 churn: None,
                 scrub_order: ScrubOrder::RoundRobin,
                 fault_policy: FaultPolicy::DetectAndCount,
@@ -263,7 +227,6 @@ impl CampaignSpec {
                 max_bytes: 1500,
                 capacity: 1 << 14,
                 geometry: Geometry::new(6, 4),
-                mode: Mode::Paged,
                 churn: Some(ChurnSpec {
                     start_s: 2.0,
                     duration_s: 1.0,
@@ -314,7 +277,6 @@ impl CampaignSpec {
                 "max_bytes" => spec.max_bytes = parse_one(value).map_err(err)?,
                 "capacity" => spec.capacity = parse_one(value).map_err(err)?,
                 "geometry" => spec.geometry = parse_geometry(value).map_err(err)?,
-                "mode" => spec.mode = parse_one(value).map_err(err)?,
                 "churn" => spec.churn = parse_churn(value).map_err(err)?,
                 "scrub_order" => spec.scrub_order = parse_one(value).map_err(err)?,
                 "fault_policy" => spec.fault_policy = parse_one(value).map_err(err)?,
@@ -376,6 +338,28 @@ impl CampaignSpec {
         }
         if !(self.load.is_finite() && self.load > 0.0 && self.load <= 1.0) {
             return Err("load must be in (0, 1]".into());
+        }
+        if !(self.rate_bps.is_finite() && self.rate_bps > 0.0) {
+            return Err("rate_bps must be positive and finite".into());
+        }
+        if !(self.zipf_exponent.is_finite() && self.zipf_exponent >= 0.0) {
+            return Err("zipf must be finite and >= 0".into());
+        }
+        if !(self.min_bytes > 0 && self.min_bytes <= self.max_bytes) {
+            return Err("packet sizes must satisfy 0 < min_bytes <= max_bytes".into());
+        }
+        if let Some(c) = &self.churn {
+            let sound = c.crowd_flows > 0
+                && (0.0..=1.0).contains(&c.boost)
+                && c.start_s.is_finite()
+                && c.start_s >= 0.0
+                && c.duration_s.is_finite()
+                && c.duration_s > 0.0;
+            if !sound {
+                return Err("churn needs start >= 0, duration > 0, a non-empty crowd \
+                            and a boost in [0, 1]"
+                    .into());
+            }
         }
         if self.capacity == 0 {
             return Err("capacity must be positive".into());
@@ -443,7 +427,10 @@ fn parse_geometry(value: &str) -> Result<Geometry, String> {
     if !(1..=6).contains(&bits) || levels == 0 {
         return Err("literal bits must be 1..=6 and levels >= 1".into());
     }
-    Ok(Geometry::new(bits, levels))
+    match bits.checked_mul(levels) {
+        Some(tag_bits) if tag_bits <= 30 => Ok(Geometry::new(bits, levels)),
+        _ => Err(format!("{bits}x{levels} exceeds the 30-bit tag width")),
+    }
 }
 
 /// `none`, or `START_S:DURATION_S:CROWD_FLOWS:BOOST`.
@@ -512,7 +499,6 @@ mod tests {
             max_bytes = 200
             capacity = 256
             geometry = 3x4
-            mode = paged
             churn = 0.1:0.2:32:0.5
             scrub_order = write-priority
             fault_policy = detect-and-count
@@ -531,7 +517,6 @@ mod tests {
         assert_eq!(spec.placement, Placement::Dynamic);
         assert_eq!(spec.cells().len(), 2 * 2 * 2 * 2 * 2 * 3);
         assert_eq!(spec.geometry, Geometry::new(3, 4));
-        assert_eq!(spec.mode, Mode::Paged);
         assert_eq!(spec.scrub_order, ScrubOrder::WritePriority);
         assert_eq!(
             spec.churn,
@@ -553,10 +538,157 @@ mod tests {
         assert!(CampaignSpec::parse("t", "faults = 3@").is_err());
         assert!(CampaignSpec::parse("t", "load = 1.5").is_err());
         assert!(CampaignSpec::parse("t", "geometry = 9x1").is_err());
-        assert!(CampaignSpec::parse("t", "mode = sometimes").is_err());
+        assert!(CampaignSpec::parse("t", "mode = paged").is_err());
         assert!(CampaignSpec::parse("t", "frontends = mesh").is_err());
         assert!(CampaignSpec::parse("t", "placement = roulette").is_err());
         assert!(CampaignSpec::parse("t", "ports = 0").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_values_that_would_fail_at_run_time() {
+        for text in [
+            "geometry = 6x6",
+            "geometry = 1x4294967295",
+            "geometry = 6x715827883", // 6 × levels wraps u32 to 2
+            "rate_bps = -1",
+            "rate_bps = inf",
+            "zipf = NaN",
+            "zipf = -0.5",
+            "min_bytes = 2000\nmax_bytes = 64",
+            "min_bytes = 0",
+            "churn = 0.1:0.2:0:0.5",
+            "churn = 0.1:0.2:32:1.5",
+            "churn = NaN:0.2:32:0.5",
+            "churn = 0.1:0:32:0.5",
+        ] {
+            let err = CampaignSpec::parse("t", text);
+            assert!(err.is_err(), "{text:?} accepted");
+        }
+        assert!(CampaignSpec::parse("t", "geometry = 6x5").is_ok());
+    }
+
+    /// Seeded fuzzing of [`CampaignSpec::parse`]: a valid spec with one
+    /// or two lines given a hostile or mutated value (or a new key), and
+    /// truncations of the result, must each come back `Ok` or `Err` —
+    /// never a panic.
+    #[test]
+    fn parse_never_panics_on_mutated_specs() {
+        const KEYS: [&str; 22] = [
+            "flows",
+            "policies",
+            "backends",
+            "admissions",
+            "faults",
+            "frontends",
+            "ports",
+            "placement",
+            "packets",
+            "seed",
+            "zipf",
+            "rate_bps",
+            "load",
+            "min_bytes",
+            "max_bytes",
+            "capacity",
+            "geometry",
+            "churn",
+            "scrub_order",
+            "fault_policy",
+            "mode",
+            "",
+        ];
+        const VALUES: [&str; 30] = [
+            "",
+            "0",
+            "1",
+            "-1",
+            "7",
+            "4294967295",
+            "18446744073709551616",
+            "1e400",
+            "NaN",
+            "inf",
+            "-0.0",
+            "0.5",
+            "6x6",
+            "1x4294967295",
+            "4x5",
+            "x",
+            "0x0",
+            "3x",
+            ":",
+            "1:2:3:4",
+            "0:0:0:0",
+            "none",
+            "wfq, heap",
+            "trie,,",
+            "8@7:any:1",
+            "3@",
+            "99@1:trie:64",
+            "tail-drop",
+            "dynamic",
+            "sharded, parallel",
+        ];
+        const VALID: [(&str, &str); 11] = [
+            ("flows", "64, 128"),
+            ("policies", "wfq"),
+            ("backends", "trie, heap"),
+            ("faults", "none, 4@9:buffer:1"),
+            ("zipf", "0.9"),
+            ("rate_bps", "5e8"),
+            ("min_bytes", "100"),
+            ("max_bytes", "200"),
+            ("geometry", "3x4"),
+            ("churn", "0.1:0.2:32:0.5"),
+            ("ports", "8"),
+        ];
+        let mut state = 0x5eed_u64;
+        let mut next = |n: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        for _ in 0..5_000 {
+            let mut lines: Vec<(String, String)> = VALID
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            for _ in 0..1 + next(2) {
+                let mut value = VALUES[next(VALUES.len())].to_string();
+                if next(4) == 0 && !value.is_empty() {
+                    // Overwrite one char with a printable ASCII one.
+                    let at = next(value.len());
+                    let c = (b' ' + next(95) as u8) as char;
+                    value = value
+                        .char_indices()
+                        .map(|(i, ch)| if i == at { c } else { ch })
+                        .collect();
+                }
+                let at = next(lines.len() + 1);
+                if at == lines.len() {
+                    lines.push((KEYS[next(KEYS.len())].to_string(), value));
+                } else {
+                    lines[at].1 = value;
+                }
+            }
+            let text: String = lines
+                .iter()
+                .map(|(k, v)| {
+                    let sep = if next(8) == 0 {
+                        ["==", "", "=#"][next(3)]
+                    } else {
+                        " = "
+                    };
+                    format!("{k}{sep}{v}\n")
+                })
+                .collect();
+            let _ = CampaignSpec::parse("fuzz", &text);
+            let cut = next(text.len() + 1);
+            let _ = CampaignSpec::parse("fuzz", &text[..cut]);
+        }
     }
 
     #[test]

@@ -68,17 +68,16 @@ pub struct BackendSpec {
 ///
 /// "Words" are the backend's own addressable units summed across its
 /// components (for the trie circuit: translation entries + tag-store link
-/// words + trie node words). In paged mode `resident_words` tracks the
-/// host memory actually materialized for the *live*-tag window, while
-/// `total_words` is what an eager allocation of the full tag space would
-/// cost; eager backends report all three equal.
+/// words + trie node words). `resident_words` tracks the host memory
+/// actually materialized for the *live*-tag window, while `total_words`
+/// is what allocating the full tag space up front would cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResidentMemory {
     /// Words currently materialized in host memory.
     pub resident_words: u64,
     /// High-water mark of `resident_words` over the backend's lifetime.
     pub peak_resident_words: u64,
-    /// Words an eager allocation of the full state would occupy.
+    /// Words the full state would occupy if allocated up front.
     pub total_words: u64,
 }
 
@@ -269,14 +268,11 @@ pub trait SortBackend {
         0
     }
 
-    /// Switches an **empty** backend's off-chip state to lazily paged
-    /// allocation, returning `true` if the backend supports paging.
-    /// Backends without paged storage return `false` and stay eager —
-    /// campaign drivers treat that as "resident == total".
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if the backend is not empty.
+    /// Whether the backend's off-chip state is paged; changes nothing.
+    /// Backends with modeled state memory build it paged, so this only
+    /// reports which case holds. It stays because wfqbench calls it on
+    /// paged workloads: `ladder.rs` directly, `drive.rs` through
+    /// `HwScheduler::set_paged_state`.
     fn set_paged(&mut self) -> bool {
         false
     }
@@ -451,7 +447,6 @@ impl SortBackend for SortRetrieveCircuit {
     }
 
     fn set_paged(&mut self) -> bool {
-        self.set_paged();
         true
     }
 
@@ -501,9 +496,8 @@ mod tests {
     }
 
     #[test]
-    fn paged_mode_reports_resident_below_total() {
+    fn trie_reports_resident_below_total_from_construction() {
         let mut b = <SortRetrieveCircuit as SortBackend>::build(&spec());
-        assert!(SortBackend::set_paged(&mut b));
         let before = SortBackend::resident_memory(&b).unwrap();
         assert!(before.resident_words < before.total_words);
         SortBackend::insert(&mut b, Tag(9), PacketRef(1)).unwrap();

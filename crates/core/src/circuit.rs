@@ -535,32 +535,11 @@ impl SortRetrieveCircuit {
         std::mem::take(&mut self.integrity_log)
     }
 
-    /// Switches an **empty** circuit's translation table and tag-storage
-    /// SRAM into paged mode: both materialize fixed-size pages on first
-    /// write and the translation table frees pages again on section
-    /// recycling, so host memory tracks the *live*-tag window instead of
-    /// the full `B^L` tag space. Observationally identical to eager mode
-    /// (the equivalence suite pins identical departure sequences); the
-    /// on-chip trie stays eager — it is already small.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit holds tags or the store was ever written.
-    pub fn set_paged(&mut self) {
-        assert!(self.is_empty(), "set_paged requires an empty circuit");
-        self.translation.set_paged();
-        self.store.set_paged();
-    }
-
-    /// Whether the circuit's off-chip state is in paged mode.
-    pub fn is_paged(&self) -> bool {
-        self.translation.is_paged()
-    }
-
     /// Resident/peak/total addressable state words across the three
     /// components (translation entries + store link words + trie node
-    /// words). In paged mode the resident figures track the live-tag
-    /// window; eager mode is always fully resident.
+    /// words). The translation table and the tag-storage SRAM are
+    /// paged from construction, so the resident figures track the
+    /// live-tag window; the on-chip trie is small and always resident.
     pub fn resident_memory(&self) -> crate::backend::ResidentMemory {
         let (tr_res, tr_peak, tr_total) = self.translation.resident_entries();
         let (st_res, st_peak, st_total) = self.store.resident_words();

@@ -1,23 +1,22 @@
 //! Lazily-allocated, page-granular backing store for the translation
 //! table — the memory model that lets paper-scale populations fit.
 //!
-//! The paper sizes the circuit for 8 M sessions; a table with one eager
-//! entry per representable tag value (`B^L`, up to 2^30) would dwarf the
-//! tags actually *live* at any instant, which the recycling protocol
-//! bounds by the in-flight window. [`PagedTranslationTable`] keeps the
-//! exact array semantics of the eager `Vec` while materializing fixed
-//! [`PAGE_ENTRIES`]-sized pages only when an entry in them is first
-//! written, and dropping pages again when a section recycle wipes their
-//! whole span — so resident memory tracks the live-tag window instead of
-//! the tag space.
+//! The paper sizes the circuit for 8 M sessions; a table with one
+//! allocated entry per representable tag value (`B^L`, up to 2^30)
+//! would dwarf the tags actually *live* at any instant, which the
+//! recycling protocol bounds by the in-flight window.
+//! [`PagedTranslationTable`] keeps the exact semantics of a
+//! `vec![None; B^L]` while materializing fixed [`PAGE_ENTRIES`]-sized
+//! pages only when an entry in them is first written, and dropping
+//! pages again when a section recycle wipes their whole span — so
+//! resident memory tracks the live-tag window instead of the tag space.
 //!
 //! The structure is deliberately *just* the slot array: access
 //! accounting, geometry checks, and the fault-encoding contract stay in
-//! [`TranslationTable`](crate::TranslationTable), which delegates here
-//! when switched into paged mode. That keeps one source of truth for the
-//! semantics the equivalence suite pins: a paged table and an eager
-//! table driven by the same operations are indistinguishable through the
-//! public API.
+//! [`TranslationTable`](crate::TranslationTable), which stores its
+//! entries here. The `paged_reference` integration test drives it
+//! against a plain `Vec<Option<LinkAddr>>` and requires every
+//! observation to match.
 
 use crate::tagstore::LinkAddr;
 
@@ -67,7 +66,7 @@ impl PagedTranslationTable {
         }
     }
 
-    /// Number of addressable entries (the eager array's length).
+    /// Number of addressable entries.
     pub fn entries(&self) -> usize {
         self.entries
     }
@@ -83,7 +82,7 @@ impl PagedTranslationTable {
     }
 
     /// The entry at `index`; `None` when the covering page was never
-    /// materialized (exactly the eager array's initial state).
+    /// materialized (an unwritten entry is empty).
     ///
     /// # Panics
     ///

@@ -558,7 +558,6 @@ impl SortBackend for PipelinedSortBackend {
     }
 
     fn set_paged(&mut self) -> bool {
-        self.circuit.set_paged();
         true
     }
 

@@ -404,28 +404,11 @@ impl TagStore {
         self.tolerant = tolerant;
     }
 
-    /// Switches an **empty, never-written** store's SRAM into paged mode
-    /// (see [`hwsim::Sram::set_paged`]): link words materialize in pages
-    /// as the initialization counter hands out fresh addresses, so host
-    /// memory tracks the links actually used. Observationally identical
-    /// to the eager array — the store never reads a word the counter has
-    /// not yet handed out, so lazily-zero reads are unreachable on the
-    /// datapath.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any link word was already written.
-    pub fn set_paged(&mut self) {
-        self.sram.set_paged();
-    }
-
-    /// Whether the backing SRAM is in paged mode.
-    pub fn is_paged(&self) -> bool {
-        self.sram.is_paged()
-    }
-
     /// `(resident, peak_resident, total)` link-word counts of the
-    /// backing SRAM (always fully resident in eager mode).
+    /// backing SRAM. Its pages materialize as the initialization counter
+    /// hands out fresh addresses, so residency tracks the links actually
+    /// used; the store never reads a word the counter has not handed
+    /// out, so the lazily-zero reads are unreachable on the datapath.
     pub fn resident_words(&self) -> (usize, usize, usize) {
         self.sram.resident_words()
     }

@@ -6,6 +6,11 @@
 //! most recent duplicate is what keeps tree results valid when several
 //! packets share a (rounded) tag value, and it is the property that lets
 //! the search and storage sides scale independently.
+//!
+//! The table has one entry per representable tag value, 2^24 at the
+//! campaign soak's 6×4 geometry. Its entries live in a
+//! [`PagedTranslationTable`] from construction, so only pages that hold
+//! a live tag take host memory, and a section recycle frees them again.
 
 use faultsim::FaultTarget;
 use hwsim::AccessStats;
@@ -36,54 +41,13 @@ fn entry_digest(index: usize, slot: Option<LinkAddr>) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The slot array behind the table: one eager `Vec` entry per
-/// representable tag value, or the lazily-paged store campaigns use for
-/// paper-scale tag spaces. Both reprs are driven through the same
-/// accessors below, so they are observationally identical.
-#[derive(Debug, Clone)]
-enum Slots {
-    Eager(Vec<Option<LinkAddr>>),
-    Paged(PagedTranslationTable),
-}
-
-impl Slots {
-    fn len(&self) -> usize {
-        match self {
-            Slots::Eager(v) => v.len(),
-            Slots::Paged(p) => p.entries(),
-        }
-    }
-
-    fn get(&self, index: usize) -> Option<LinkAddr> {
-        match self {
-            Slots::Eager(v) => v[index],
-            Slots::Paged(p) => p.get(index),
-        }
-    }
-
-    fn set(&mut self, index: usize, value: Option<LinkAddr>) {
-        match self {
-            Slots::Eager(v) => v[index] = value,
-            Slots::Paged(p) => p.set(index, value),
-        }
-    }
-
-    fn clear_range(&mut self, start: usize, len: usize) {
-        match self {
-            Slots::Eager(v) => {
-                for slot in &mut v[start..start + len] {
-                    *slot = None;
-                }
-            }
-            Slots::Paged(p) => p.clear_range(start, len),
-        }
-    }
-}
-
 /// Tag value → most-recent link address.
 ///
 /// The table has exactly `B^L` entries (paper: "for each possible tag
 /// value that the tree can store, there must be a corresponding entry").
+/// They are held in a [`PagedTranslationTable`], so host memory follows
+/// the live-tag window rather than the tag space: a 2^24-entry table
+/// costs a 64 KiB page directory until tags arrive.
 ///
 /// # Example
 ///
@@ -100,7 +64,7 @@ impl Slots {
 #[derive(Debug, Clone)]
 pub struct TranslationTable {
     geometry: Geometry,
-    slots: Slots,
+    slots: PagedTranslationTable,
     stats: AccessStats,
     /// Running per-section check codes (one per top-level section),
     /// updated on every datapath write. [`FaultTarget::inject_fault`]
@@ -111,66 +75,26 @@ pub struct TranslationTable {
 }
 
 impl TranslationTable {
-    /// Creates an empty table sized for the geometry's tag space.
+    /// Creates an empty table sized for the geometry's tag space. No
+    /// entry page is resident until the first write.
     pub fn new(geometry: Geometry) -> Self {
         Self {
             geometry,
-            slots: Slots::Eager(vec![None; geometry.translation_entries() as usize]),
+            slots: PagedTranslationTable::new(geometry.translation_entries() as usize),
             stats: AccessStats::new(),
             section_crcs: vec![0; geometry.branching() as usize],
         }
     }
 
-    /// Creates an empty table in paged mode: entries materialize in
-    /// [`PagedTranslationTable`] pages on first write, so memory is
-    /// proportional to live tags instead of the tag space.
-    pub fn new_paged(geometry: Geometry) -> Self {
-        Self {
-            geometry,
-            slots: Slots::Paged(PagedTranslationTable::new(
-                geometry.translation_entries() as usize
-            )),
-            stats: AccessStats::new(),
-            section_crcs: vec![0; geometry.branching() as usize],
-        }
-    }
-
-    /// Switches an **empty** table into paged mode (no-op when already
-    /// paged). The two modes are observationally identical — the
-    /// equivalence suite pins that — so this only changes the memory
-    /// model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry is present (mode switches are a construction-
-    /// time decision, not a live migration).
-    pub fn set_paged(&mut self) {
-        if let Slots::Eager(v) = &self.slots {
-            assert!(
-                v.iter().all(Option::is_none),
-                "set_paged requires an empty translation table"
-            );
-            self.slots = Slots::Paged(PagedTranslationTable::new(v.len()));
-        }
-    }
-
-    /// Whether the table is in paged mode.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.slots, Slots::Paged(_))
-    }
-
-    /// `(resident, peak_resident, total)` entry counts. Eager tables are
-    /// always fully resident.
+    /// `(resident, peak_resident, total)` entry counts.
     pub fn resident_entries(&self) -> (usize, usize, usize) {
-        match &self.slots {
-            Slots::Eager(v) => (v.len(), v.len(), v.len()),
-            Slots::Paged(p) => (p.resident_entries(), p.peak_resident_entries(), p.entries()),
-        }
+        let s = &self.slots;
+        (s.resident_entries(), s.peak_resident_entries(), s.entries())
     }
 
     /// Number of entries (the paper's `N_T = B^L`).
     pub fn entries(&self) -> usize {
-        self.slots.len()
+        self.slots.entries()
     }
 
     /// The geometry the table was sized for.
@@ -232,7 +156,7 @@ impl TranslationTable {
 
     /// Entries per top-level section.
     fn section_span(&self) -> usize {
-        self.slots.len() / self.geometry.branching() as usize
+        self.slots.entries() / self.geometry.branching() as usize
     }
 
     fn section_of_index(&self, index: usize) -> usize {
@@ -319,7 +243,7 @@ impl TranslationTable {
 
 impl FaultTarget for TranslationTable {
     fn fault_words(&self) -> usize {
-        self.slots.len()
+        self.slots.entries()
     }
 
     fn fault_word_bits(&self, _word: usize) -> u32 {
@@ -336,9 +260,8 @@ impl FaultTarget for TranslationTable {
         };
         let old = encode(self.slots.get(word));
         let new = old ^ mask;
-        // A presence-bit flip on a never-materialized paged entry
-        // conjures the same bogus `Some(LinkAddr(0))` the eager table
-        // produces — the page materializes to hold it.
+        // A presence-bit flip on a never-materialized entry conjures a
+        // bogus `Some(LinkAddr(0))`; the page materializes to hold it.
         self.slots.set(
             word,
             if new >> PRESENCE_BIT & 1 == 1 {
@@ -354,6 +277,7 @@ impl FaultTarget for TranslationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paged::PAGE_ENTRIES;
 
     #[test]
     fn sized_by_geometry() {
@@ -422,62 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn paged_mode_is_observationally_identical() {
-        let mut eager = TranslationTable::new(Geometry::paper());
-        let mut paged = TranslationTable::new_paged(Geometry::paper());
-        assert!(paged.is_paged() && !eager.is_paged());
-        let ops: &[(u32, Option<u32>)] = &[
-            (5, Some(1)),
-            (5, Some(2)),
-            (0xa00, Some(3)),
-            (0xaff, Some(4)),
-            (5, None),
-            (0xfff, Some(9)),
-        ];
-        for &(tag, addr) in ops {
-            match addr {
-                Some(a) => {
-                    eager.set(Tag(tag), LinkAddr(a));
-                    paged.set(Tag(tag), LinkAddr(a));
-                }
-                None => {
-                    eager.clear(Tag(tag));
-                    paged.clear(Tag(tag));
-                }
-            }
-        }
-        eager.clear_section(0xa);
-        paged.clear_section(0xa);
-        for v in 0..4096 {
-            assert_eq!(eager.peek(Tag(v)), paged.peek(Tag(v)), "tag {v}");
-        }
-        assert_eq!(eager.stats().reads(), paged.stats().reads());
-        assert_eq!(eager.stats().writes(), paged.stats().writes());
-        let (resident, peak, total) = paged.resident_entries();
-        assert!(resident <= peak && peak <= total);
-    }
-
-    #[test]
-    fn set_paged_converts_an_empty_table() {
-        let mut t = TranslationTable::new(Geometry::paper());
-        t.set_paged();
-        assert!(t.is_paged());
-        let (resident, _, total) = t.resident_entries();
-        assert_eq!(resident, 0);
-        assert_eq!(total, 4096);
+    fn construction_materializes_no_entry_page() {
+        let mut t = TranslationTable::new(Geometry::new(6, 4));
+        assert_eq!(t.resident_entries(), (0, 0, 1 << 24));
         t.set(Tag(3), LinkAddr(7));
+        let (resident, peak, total) = t.resident_entries();
+        assert_eq!((resident, peak), (PAGE_ENTRIES, PAGE_ENTRIES));
+        assert_eq!(total, 1 << 24);
         assert_eq!(t.get(Tag(3)), Some(LinkAddr(7)));
-        // Idempotent once paged.
-        t.set_paged();
-        assert_eq!(t.peek(Tag(3)), Some(LinkAddr(7)));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty translation table")]
-    fn set_paged_rejects_a_populated_table() {
-        let mut t = TranslationTable::new(Geometry::paper());
-        t.set(Tag(1), LinkAddr(1));
-        t.set_paged();
     }
 
     #[test]
@@ -520,11 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn section_crc_works_in_paged_mode() {
-        let mut t = TranslationTable::new_paged(Geometry::paper());
-        t.set(Tag(0x305), LinkAddr(4));
+    fn section_crc_catches_a_conjured_entry_in_an_unwritten_page() {
+        // 16 sections of 2^16 entries, 16 pages each.
+        let mut t = TranslationTable::new(Geometry::new(4, 5));
+        t.set(Tag(0x3_0005), LinkAddr(4));
         assert!(t.verify_section_crc(3));
-        t.inject_fault(0x305, 1 << 32);
+        t.inject_fault(0x3_8000, 1 << 32);
+        assert_eq!(t.peek(Tag(0x3_8000)), Some(LinkAddr(0)));
         assert!(!t.verify_section_crc(3));
     }
 

@@ -5,6 +5,12 @@
 //! The point of this model is to make that schedule *enforceable*: each
 //! port may carry at most one access per clock cycle, and a second access
 //! in the same cycle is a simulation error, not a silently absorbed one.
+//!
+//! The word array is allocated lazily in pages of 4096 words: a page
+//! materializes on its first non-zero write, and an unwritten word reads
+//! as zero. A memory configured at paper scale therefore costs host
+//! memory in proportion to the words it holds, and
+//! [`Sram::resident_words`] reports how many that is.
 
 use std::error::Error;
 use std::fmt;
@@ -239,64 +245,47 @@ impl SramStats {
     }
 }
 
-/// Words per lazily-allocated page in [`Sram`] paged mode.
+/// Words per lazily-allocated page of an [`Sram`]'s word array.
 const PAGE_WORDS: usize = 4096;
 
-/// The word array behind an [`Sram`]: the eager zero-initialized `Vec`,
-/// or a page-granular lazy store where never-written pages read as zero
-/// and materialize on the first non-zero write. The two are
-/// observationally identical through every access path (reads, writes,
-/// peeks, and fault corruption), so paged mode only changes how much of
-/// the configured word count is resident in host memory.
+/// The word array behind an [`Sram`]: page-granular and lazy, so a
+/// never-written page reads as zero and materializes on the first
+/// non-zero write. Host-resident memory therefore tracks the words
+/// actually used, not the configured word count.
 #[derive(Debug, Clone)]
-enum Words {
-    Eager(Vec<u64>),
-    Paged {
-        pages: Vec<Option<Box<[u64]>>>,
-        resident: usize,
-        peak: usize,
-    },
+struct Words {
+    pages: Vec<Option<Box<[u64]>>>,
+    resident: usize,
+    peak: usize,
 }
 
 impl Words {
-    fn paged(words: usize) -> Self {
-        Words::Paged {
-            pages: (0..words.div_ceil(PAGE_WORDS)).map(|_| None).collect(),
+    fn new(words: usize) -> Self {
+        Self {
+            pages: vec![None; words.div_ceil(PAGE_WORDS)],
             resident: 0,
             peak: 0,
         }
     }
 
     fn get(&self, addr: usize) -> u64 {
-        match self {
-            Words::Eager(v) => v[addr],
-            Words::Paged { pages, .. } => match &pages[addr / PAGE_WORDS] {
-                Some(page) => page[addr % PAGE_WORDS],
-                None => 0,
-            },
+        match &self.pages[addr / PAGE_WORDS] {
+            Some(page) => page[addr % PAGE_WORDS],
+            None => 0,
         }
     }
 
     fn set(&mut self, addr: usize, value: u64) {
-        match self {
-            Words::Eager(v) => v[addr] = value,
-            Words::Paged {
-                pages,
-                resident,
-                peak,
-            } => {
-                let slot = &mut pages[addr / PAGE_WORDS];
-                match slot {
-                    Some(page) => page[addr % PAGE_WORDS] = value,
-                    None if value == 0 => {} // already reads as zero
-                    None => {
-                        let mut page = vec![0u64; PAGE_WORDS].into_boxed_slice();
-                        page[addr % PAGE_WORDS] = value;
-                        *slot = Some(page);
-                        *resident += 1;
-                        *peak = (*peak).max(*resident);
-                    }
-                }
+        let slot = &mut self.pages[addr / PAGE_WORDS];
+        match slot {
+            Some(page) => page[addr % PAGE_WORDS] = value,
+            None if value == 0 => {} // already reads as zero
+            None => {
+                let mut page = vec![0u64; PAGE_WORDS].into_boxed_slice();
+                page[addr % PAGE_WORDS] = value;
+                *slot = Some(page);
+                self.resident += 1;
+                self.peak = self.peak.max(self.resident);
             }
         }
     }
@@ -357,13 +346,14 @@ fn bitset_assign(set: &mut [u64], idx: usize, value: bool) {
 }
 
 impl Sram {
-    /// Creates a zero-initialized memory.
+    /// Creates a zero-initialized memory. No word is resident until it
+    /// is first written non-zero (see [`Sram::resident_words`]).
     pub fn new(config: SramConfig) -> Self {
         let words = config.words();
         let ports = config.ports().len();
         Self {
             config,
-            data: Words::Eager(vec![0; words]),
+            data: Words::new(words),
             parity: vec![0; words.div_ceil(64)],
             alarmed: vec![0; words.div_ceil(64)],
             alarms: Vec::new(),
@@ -375,44 +365,15 @@ impl Sram {
         }
     }
 
-    /// Switches an **all-zero** memory into paged mode: pages of
-    /// pages of 4096 words materialize on the first non-zero write, so
-    /// host-resident memory is proportional to the words actually used
-    /// instead of the configured word count. Observationally identical
-    /// to the eager array (zero-initialized reads included); a no-op
-    /// when already paged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any word is non-zero — mode switches are a
-    /// construction-time decision, not a live migration.
-    pub fn set_paged(&mut self) {
-        if let Words::Eager(v) = &self.data {
-            assert!(
-                v.iter().all(|&w| w == 0),
-                "set_paged requires an all-zero memory"
-            );
-            self.data = Words::paged(v.len());
-        }
-    }
-
-    /// Whether the word array is in paged mode.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.data, Words::Paged { .. })
-    }
-
-    /// `(resident, peak_resident, total)` word counts. Eager memories
-    /// are always fully resident.
+    /// `(resident, peak_resident, total)` word counts: resident pages
+    /// times the page size, capped at the configured word count.
     pub fn resident_words(&self) -> (usize, usize, usize) {
         let total = self.config.words();
-        match &self.data {
-            Words::Eager(_) => (total, total, total),
-            Words::Paged { resident, peak, .. } => (
-                (resident * PAGE_WORDS).min(total),
-                (peak * PAGE_WORDS).min(total),
-                total,
-            ),
-        }
+        (
+            (self.data.resident * PAGE_WORDS).min(total),
+            (self.data.peak * PAGE_WORDS).min(total),
+            total,
+        )
     }
 
     /// Enables event tracing: every subsequent access is recorded and
@@ -874,11 +835,9 @@ mod tests {
     }
 
     #[test]
-    fn paged_mode_reads_zero_and_materializes_on_write() {
+    fn unwritten_words_read_zero_and_pages_materialize_on_write() {
         let mut clk = Clock::new();
         let mut mem = Sram::new(SramConfig::single_port(3 * PAGE_WORDS, 16));
-        mem.set_paged();
-        assert!(mem.is_paged());
         assert_eq!(mem.resident_words(), (0, 0, 3 * PAGE_WORDS));
         assert_eq!(mem.read(clk.now(), 2 * PAGE_WORDS + 1).unwrap(), 0);
         assert_eq!(mem.resident_words().0, 0, "a read materializes nothing");
@@ -898,13 +857,12 @@ mod tests {
     }
 
     #[test]
-    fn paged_mode_parity_behaves_like_eager() {
+    fn corrupting_an_unwritten_word_pages_it_in_with_a_latent_alarm() {
         let mut clk = Clock::new();
         let mut mem = Sram::new(SramConfig::single_port(2 * PAGE_WORDS, 16));
-        mem.set_paged();
         mem.write(clk.now(), 7, 0xff).unwrap();
         // Corruption of a never-written word pages it in without
-        // refreshing parity — same latent-alarm semantics as eager mode.
+        // refreshing parity, so the next read raises the alarm.
         assert_eq!(mem.corrupt(PAGE_WORDS + 3, 0b1), 0);
         clk.tick();
         assert_eq!(mem.read(clk.now(), PAGE_WORDS + 3).unwrap(), 1);
@@ -913,15 +871,6 @@ mod tests {
         clk.tick();
         mem.read(clk.now(), 7).unwrap();
         assert_eq!(mem.take_parity_alarms().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "all-zero memory")]
-    fn set_paged_rejects_a_written_memory() {
-        let clk = Clock::new();
-        let mut mem = Sram::new(SramConfig::single_port(8, 16));
-        mem.write(clk.now(), 0, 1).unwrap();
-        mem.set_paged();
     }
 
     #[test]

@@ -526,9 +526,6 @@ pub struct HwScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = Wfq
     flows: usize,
     admission: AdmissionPolicy,
     cleanup: CleanupPolicy,
-    /// Whether [`HwScheduler::set_paged_state`] has been requested, so a
-    /// checkpoint can replay the request at restore.
-    paged: bool,
     /// Arrivals the WRED coin has judged so far — the counter keying the
     /// deterministic coin stream (checkpointed in one word).
     wred_coins: u64,
@@ -659,7 +656,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             flows: flows.len(),
             admission: config.admission,
             cleanup: config.cleanup,
-            paged: false,
             wred_coins: 0,
             wrap_counts: (config.wrap_policy == WrapPolicy::Wrap)
                 .then(|| SectionCounts::new(config.geometry)),
@@ -794,12 +790,13 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         self.sorter.name()
     }
 
-    /// Switches the sorter's off-chip state to lazily paged allocation
-    /// (see [`SortBackend::set_paged`]). Call before the first enqueue;
-    /// returns `false` for backends without paged storage, which simply
-    /// stay eager.
+    /// Whether the sorter's off-chip state is paged (see
+    /// [`SortBackend::set_paged`]). A no-op kept for wfqbench's
+    /// `drive.rs`, which calls it on paged workloads: the trie circuit
+    /// builds its translation table and tag store paged, and the other
+    /// backends model no state memory, so this only reports which case
+    /// holds.
     pub fn set_paged_state(&mut self) -> bool {
-        self.paged = true;
         self.sorter.set_paged()
     }
 
@@ -1499,7 +1496,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         b.word(self.flows as u64);
         b.word(self.buffer.capacity() as u64);
         b.word(admission_word(self.admission));
-        b.word(self.paged as u64);
+        // Reserved word, always 0, so the version-3 layout is unchanged.
+        b.word(0);
         b.word(policy_name_word(self.policy.name()));
         b.word(self.enqueued);
         b.word(self.dequeued);
@@ -1581,9 +1579,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             admission_word(config.admission),
             "checkpoint admission policy differs from the restore configuration"
         );
-        if r.word()? != 0 {
-            s.set_paged_state();
-        }
+        r.word()?; // reserved word, ignored
         let ckpt_policy = r.word()?;
         assert_eq!(
             ckpt_policy,

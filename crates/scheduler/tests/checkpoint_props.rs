@@ -4,8 +4,7 @@
 //! [`HwScheduler::restore`]: splitting a run at **any** point —
 //! checkpoint, restore into a fresh scheduler, continue — produces the
 //! departure sequence of the unsplit run, packet for packet, across
-//! every sorting backend, every rank policy, and paged/eager trie
-//! memory. Example-based tests pin a few split points; this sweeps
+//! every sorting backend and every rank policy. Example-based tests pin a few split points; this sweeps
 //! seeded workloads and arbitrary splits over the whole matrix.
 
 use fairq::{AnyPolicy, RankPolicy};
@@ -51,16 +50,12 @@ fn config(proto: &AnyPolicy) -> SchedulerConfig {
 /// sequence as `(flow, seq)` pairs.
 fn run_program<B: SortBackend>(
     proto: &AnyPolicy,
-    paged: bool,
     trace: &[traffic::Packet],
     split: Option<usize>,
 ) -> Vec<(u32, u64)> {
     let fl = flows();
     let mut sched =
         HwScheduler::<B, AnyPolicy>::with_backend_and_policy(&fl, RATE, config(proto), proto);
-    if paged {
-        assert!(sched.set_paged_state());
-    }
     let mut out = Vec::new();
     for (i, pkt) in trace.iter().enumerate() {
         if Some(i) == split {
@@ -82,18 +77,16 @@ fn run_program<B: SortBackend>(
     out
 }
 
-fn check_split(backend: usize, policy: &str, paged: bool, seed: u64, split_frac: f64) {
+fn check_split(backend: usize, policy: &str, seed: u64, split_frac: f64) {
     let proto = AnyPolicy::by_name(policy).unwrap();
-    // Paged state only exists on the trie backend.
-    let paged = paged && backend == 0;
     let trace = generate(&flows(), 0.5, seed);
     assert!(!trace.is_empty(), "0.5 s of 4-flow traffic is never empty");
     let split = ((trace.len() - 1) as f64 * split_frac) as usize;
     let run = |s: Option<usize>| match backend {
-        0 => run_program::<SortRetrieveCircuit>(&proto, paged, &trace, s),
-        1 => run_program::<FfsSorter>(&proto, paged, &trace, s),
-        2 => run_program::<HeapSorter>(&proto, paged, &trace, s),
-        3 => run_program::<PipelinedSortBackend>(&proto, paged, &trace, s),
+        0 => run_program::<SortRetrieveCircuit>(&proto, &trace, s),
+        1 => run_program::<FfsSorter>(&proto, &trace, s),
+        2 => run_program::<HeapSorter>(&proto, &trace, s),
+        3 => run_program::<PipelinedSortBackend>(&proto, &trace, s),
         _ => unreachable!(),
     };
     let unsplit = run(None);
@@ -102,7 +95,7 @@ fn check_split(backend: usize, policy: &str, paged: bool, seed: u64, split_frac:
         unsplit,
         rejoined,
         "departure sequence diverged: backend {backend}, policy {policy}, \
-         paged {paged}, seed {seed}, split {split}/{}",
+         seed {seed}, split {split}/{}",
         trace.len()
     );
 }
@@ -110,7 +103,7 @@ fn check_split(backend: usize, policy: &str, paged: bool, seed: u64, split_frac:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any split point, any backend × policy × memory mode: the
+    /// Any split point, any backend × policy: the
     /// checkpointed-and-restored run departs identically to the
     /// unsplit one.
     #[test]
@@ -120,11 +113,10 @@ proptest! {
             Just("wfq"), Just("stfq"), Just("srpt"), Just("fifo+"),
             Just("prio"), Just("leaky"), Just("hwfq"),
         ],
-        paged in any::<bool>(),
         seed in 0u64..1_000,
         split_frac in 0.0f64..1.0,
     ) {
-        check_split(backend, policy, paged, seed, split_frac);
+        check_split(backend, policy, seed, split_frac);
     }
 }
 
@@ -135,7 +127,7 @@ proptest! {
 fn every_backend_and_policy_survives_a_mid_run_split() {
     for backend in 0..4 {
         for policy in AnyPolicy::NAMES {
-            check_split(backend, policy, true, 7, 0.5);
+            check_split(backend, policy, 7, 0.5);
         }
     }
 }
