@@ -1344,4 +1344,27 @@ mod tests {
         assert!(scrub.repaired);
         assert!(!c.scrub_translation_section(2, false).crc_mismatch);
     }
+
+    #[test]
+    fn translation_scrub_ends_on_a_tag_store_pointer_cycle() {
+        let mut c = SortRetrieveCircuit::new(Geometry::paper(), 64);
+        // Links 0, 1, 2 in list order; the tail's next field is NIL.
+        for (i, tag) in [0xa01, 0xa02, 0xa03].into_iter().enumerate() {
+            c.insert(Tag(tag), PacketRef(i as u32)).unwrap();
+        }
+        // Clear every pointer bit of the tail: NIL becomes link 0, an
+        // in-range address that closes the list into a cycle.
+        let layout = c.store.layout();
+        let nil = (1u64 << layout.ptr_bits()) - 1;
+        c.fault_target_mut(FaultComponent::TagStore)
+            .inject_fault(2, nil << (layout.tag_bits() + layout.payload_bits()));
+        assert_eq!(c.iter_sorted().count(), 3, "the walk stops at len");
+        // A check-code mismatch makes the scrub walk the list.
+        c.fault_target_mut(FaultComponent::Translation)
+            .inject_fault(0xa05, 1 << 32);
+        let scrub = c.scrub_translation_section(0xa, true);
+        assert!(scrub.crc_mismatch);
+        assert_eq!(scrub.damaged_words, vec![0xa05]);
+        assert!(!c.scrub_translation_section(0xa, false).crc_mismatch);
+    }
 }

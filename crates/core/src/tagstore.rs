@@ -728,7 +728,9 @@ impl TagStore {
     /// Walks the sorted list yielding each link's address alongside its
     /// contents, without cycle accounting — scrub ground truth (the
     /// translation-table audit rebuilds "most recent duplicate" pointers
-    /// from it), not a datapath walk.
+    /// from it), not a datapath walk. At most `len` links are yielded,
+    /// as in `find_tail`: a corrupted next-pointer that closes a cycle
+    /// ends the walk instead of spinning on it.
     pub fn iter_links(&self) -> impl Iterator<Item = (LinkAddr, Tag, PacketRef)> + '_ {
         let mut cursor = self.head.map(|(a, _)| a);
         std::iter::from_fn(move || {
@@ -739,20 +741,13 @@ impl TagStore {
             cursor = link.next;
             Some((addr, link.tag, link.payload))
         })
+        .take(self.len)
     }
 
     /// Walks the sorted list without cycle accounting — test/debug
-    /// inspection only.
+    /// inspection only. Bounded like [`TagStore::iter_links`].
     pub fn iter_sorted(&self) -> impl Iterator<Item = (Tag, PacketRef)> + '_ {
-        let mut cursor = self.head.map(|(a, _)| a);
-        std::iter::from_fn(move || {
-            let addr = cursor?;
-            let link = self
-                .layout
-                .unpack(self.sram.peek(addr.0 as usize).expect("valid link address"));
-            cursor = link.next;
-            Some((link.tag, link.payload))
-        })
+        self.iter_links().map(|(_, tag, payload)| (tag, payload))
     }
 
     /// Number of links currently on the empty list plus never-used

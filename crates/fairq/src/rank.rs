@@ -136,12 +136,12 @@ pub trait RankPolicy: std::fmt::Debug + Clone {
     fn adopt_flow(&mut self, _flow: FlowId, _finish: VirtualTime) {}
 }
 
-/// Builds the dense per-flow weight vector the virtual clocks consume.
+/// Builds the dense per-flow weight vector of `flows`.
 ///
 /// # Panics
 ///
 /// Panics if flow ids are not dense and unique.
-fn dense_weights(flows: &[FlowSpec]) -> Vec<f64> {
+pub(crate) fn dense_weights(flows: &[FlowSpec]) -> Vec<f64> {
     let mut weights = vec![0.0; flows.len()];
     for f in flows {
         let idx = f.id.0 as usize;
@@ -185,7 +185,7 @@ impl WfqRank {
 impl RankPolicy for WfqRank {
     fn for_link(&self, flows: &[FlowSpec], link_rate_bps: f64) -> Self {
         Self {
-            clock: Some(GpsVirtualClock::new(&dense_weights(flows), link_rate_bps)),
+            clock: Some(GpsVirtualClock::for_flows(flows, link_rate_bps)),
         }
     }
 

@@ -9,6 +9,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use traffic::{FlowSpec, Packet, Time};
 
+use crate::rank::dense_weights;
 use crate::scheduler::Scheduler;
 use crate::virtual_time::{GpsVirtualClock, VirtualTime};
 
@@ -91,19 +92,6 @@ impl FlowQueues {
     }
 }
 
-fn weights_of(flows: &[FlowSpec]) -> Vec<f64> {
-    let mut weights = vec![0.0; flows.len()];
-    for f in flows {
-        let idx = f.id.0 as usize;
-        assert!(
-            idx < flows.len() && weights[idx] == 0.0,
-            "flow ids must be dense and unique"
-        );
-        weights[idx] = f.weight;
-    }
-    weights
-}
-
 /// Weighted fair queueing (PGPS): tags from the exact GPS virtual clock,
 /// service in increasing finishing-tag order — the algorithm the paper's
 /// scheduler implements in hardware.
@@ -133,9 +121,8 @@ pub struct Wfq {
 impl Wfq {
     /// Creates a WFQ scheduler for `flows` on a link of `rate_bps`.
     pub fn new(flows: &[FlowSpec], rate_bps: f64) -> Self {
-        let weights = weights_of(flows);
         Self {
-            clock: GpsVirtualClock::new(&weights, rate_bps),
+            clock: GpsVirtualClock::for_flows(flows, rate_bps),
             queues: FlowQueues::new(flows.len()),
         }
     }
@@ -183,9 +170,8 @@ pub struct Wf2q {
 impl Wf2q {
     /// Creates a WF²Q scheduler for `flows` on a link of `rate_bps`.
     pub fn new(flows: &[FlowSpec], rate_bps: f64) -> Self {
-        let weights = weights_of(flows);
         Self {
-            clock: GpsVirtualClock::new(&weights, rate_bps),
+            clock: GpsVirtualClock::for_flows(flows, rate_bps),
             queues: FlowQueues::new(flows.len()),
             fallbacks: 0,
         }
@@ -250,7 +236,7 @@ impl Wf2qPlus {
     /// Creates a WF²Q+ scheduler for `flows` (link rate folds into the
     /// virtual clock's normalization and is not needed).
     pub fn new(flows: &[FlowSpec]) -> Self {
-        let weights = weights_of(flows);
+        let weights = dense_weights(flows);
         let phi_total = weights.iter().sum();
         Self {
             last_finish: vec![VirtualTime::ZERO; weights.len()],
@@ -320,7 +306,7 @@ pub struct Scfq {
 impl Scfq {
     /// Creates an SCFQ scheduler for `flows`.
     pub fn new(flows: &[FlowSpec]) -> Self {
-        let weights = weights_of(flows);
+        let weights = dense_weights(flows);
         Self {
             last_finish: vec![VirtualTime::ZERO; weights.len()],
             queues: FlowQueues::new(weights.len()),
@@ -370,7 +356,7 @@ pub struct Sfq {
 impl Sfq {
     /// Creates an SFQ scheduler for `flows`.
     pub fn new(flows: &[FlowSpec]) -> Self {
-        let weights = weights_of(flows);
+        let weights = dense_weights(flows);
         Self {
             last_finish: vec![VirtualTime::ZERO; weights.len()],
             queues: vec![VecDeque::new(); weights.len()],

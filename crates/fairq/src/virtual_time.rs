@@ -1,9 +1,10 @@
 //! The GPS virtual clock — the algorithm inside the paper's WFQ tag
 //! computation circuit (eq. (1), reference \[8\]).
 
+use std::collections::HashMap;
 use std::fmt;
 
-use traffic::{FlowId, Time};
+use traffic::{FlowId, FlowSpec, Time};
 
 /// GPS virtual time, in bits-per-unit-weight.
 ///
@@ -67,15 +68,21 @@ impl fmt::Display for VirtualTime {
 ///
 /// # Data layout
 ///
-/// Each flow has one record: its weight, its last finishing tag, and
-/// its position in the busy heap (`IDLE` when the flow is not busy).
-/// A busy flow drains when V reaches its last finishing tag, so that
-/// tag is its heap key; no second copy is kept. The busy set is an
-/// indexed 4-ary min-heap of flow ids ordered by `(last finish, flow
-/// id)`, the finish compared with `f64::total_cmp`. That order is total
-/// and unique per flow, so sessions drain in one fixed sequence — ties
-/// on the finish tag leave in flow-id order — and V is a pure function
-/// of the arrivals. Each operation touches one heap path:
+/// Each flow has one 16-byte record: its last finishing tag, its
+/// position in the busy heap (`IDLE` when the flow is not busy), and
+/// its weight class. The class indexes a table of the distinct weights,
+/// stored exactly, so `L/φᵢ` and the busy weight `Σφᵢ` are the same
+/// float operations on the same values as with a per-flow weight.
+///
+/// The busy set is an indexed 4-ary min-heap whose entries carry their
+/// key: one `u128` per busy flow, the last finishing tag's bits in the
+/// high half (mapped so that unsigned order is `f64::total_cmp` order)
+/// and the flow id in the low half. Comparing two entries is one
+/// integer compare that never reads a flow record, and the order
+/// `(last finish, flow id)` is total and unique per flow, so sessions
+/// drain in one fixed sequence — ties on the finish tag leave in
+/// flow-id order — and V is a pure function of the arrivals. Each
+/// operation touches one heap path:
 ///
 /// - an arrival on an idle flow pushes it;
 /// - an arrival on a busy flow grows its key: one sift-down from its
@@ -99,9 +106,11 @@ impl fmt::Display for VirtualTime {
 #[derive(Debug, Clone)]
 pub struct GpsVirtualClock {
     flows: Vec<FlowRec>,
-    /// Busy flow ids: a 4-ary min-heap under [`GpsVirtualClock::less`].
-    /// `flows[heap[i]].pos == i` for every slot.
-    heap: Vec<u32>,
+    /// The distinct weights, indexed by `FlowRec::class`.
+    weights: Vec<f64>,
+    /// Busy flows as packed [`entry`] keys in a 4-ary min-heap.
+    /// `flows[flow_of(heap[i])].pos == i` for every slot.
+    heap: Vec<u128>,
     rate_bps: f64,
     v: f64,
     t_last: f64,
@@ -116,19 +125,49 @@ pub struct GpsVirtualClock {
 /// One flow's clock state.
 #[derive(Debug, Clone, Copy)]
 struct FlowRec {
-    weight: f64,
     /// Largest finishing tag handed out so far; the heap key while busy.
     last_finish: f64,
     /// Slot in the busy heap, or [`IDLE`].
     pos: u32,
+    /// Index of the flow's weight in `GpsVirtualClock::weights`.
+    class: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<FlowRec>() == 16);
 
 /// `FlowRec::pos` of a flow outside the busy heap.
 const IDLE: u32 = u32::MAX;
 
-/// Children per busy-heap node: four 4-byte ids share a cache line, and
-/// the heap is half as deep as a binary one.
+/// `FlowRec::class` of a flow whose weight is not yet known (during
+/// construction only).
+const UNSET: u32 = u32::MAX;
+
+/// Children per busy-heap node: a full group of four 16-byte entries
+/// spans 64 bytes, and the heap is half as deep as a binary one.
 const ARITY: usize = 4;
+
+/// The busy-heap entry of `flow` with last finishing tag `finish`.
+/// Unsigned order on entries is `(finish, flow)` with the finish under
+/// `f64::total_cmp`: a negative finish has all its bits flipped, a
+/// non-negative one only its sign bit.
+fn entry(finish: f64, flow: u32) -> u128 {
+    let bits = finish.to_bits();
+    let ordered = bits ^ (((bits as i64 >> 63) as u64) | (1 << 63));
+    (u128::from(ordered) << 64) | u128::from(flow)
+}
+
+/// The finishing tag packed into a busy-heap entry; inverts [`entry`].
+fn finish_of(entry: u128) -> f64 {
+    let ordered = (entry >> 64) as u64;
+    // A set top bit marks a non-negative finish.
+    let mask = (ordered >> 63).wrapping_sub(1) | (1 << 63);
+    f64::from_bits(ordered ^ mask)
+}
+
+/// The flow id packed into a busy-heap entry.
+fn flow_of(entry: u128) -> u32 {
+    entry as u32
+}
 
 impl GpsVirtualClock {
     /// Creates a clock for flows `0..weights.len()` on a link of
@@ -139,28 +178,62 @@ impl GpsVirtualClock {
     /// Panics if `weights` is empty or holds `u32::MAX` flows or more,
     /// any weight is non-positive, or the rate is non-positive.
     pub fn new(weights: &[f64], rate_bps: f64) -> Self {
-        assert!(!weights.is_empty(), "at least one flow required");
-        assert!(
-            weights.len() < IDLE as usize,
-            "flow ids must fit below u32::MAX"
-        );
-        assert!(
-            weights.iter().all(|w| *w > 0.0 && w.is_finite()),
-            "weights must be positive and finite"
-        );
+        Self::build(weights.iter().copied().enumerate(), rate_bps)
+    }
+
+    /// Creates a clock for `flows` on a link of `rate_bps`, taking each
+    /// flow's weight from its spec. The specs may come in any order;
+    /// their ids must cover `0..flows.len()` exactly once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if flow ids are not dense and unique, and as
+    /// [`GpsVirtualClock::new`] does.
+    pub fn for_flows(flows: &[FlowSpec], rate_bps: f64) -> Self {
+        Self::build(flows.iter().map(|f| (f.id.0 as usize, f.weight)), rate_bps)
+    }
+
+    /// Builds the records from `n` `(flow, weight)` pairs that name each
+    /// of `0..n` once, interning the weights. A weight equal to the one
+    /// before it reuses that class without a lookup, so a table of equal
+    /// weights is never hashed past its first flow.
+    fn build(weights: impl ExactSizeIterator<Item = (usize, f64)>, rate_bps: f64) -> Self {
+        let n = weights.len();
+        assert!(n > 0, "at least one flow required");
+        assert!(n < IDLE as usize, "flow ids must fit below u32::MAX");
         assert!(
             rate_bps > 0.0 && rate_bps.is_finite(),
             "rate must be positive and finite"
         );
+        let unset = FlowRec {
+            last_finish: 0.0,
+            pos: IDLE,
+            class: UNSET,
+        };
+        let mut flows = vec![unset; n];
+        let mut classes: Vec<f64> = Vec::new();
+        let mut index: HashMap<u64, u32> = HashMap::new();
+        let mut class = UNSET;
+        for (idx, weight) in weights {
+            let rec = flows
+                .get_mut(idx)
+                .filter(|rec| rec.class == UNSET)
+                .expect("flow ids must be dense and unique");
+            assert!(
+                weight > 0.0 && weight.is_finite(),
+                "weights must be positive and finite"
+            );
+            if classes.get(class as usize) != Some(&weight) {
+                class = *index.entry(weight.to_bits()).or_insert_with(|| {
+                    classes.push(weight);
+                    (classes.len() - 1) as u32
+                });
+            }
+            rec.class = class;
+        }
         Self {
-            flows: weights
-                .iter()
-                .map(|&weight| FlowRec {
-                    weight,
-                    last_finish: 0.0,
-                    pos: IDLE,
-                })
-                .collect(),
+            flows,
+            weights: classes,
             heap: Vec::new(),
             rate_bps,
             v: 0.0,
@@ -209,14 +282,14 @@ impl GpsVirtualClock {
                 return;
             };
             let slope = self.rate_bps / self.sum_phi_busy;
-            let drain_v = self.flows[head as usize].last_finish;
+            let drain_v = finish_of(head);
             let t_hit = self.t_last + (drain_v - self.v) / slope;
             if t_hit <= to {
                 // The head session drains before (or at) `to`.
                 self.v = drain_v;
                 self.t_last = t_hit;
                 self.push_breakpoint();
-                self.remove(head);
+                self.remove(flow_of(head));
             } else {
                 self.v += (to - self.t_last) * slope;
                 self.t_last = to;
@@ -247,16 +320,17 @@ impl GpsVirtualClock {
         );
         self.advance(at);
         let rec = &mut self.flows[idx];
+        let weight = self.weights[rec.class as usize];
         let start = self.v.max(rec.last_finish);
-        let finish = start + size_bits / rec.weight;
+        let finish = start + size_bits / weight;
         rec.last_finish = finish;
         let pos = rec.pos;
         if pos == IDLE {
-            self.sum_phi_busy += rec.weight;
-            self.push(flow.0);
+            self.sum_phi_busy += weight;
+            self.push(entry(finish, flow.0));
         } else {
             // A non-negative size never lowers the key.
-            self.sift_down(pos as usize, flow.0);
+            self.sift_down(pos as usize, entry(finish, flow.0));
         }
         (VirtualTime(start), VirtualTime(finish))
     }
@@ -266,8 +340,7 @@ impl GpsVirtualClock {
     pub fn drain(&mut self) -> Time {
         while let Some(&head) = self.heap.first() {
             let slope = self.rate_bps / self.sum_phi_busy;
-            let drain_v = self.flows[head as usize].last_finish;
-            let t_hit = self.t_last + (drain_v - self.v) / slope;
+            let t_hit = self.t_last + (finish_of(head) - self.v) / slope;
             self.advance(Time(t_hit));
         }
         Time(self.t_last)
@@ -328,8 +401,8 @@ impl GpsVirtualClock {
         }
         self.flows[idx].last_finish = v.0;
         if v.0 > self.v {
-            self.sum_phi_busy += self.flows[idx].weight;
-            self.push(flow.0);
+            self.sum_phi_busy += self.weights[self.flows[idx].class as usize];
+            self.push(entry(v.0, flow.0));
         }
     }
 
@@ -396,11 +469,12 @@ impl GpsVirtualClock {
         self.sum_phi_busy = 0.0;
         for (i, (&f, &busy)) in finishes.iter().zip(flags).enumerate() {
             let rec = &mut self.flows[i];
-            rec.last_finish = f64::from_bits(f);
+            let finish = f64::from_bits(f);
+            rec.last_finish = finish;
             rec.pos = IDLE;
             if busy == 1 {
-                self.sum_phi_busy += rec.weight;
-                self.push(i as u32);
+                self.sum_phi_busy += self.weights[rec.class as usize];
+                self.push(entry(finish, i as u32));
             }
         }
         self.breakpoints = vec![(self.t_last, self.v)];
@@ -416,22 +490,14 @@ impl GpsVirtualClock {
         }
     }
 
-    /// The busy-heap order: `(last finish, flow id)`, finish under
-    /// `total_cmp`.
-    fn less(&self, a: u32, b: u32) -> bool {
-        let fa = self.flows[a as usize].last_finish;
-        let fb = self.flows[b as usize].last_finish;
-        fa.total_cmp(&fb).then(a.cmp(&b)).is_lt()
+    fn place(&mut self, slot: usize, entry: u128) {
+        self.heap[slot] = entry;
+        self.flows[flow_of(entry) as usize].pos = slot as u32;
     }
 
-    fn place(&mut self, slot: usize, flow: u32) {
-        self.heap[slot] = flow;
-        self.flows[flow as usize].pos = slot as u32;
-    }
-
-    fn push(&mut self, flow: u32) {
-        self.heap.push(flow);
-        self.sift_up(self.heap.len() - 1, flow);
+    fn push(&mut self, entry: u128) {
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
     }
 
     /// Takes a busy flow out of the heap and out of the busy weight.
@@ -439,11 +505,11 @@ impl GpsVirtualClock {
         let rec = &mut self.flows[flow as usize];
         let slot = rec.pos as usize;
         rec.pos = IDLE;
-        self.sum_phi_busy -= rec.weight;
+        self.sum_phi_busy -= self.weights[rec.class as usize];
         let last = self.heap.pop().expect("a busy flow is in the heap");
-        if last != flow {
-            // The last slot's flow fills the hole, from either side.
-            if slot > 0 && self.less(last, self.heap[(slot - 1) / ARITY]) {
+        if slot < self.heap.len() {
+            // The last slot's entry fills the hole, from either side.
+            if slot > 0 && last < self.heap[(slot - 1) / ARITY] {
                 self.sift_up(slot, last);
             } else {
                 self.sift_down(slot, last);
@@ -454,44 +520,51 @@ impl GpsVirtualClock {
         }
     }
 
-    /// Moves `flow` from `slot` towards the root until its parent is
+    /// Moves `entry` from `slot` towards the root until its parent is
     /// smaller.
-    fn sift_up(&mut self, mut slot: usize, flow: u32) {
+    fn sift_up(&mut self, mut slot: usize, entry: u128) {
         while slot > 0 {
             let parent = (slot - 1) / ARITY;
             let above = self.heap[parent];
-            if !self.less(flow, above) {
+            if entry >= above {
                 break;
             }
             self.place(slot, above);
             slot = parent;
         }
-        self.place(slot, flow);
+        self.place(slot, entry);
     }
 
-    /// Moves `flow` from `slot` towards the leaves until no child is
+    /// Moves `entry` from `slot` towards the leaves until no child is
     /// smaller.
-    fn sift_down(&mut self, mut slot: usize, flow: u32) {
+    fn sift_down(&mut self, mut slot: usize, entry: u128) {
         let len = self.heap.len();
         loop {
             let first = slot * ARITY + 1;
-            if first >= len {
+            let best = if let Some(group) = self.heap.get(first..first + ARITY) {
+                // A full group: a branch-free tournament of four.
+                let low = usize::from(group[1] < group[0]);
+                let high = 2 + usize::from(group[3] < group[2]);
+                first + if group[high] < group[low] { high } else { low }
+            } else if first < len {
+                (first + 1..len).fold(first, |best, child| {
+                    if self.heap[child] < self.heap[best] {
+                        child
+                    } else {
+                        best
+                    }
+                })
+            } else {
                 break;
-            }
-            let mut best = first;
-            for child in first + 1..(first + ARITY).min(len) {
-                if self.less(self.heap[child], self.heap[best]) {
-                    best = child;
-                }
-            }
+            };
             let below = self.heap[best];
-            if !self.less(below, flow) {
+            if below >= entry {
                 break;
             }
             self.place(slot, below);
             slot = best;
         }
-        self.place(slot, flow);
+        self.place(slot, entry);
     }
 }
 

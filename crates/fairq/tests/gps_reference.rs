@@ -1,7 +1,7 @@
 //! `GpsVirtualClock` against the ordered-map clock it replaced.
 //!
-//! The clock keeps its busy sessions in an indexed 4-ary heap of flow
-//! ids over one record per flow. The reference below is the earlier
+//! The clock keeps its busy sessions in an indexed 4-ary heap of keyed
+//! entries over one record per flow. The reference below is an earlier
 //! design, kept as a test-only model: an ordered map keyed by
 //! `(drain tag, flow id)` beside separate per-flow weight, finish and
 //! busy-key arrays. Both must agree bit for bit: V depends on the order
@@ -12,15 +12,18 @@
 //! Random programs of arrivals, advances, drains, `set_last_finish`
 //! calls and checkpoint round trips compare start and finish tags, V,
 //! the busy count and the full checkpoint words after every operation.
+//! The clock under test is built from the weight slice or from
+//! `FlowSpec`s in a scrambled id order, over weight sets that exercise
+//! its interning of distinct weights.
 //! A failing program is shrunk to a short one before it is reported.
 //! An ignored full-scale case replays a 2^20-flow Zipf incast; run it
 //! with `cargo test --release -p fairq --test gps_reference -- --ignored`.
 
 use std::collections::BTreeMap;
 
-use fairq::{GpsVirtualClock, VirtualTime};
+use fairq::{GpsVirtualClock, RankPolicy, VirtualTime, WfqRank};
 use proptest::prelude::*;
-use traffic::{FlowId, ScaleConfig, ScaleWorkload, Time};
+use traffic::{FlowId, FlowSpec, ScaleConfig, ScaleWorkload, Time};
 
 /// The ordered-map GPS clock: the same eq. (1) arithmetic, with the
 /// busy set as a `BTreeMap` and the busy key stored beside the finish
@@ -209,7 +212,10 @@ fn op_strategy(flows: u32) -> impl Strategy<Value = Op> {
 
 /// Weight sets: all equal; non-dyadic fractions, whose busy-weight
 /// sums round, so the order of removals shows in V; and a population
-/// large enough for the heap to grow three levels deep.
+/// large enough for the heap to grow three levels deep. The clock
+/// interns weights into classes, so [`weight_set`] adds populations
+/// that exercise the interning: many distinct weights, repeated weights
+/// that are never adjacent, and all-distinct weights.
 const WEIGHTS: [&[f64]; 4] = [
     &[1.0; 6],
     &[0.1, 0.7, 1.3, 0.1, 2.9],
@@ -221,21 +227,68 @@ const WEIGHTS: [&[f64]; 4] = [
     ],
 ];
 
-fn program_strategy() -> impl Strategy<Value = (usize, Vec<Op>)> {
+/// Number of weight sets [`weight_set`] builds.
+const WEIGHT_SETS: usize = WEIGHTS.len() + 3;
+
+/// Weight set `set`: one of [`WEIGHTS`], or a computed population.
+fn weight_set(set: usize) -> Vec<f64> {
+    const CYCLE: [f64; 7] = [0.3, 1.7, 0.9, 2.3, 0.1, 1.1, 0.7];
+    match set.checked_sub(WEIGHTS.len()) {
+        None => WEIGHTS[set].to_vec(),
+        // 64 flows over 48 distinct weights.
+        Some(0) => (0..64).map(|i| 0.1 + f64::from(i % 48) * 0.37).collect(),
+        // Each of seven weights every seventh flow, never beside itself.
+        Some(1) => (0..35).map(|i| CYCLE[(i * 5) % 7]).collect(),
+        // 64 flows, no two weights equal.
+        _ => (0..64).map(|i| 0.05 + f64::from(i) * 0.113).collect(),
+    }
+}
+
+/// A flow population and how the clock under test is built for it.
+#[derive(Debug)]
+struct Population {
+    /// Weight of flow `i`, as the reference is built.
+    weights: Vec<f64>,
+    /// Build the clock from `FlowSpec`s handed over in a scrambled id
+    /// order instead of from the dense weight slice.
+    from_specs: bool,
+}
+
+impl Population {
+    fn clock(&self, rate_bps: f64) -> GpsVirtualClock {
+        if !self.from_specs {
+            return GpsVirtualClock::new(&self.weights, rate_bps);
+        }
+        GpsVirtualClock::for_flows(&scrambled_specs(&self.weights), rate_bps)
+    }
+}
+
+/// One `FlowSpec` per weight, ids in a fixed scrambled order.
+fn scrambled_specs(weights: &[f64]) -> Vec<FlowSpec> {
+    let mut ids: Vec<u32> = (0..weights.len() as u32).collect();
+    ids.sort_by_key(|&i| i.wrapping_mul(0x9e37_79b9).rotate_left(7));
+    ids.iter()
+        .map(|&i| FlowSpec::new(FlowId(i), weights[i as usize], 1e6))
+        .collect()
+}
+
+fn program_strategy() -> impl Strategy<Value = (usize, bool, Vec<Op>)> {
     // Flow ids are drawn below 64 and reduced onto the chosen weight
     // set.
     (
-        0..WEIGHTS.len(),
+        0..WEIGHT_SETS,
+        any::<bool>(),
         proptest::collection::vec(op_strategy(64), 1..400),
     )
 }
 
 /// Runs `ops` on both clocks, comparing after every operation; returns
 /// the first disagreement.
-fn run(weights: &[f64], ops: &[Op]) -> Result<(), String> {
+fn run(population: &Population, ops: &[Op]) -> Result<(), String> {
     const RATE: f64 = 1e6;
+    let weights = &population.weights;
     let n = weights.len() as u32;
-    let mut clock = GpsVirtualClock::new(weights, RATE);
+    let mut clock = population.clock(RATE);
     let mut reference = RefClock::new(weights, RATE);
     let mut now = 0.0f64;
     for (step, op) in ops.iter().enumerate() {
@@ -284,7 +337,7 @@ fn run(weights: &[f64], ops: &[Op]) -> Result<(), String> {
             }
             Op::RoundTrip => {
                 let words = clock.state_words();
-                clock = GpsVirtualClock::new(weights, RATE);
+                clock = population.clock(RATE);
                 clock.load_state_words(&words);
                 let ref_words = reference.state_words();
                 reference = RefClock::new(weights, RATE);
@@ -312,13 +365,13 @@ fn run(weights: &[f64], ops: &[Op]) -> Result<(), String> {
 
 /// Shrinks a failing program: drops single operations while the
 /// program still fails, until no single drop keeps it failing.
-fn shrink(weights: &[f64], mut ops: Vec<Op>) -> (Vec<Op>, String) {
-    let mut error = run(weights, &ops).expect_err("shrinking a passing program");
+fn shrink(population: &Population, mut ops: Vec<Op>) -> (Vec<Op>, String) {
+    let mut error = run(population, &ops).expect_err("shrinking a passing program");
     let mut i = 0;
     while i < ops.len() {
         let mut fewer = ops.clone();
         fewer.remove(i);
-        match run(weights, &fewer) {
+        match run(population, &fewer) {
             Err(e) => {
                 ops = fewer;
                 error = e;
@@ -329,13 +382,13 @@ fn shrink(weights: &[f64], mut ops: Vec<Op>) -> (Vec<Op>, String) {
     (ops, error)
 }
 
-fn check(weights: &[f64], ops: &[Op]) -> Result<(), TestCaseError> {
-    if run(weights, ops).is_ok() {
+fn check(population: &Population, ops: &[Op]) -> Result<(), TestCaseError> {
+    if run(population, ops).is_ok() {
         return Ok(());
     }
-    let (ops, error) = shrink(weights, ops.to_vec());
+    let (ops, error) = shrink(population, ops.to_vec());
     Err(TestCaseError(format!(
-        "{error}\n  weights {weights:?}, shrunk program ({} ops): {ops:?}",
+        "{error}\n  {population:?}, shrunk program ({} ops): {ops:?}",
         ops.len()
     )))
 }
@@ -345,8 +398,9 @@ proptest! {
 
     #[test]
     fn clock_matches_the_ordered_map_reference(program in program_strategy()) {
-        let (set, ops) = program;
-        check(WEIGHTS[set], &ops)?;
+        let (set, from_specs, ops) = program;
+        let population = Population { weights: weight_set(set), from_specs };
+        check(&population, &ops)?;
     }
 }
 
@@ -378,12 +432,42 @@ fn a_fixed_program_reaches_ties_lowering_and_restores() {
         Drain,
         arrive(5, 512, 0),
     ];
-    let weights = WEIGHTS[0];
-    let mut clock = GpsVirtualClock::new(weights, 1e6);
+    let population = Population {
+        weights: WEIGHTS[0].to_vec(),
+        from_specs: false,
+    };
+    let mut clock = population.clock(1e6);
     // Flows 0–2 queue equal tags at t = 0.
     let f0 = clock.on_arrival(FlowId(0), 512.0, Time(0.0)).1;
     assert_eq!(clock.on_arrival(FlowId(1), 512.0, Time(0.0)).1, f0);
-    check(weights, &ops).unwrap_or_else(|e| panic!("{}", e.0));
+    check(&population, &ops).unwrap_or_else(|e| panic!("{}", e.0));
+}
+
+/// Spec ids that repeat or leave a gap are refused with the same
+/// message by the clock and by the WFQ policy built on it.
+#[test]
+fn duplicate_or_missing_spec_ids_are_refused() {
+    let spec = |id| FlowSpec::new(FlowId(id), 1.0, 1e6);
+    let builds: [fn(&[FlowSpec]); 2] = [
+        |specs| drop(GpsVirtualClock::for_flows(specs, 1e6)),
+        |specs| drop(WfqRank::default().for_link(specs, 1e6)),
+    ];
+    for ids in [[0, 1, 1], [0, 1, 3], [2, 2, 0]] {
+        let specs: Vec<_> = ids.into_iter().map(spec).collect();
+        for build in builds {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(&specs)))
+                .expect_err("bad ids accepted");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(
+                msg.contains("flow ids must be dense and unique"),
+                "ids {ids:?}: {msg}"
+            );
+        }
+    }
 }
 
 /// The deep incast at full scale: 2^20 unit-weight flows, Zipf 1.05

@@ -18,7 +18,6 @@ use std::fmt;
 use faultsim::FaultTarget;
 
 use crate::clock::Cycle;
-use crate::stats::AccessStats;
 
 /// One recorded memory access (tracing must be enabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -329,7 +328,6 @@ pub struct Sram {
     port_last_use: Vec<Option<Cycle>>,
     last_busy_cycle: Option<Cycle>,
     stats: SramStats,
-    access_stats: AccessStats,
     trace: Option<Vec<SramEvent>>,
 }
 
@@ -360,7 +358,6 @@ impl Sram {
             port_last_use: vec![None; ports],
             last_busy_cycle: None,
             stats: SramStats::default(),
-            access_stats: AccessStats::default(),
             trace: None,
         }
     }
@@ -400,15 +397,9 @@ impl Sram {
         self.stats
     }
 
-    /// Fine-grained access statistics shared with the instrumentation layer.
-    pub fn access_stats(&self) -> &AccessStats {
-        &self.access_stats
-    }
-
     /// Resets the statistics counters (contents are untouched).
     pub fn reset_stats(&mut self) {
         self.stats = SramStats::default();
-        self.access_stats = AccessStats::default();
     }
 
     /// Reads the word at `addr` through port 0.
@@ -441,7 +432,6 @@ impl Sram {
         self.check_addr(addr)?;
         self.claim_port(cycle, port, /*is_write=*/ false)?;
         self.stats.reads += 1;
-        self.access_stats.record_read();
         let value = self.data.get(addr);
         let stored_parity = bitset_get(&self.parity, addr);
         if (value.count_ones() & 1 == 1) != stored_parity && !bitset_get(&self.alarmed, addr) {
@@ -484,7 +474,6 @@ impl Sram {
         }
         self.claim_port(cycle, port, /*is_write=*/ true)?;
         self.stats.writes += 1;
-        self.access_stats.record_write();
         self.data.set(addr, value);
         // A write refreshes the sideband parity and re-arms detection for
         // this word — overwriting a corrupted word silently "heals" it,
