@@ -72,7 +72,7 @@ impl fmt::Binary for Tag {
 /// words store only the slot index (the generation is a bookkeeping
 /// sideband of the buffer controller, not of the sort circuit), so
 /// references recovered from the tag store carry generation 0 and the
-/// scheduler re-attaches the live generation from its own slot records.
+/// scheduler frees their slots by bare index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct PacketRef(pub u32);
 

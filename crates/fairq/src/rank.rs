@@ -599,19 +599,24 @@ impl HierarchicalWfqRank {
 
 impl RankPolicy for HierarchicalWfqRank {
     fn for_link(&self, flows: &[FlowSpec], link_rate_bps: f64) -> Self {
-        let weights = dense_weights(flows);
         let classes = self.classes.min(flows.len()).max(1);
-        let total: f64 = weights.iter().sum();
-        let clocks = (0..classes)
-            .map(|c| {
-                let members: Vec<f64> = weights.iter().skip(c).step_by(classes).copied().collect();
-                let class_weight: f64 = members.iter().sum();
-                // A class clock sees only its members' arrivals, so GPS
-                // virtual time inside the class advances exactly as if
-                // the other classes were idle.
-                GpsVirtualClock::new(&members, link_rate_bps * class_weight / total)
-            })
+        // Each class clock is built straight from the specs, at the link
+        // rate until the class shares are known.
+        let mut clocks: Vec<GpsVirtualClock> = (0..classes)
+            .map(|c| GpsVirtualClock::for_class(flows, classes, c, link_rate_bps))
             .collect();
+        // Both sums run in flow-id order, so every rate (and V) is
+        // bit-identical to summing a dense weight vector.
+        let total: f64 = (0..flows.len())
+            .map(|f| clocks[f % classes].weight(f / classes))
+            .sum();
+        for clock in &mut clocks {
+            // A class clock sees only its members' arrivals, so GPS
+            // virtual time inside the class advances exactly as if the
+            // other classes were idle.
+            let class_weight = clock.weight_sum();
+            clock.set_rate(link_rate_bps * class_weight / total);
+        }
         Self {
             classes: self.classes,
             clocks,
@@ -1008,6 +1013,37 @@ mod tests {
         let clock_flows: Vec<u64> = h.clocks.iter().map(|c| c.state_words()[2]).collect();
         assert_eq!(clock_flows, [3, 2]);
         assert_eq!(h.class_of(5), None);
+    }
+
+    #[test]
+    fn hwfq_built_from_scrambled_specs_ranks_as_dense_class_clocks() {
+        // Uneven weights whose sums depend on the summation order, and
+        // specs in no particular id order.
+        let weights = [0.1, 3.0, 0.7, 1e-3, 2.5, 0.3, 7.0, 0.2, 1.1];
+        let mut fl = flows(&weights);
+        fl.reverse();
+        fl.swap(2, 6);
+        let classes = 3;
+        let mut h = HierarchicalWfqRank::with_classes(classes).for_link(&fl, 1e6);
+        let total: f64 = weights.iter().sum();
+        let mut dense: Vec<GpsVirtualClock> = (0..classes)
+            .map(|c| {
+                let members: Vec<f64> = weights.iter().skip(c).step_by(classes).copied().collect();
+                let class_weight: f64 = members.iter().sum();
+                GpsVirtualClock::new(&members, 1e6 * class_weight / total)
+            })
+            .collect();
+        for i in 0..90u32 {
+            let p = pkt((i * 7) % 9, f64::from(i) * 3e-5, 64 + 97 * i);
+            let local = FlowId(p.flow.0 / classes as u32);
+            let clock = &mut dense[p.flow.0 as usize % classes];
+            let want = clock.on_arrival(local, p.size_bits(), p.arrival).1;
+            assert_eq!(
+                h.rank(&p).value().to_bits(),
+                want.value().to_bits(),
+                "packet {i}"
+            );
+        }
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl GpsVirtualClock {
     /// Panics if `weights` is empty or holds `u32::MAX` flows or more,
     /// any weight is non-positive, or the rate is non-positive.
     pub fn new(weights: &[f64], rate_bps: f64) -> Self {
-        Self::build(weights.iter().copied().enumerate(), rate_bps)
+        Self::build(weights.len(), weights.iter().copied().enumerate(), rate_bps)
     }
 
     /// Creates a clock for `flows` on a link of `rate_bps`, taking each
@@ -190,15 +190,28 @@ impl GpsVirtualClock {
     /// Panics if flow ids are not dense and unique, and as
     /// [`GpsVirtualClock::new`] does.
     pub fn for_flows(flows: &[FlowSpec], rate_bps: f64) -> Self {
-        Self::build(flows.iter().map(|f| (f.id.0 as usize, f.weight)), rate_bps)
+        let weights = flows.iter().map(|f| (f.id.0 as usize, f.weight));
+        Self::build(flows.len(), weights, rate_bps)
     }
 
-    /// Builds the records from `n` `(flow, weight)` pairs that name each
+    /// Creates the clock of one class of `flows`: the flows whose id is
+    /// `class` modulo `classes`, flow `f` under the local id
+    /// `f / classes`, each weight taken from its spec.
+    ///
+    /// # Panics
+    ///
+    /// As [`GpsVirtualClock::for_flows`].
+    pub(crate) fn for_class(flows: &[FlowSpec], classes: usize, class: usize, rate: f64) -> Self {
+        let members = flows.iter().filter(|f| f.id.0 as usize % classes == class);
+        let weights = members.map(|f| (f.id.0 as usize / classes, f.weight));
+        Self::build((flows.len() + classes - 1 - class) / classes, weights, rate)
+    }
+
+    /// Builds the records from `(flow, weight)` pairs that must name each
     /// of `0..n` once, interning the weights. A weight equal to the one
     /// before it reuses that class without a lookup, so a table of equal
     /// weights is never hashed past its first flow.
-    fn build(weights: impl ExactSizeIterator<Item = (usize, f64)>, rate_bps: f64) -> Self {
-        let n = weights.len();
+    fn build(n: usize, weights: impl Iterator<Item = (usize, f64)>, rate_bps: f64) -> Self {
         assert!(n > 0, "at least one flow required");
         assert!(n < IDLE as usize, "flow ids must fit below u32::MAX");
         assert!(
@@ -214,7 +227,9 @@ impl GpsVirtualClock {
         let mut classes: Vec<f64> = Vec::new();
         let mut index: HashMap<u64, u32> = HashMap::new();
         let mut class = UNSET;
+        let mut named = 0;
         for (idx, weight) in weights {
+            named += 1;
             let rec = flows
                 .get_mut(idx)
                 .filter(|rec| rec.class == UNSET)
@@ -231,6 +246,7 @@ impl GpsVirtualClock {
             }
             rec.class = class;
         }
+        assert_eq!(named, n, "flow ids must be dense and unique");
         Self {
             flows,
             weights: classes,
@@ -249,6 +265,32 @@ impl GpsVirtualClock {
     pub(crate) fn recording(mut self) -> Self {
         self.record_segments = true;
         self
+    }
+
+    /// The sum of the flows' weights, in flow-id order.
+    pub(crate) fn weight_sum(&self) -> f64 {
+        self.flows
+            .iter()
+            .map(|f| self.weights[f.class as usize])
+            .sum()
+    }
+
+    /// Flow `flow`'s weight.
+    pub(crate) fn weight(&self, flow: usize) -> f64 {
+        self.weights[self.flows[flow].class as usize]
+    }
+
+    /// Sets the rate the clock's flows share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rate is non-positive or not finite.
+    pub(crate) fn set_rate(&mut self, rate_bps: f64) {
+        assert!(
+            rate_bps > 0.0 && rate_bps.is_finite(),
+            "rate must be positive and finite"
+        );
+        self.rate_bps = rate_bps;
     }
 
     /// The current virtual time (as of the last processed event).

@@ -5,6 +5,7 @@
 //! buffer is a slotted memory with a free list — the same allocation
 //! discipline as the tag store's empty list, at packet granularity.
 
+use fairq::VirtualTime;
 use faultsim::FaultTarget;
 use traffic::{FlowId, Packet};
 
@@ -36,6 +37,38 @@ impl BufferStats {
     }
 }
 
+/// What the scheduler keeps of a queued packet beside the packet
+/// itself: the exact (pre-quantization) rank, the enqueue cycle (the
+/// sojourn stamp) and the tag's top-level section. Stored in the
+/// packet's own buffer slot, so one access serves both.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sideband {
+    /// The rank the policy assigned.
+    pub finish: VirtualTime,
+    /// Cycle-counter reading when the sorter took the tag.
+    pub enq_cycle: u64,
+    /// The tag's section (its Wrap `SectionCounts` entry).
+    pub section: u8,
+}
+
+/// One buffer slot: the packet, its sideband, the slot's generation and
+/// its flags in one 48-byte record. The sideband fields sit flat beside
+/// the packet; a nested struct would pad to 24 bytes and the record to
+/// 56.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    pkt: Packet,
+    finish: VirtualTime,
+    enq_cycle: u64,
+    section: u8,
+    generation: u8,
+    occupied: bool,
+    /// Descriptor parity at store time; fault injection leaves it stale.
+    parity: bool,
+}
+
+const _: () = assert!(PacketBuffer::SLOT_BYTES <= 48);
+
 /// A slotted shared packet buffer with free-list allocation.
 ///
 /// References handed out by [`store`](PacketBuffer::store) are
@@ -43,6 +76,10 @@ impl BufferStats {
 /// reuse counter that bumps on every release, so a reference held across
 /// `release` no longer silently aliases the slot's next occupant — it is
 /// detected and rejected instead.
+///
+/// Each slot also carries the scheduler's [`Sideband`] for its packet.
+/// The sorter stores bare slot indices, and [`take`](PacketBuffer::take)
+/// frees a slot by that index, returning packet and sideband together.
 ///
 /// # Example
 ///
@@ -57,17 +94,10 @@ impl BufferStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PacketBuffer {
-    slots: Vec<Option<Packet>>,
-    gens: Vec<u8>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
     stats: BufferStats,
-    /// One parity bit per slot over the descriptor word, packed 64 per
-    /// entry. Refreshed by [`store`](PacketBuffer::store); fault
-    /// injection deliberately leaves it stale, which is what makes a
-    /// corrupted descriptor detectable at release time.
-    parity: Vec<u64>,
-    /// Slots whose mismatch has already been reported (alarm dedup).
-    alarmed: Vec<u64>,
+    /// Slots whose descriptor failed its release-time parity check.
     alarms: Vec<u32>,
 }
 
@@ -79,19 +109,14 @@ fn descriptor(pkt: &Packet) -> u64 {
     (u64::from(pkt.flow.0) << 32) | u64::from(pkt.size_bytes)
 }
 
-fn bitset_get(set: &[u64], idx: usize) -> bool {
-    set[idx / 64] >> (idx % 64) & 1 == 1
-}
-
-fn bitset_assign(set: &mut [u64], idx: usize, value: bool) {
-    if value {
-        set[idx / 64] |= 1 << (idx % 64);
-    } else {
-        set[idx / 64] &= !(1 << (idx % 64));
-    }
+fn parity(pkt: &Packet) -> bool {
+    descriptor(pkt).count_ones() & 1 == 1
 }
 
 impl PacketBuffer {
+    /// Bytes per slot record: packet, sideband, generation and flags.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+
     /// Creates a buffer of `capacity` packet slots.
     ///
     /// # Panics
@@ -105,21 +130,16 @@ impl PacketBuffer {
             "capacity exceeds the {PACKET_SLOT_BITS}-bit slot index space"
         );
         Self {
-            slots: vec![None; capacity],
-            gens: vec![0; capacity],
+            slots: vec![Slot::default(); capacity],
             free: (0..capacity as u32).rev().collect(),
             stats: BufferStats::default(),
-            parity: vec![0; capacity.div_ceil(64)],
-            alarmed: vec![0; capacity.div_ceil(64)],
             alarms: Vec::new(),
         }
     }
 
-    /// Whether `r` names the packet it was issued for: the slot is
-    /// occupied *and* the slot's generation still matches.
-    fn is_live(&self, r: PacketRef) -> bool {
-        let slot = r.index() as usize;
-        slot < self.slots.len() && self.slots[slot].is_some() && self.gens[slot] == r.generation()
+    /// The occupied slot at bare index `slot`, if any.
+    fn occupied(&self, slot: u32) -> Option<&Slot> {
+        self.slots.get(slot as usize).filter(|s| s.occupied)
     }
 
     /// Capacity in packets.
@@ -132,25 +152,37 @@ impl PacketBuffer {
         self.stats
     }
 
-    /// Stores a packet, returning its generation-stamped reference, or
-    /// `None` if full (counted in [`BufferStats::rejected`]).
+    /// Stores a packet with an empty sideband, returning its
+    /// generation-stamped reference, or `None` if full (counted in
+    /// [`BufferStats::rejected`]).
     pub fn store(&mut self, pkt: Packet) -> Option<PacketRef> {
-        match self.free.pop() {
-            Some(slot) => {
-                let parity = descriptor(&pkt).count_ones() & 1 == 1;
-                bitset_assign(&mut self.parity, slot as usize, parity);
-                bitset_assign(&mut self.alarmed, slot as usize, false);
-                self.slots[slot as usize] = Some(pkt);
-                self.stats.occupied += 1;
-                self.stats.peak = self.stats.peak.max(self.stats.occupied);
-                self.stats.stored += 1;
-                Some(PacketRef::new(slot, self.gens[slot as usize]))
-            }
-            None => {
-                self.stats.rejected += 1;
-                None
-            }
-        }
+        let Some(slot) = self.free.pop() else {
+            self.stats.rejected += 1;
+            return None;
+        };
+        let s = &mut self.slots[slot as usize];
+        *s = Slot {
+            pkt,
+            generation: s.generation,
+            occupied: true,
+            parity: parity(&pkt),
+            ..Slot::default()
+        };
+        self.stats.occupied += 1;
+        self.stats.peak = self.stats.peak.max(self.stats.occupied);
+        self.stats.stored += 1;
+        Some(PacketRef::new(slot, s.generation))
+    }
+
+    /// Records the [`Sideband`] of the packet in occupied slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is empty.
+    pub fn set_sideband(&mut self, slot: u32, finish: VirtualTime, enq_cycle: u64, section: u8) {
+        let s = &mut self.slots[slot as usize];
+        assert!(s.occupied, "sideband for an empty slot");
+        (s.finish, s.enq_cycle, s.section) = (finish, enq_cycle, section);
     }
 
     /// Reads a packet without freeing its slot.
@@ -168,10 +200,15 @@ impl PacketBuffer {
     /// or a stale generation instead of panicking. The degraded-mode
     /// read path for fault-tolerant schedulers.
     pub fn try_peek(&self, r: PacketRef) -> Option<&Packet> {
-        if !self.is_live(r) {
-            return None;
-        }
-        self.slots[r.index() as usize].as_ref()
+        self.occupied(r.index())
+            .filter(|s| s.generation == r.generation())
+            .map(|s| &s.pkt)
+    }
+
+    /// The packet in slot `slot` by bare index (any generation), or
+    /// `None` if the index is out of range or the slot is empty.
+    pub fn peek_slot(&self, slot: u32) -> Option<&Packet> {
+        self.occupied(slot).map(|s| &s.pkt)
     }
 
     /// Removes and returns the packet, freeing its slot and bumping its
@@ -189,28 +226,32 @@ impl PacketBuffer {
     /// slot or a stale generation instead of panicking; the buffer is
     /// unchanged in that case.
     pub fn try_release(&mut self, r: PacketRef) -> Option<Packet> {
-        if !self.is_live(r) {
-            return None;
-        }
-        let slot = r.index() as usize;
-        self.check_parity(slot);
-        let pkt = self.slots[slot].take().expect("checked occupied");
-        self.gens[slot] = self.gens[slot].wrapping_add(1);
-        self.free.push(r.index());
-        self.stats.occupied -= 1;
-        Some(pkt)
+        self.try_peek(r)?;
+        self.take(r.index()).map(|(pkt, _)| pkt)
     }
 
-    /// Compares the slot's descriptor parity against the bit refreshed
-    /// at store time, raising one alarm per corrupted occupancy.
-    fn check_parity(&mut self, slot: usize) {
-        if let Some(pkt) = &self.slots[slot] {
-            let parity = descriptor(pkt).count_ones() & 1 == 1;
-            if parity != bitset_get(&self.parity, slot) && !bitset_get(&self.alarmed, slot) {
-                bitset_assign(&mut self.alarmed, slot, true);
-                self.alarms.push(slot as u32);
-            }
+    /// Frees slot `slot` by bare index — the form the sorter returns —
+    /// and returns its packet with its sideband; `None` (buffer
+    /// unchanged) if the index is out of range or the slot is empty.
+    /// Bumps the generation like [`release`](PacketBuffer::release) and
+    /// runs the same descriptor parity check, raising one alarm per
+    /// corrupted occupancy.
+    pub fn take(&mut self, slot: u32) -> Option<(Packet, Sideband)> {
+        let s = self.slots.get_mut(slot as usize).filter(|s| s.occupied)?;
+        if parity(&s.pkt) != s.parity {
+            self.alarms.push(slot);
         }
+        s.occupied = false;
+        s.generation = s.generation.wrapping_add(1);
+        let sb = Sideband {
+            finish: s.finish,
+            enq_cycle: s.enq_cycle,
+            section: s.section,
+        };
+        let pkt = s.pkt;
+        self.free.push(slot);
+        self.stats.occupied -= 1;
+        Some((pkt, sb))
     }
 
     /// Drains the slots whose descriptor failed its release-time parity
@@ -232,27 +273,26 @@ impl FaultTarget for PacketBuffer {
     }
 
     fn inject_fault(&mut self, word: usize, mask: u64) -> u64 {
-        match self.slots[word].as_mut() {
-            Some(pkt) => {
-                let old = descriptor(pkt);
-                let new = old ^ mask;
-                pkt.flow = FlowId((new >> 32) as u32);
-                pkt.size_bytes = new as u32;
-                // Parity is NOT refreshed — the release-time check is
-                // what detects the flip.
-                old
-            }
+        let s = &mut self.slots[word];
+        if !s.occupied {
             // An upset in a free slot damages nothing observable; the
             // next store rewrites word and parity together.
-            None => 0,
+            return 0;
         }
+        let old = descriptor(&s.pkt);
+        let new = old ^ mask;
+        s.pkt.flow = FlowId((new >> 32) as u32);
+        s.pkt.size_bytes = new as u32;
+        // Parity is NOT refreshed — the release-time check is what
+        // detects the flip.
+        old
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traffic::{FlowId, Time};
+    use traffic::Time;
 
     fn pkt(seq: u64) -> Packet {
         Packet {

@@ -16,7 +16,7 @@ use tagsort::{
 use telemetry::{Counter, EventKind, Gauge, GaugeMerge, Histogram, Snapshot, Telemetry, Tracer};
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
-use crate::buffer::{BufferStats, PacketBuffer};
+use crate::buffer::{BufferStats, PacketBuffer, Sideband};
 use crate::quantize::{SectionCounts, TagQuantizer, WrapPolicy};
 
 /// What happens when a packet arrives to a full shared buffer.
@@ -486,17 +486,6 @@ impl FaultState {
     }
 }
 
-/// What dequeue reads of a queued packet beyond the sorter's bare slot
-/// index: exact rank, enqueue cycle (sojourn stamp), generational buffer
-/// reference, and the tag's section (its [`SectionCounts`] entry).
-#[derive(Debug, Clone, Copy)]
-struct SlotInfo {
-    finish: VirtualTime,
-    enq_cycle: u64,
-    full: PacketRef,
-    section: u8,
-}
-
 /// The full hardware scheduler: rank computation + quantization +
 /// shared packet buffer + tag sort/retrieve circuit.
 ///
@@ -532,8 +521,6 @@ pub struct HwScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = Wfq
     /// Per-section live counts under [`WrapPolicy::Wrap`]; under
     /// Saturate the sorter's own minimum and maximum are the window.
     wrap_counts: Option<SectionCounts>,
-    /// Sideband of each occupied buffer slot, indexed by slot.
-    slot_info: Vec<Option<SlotInfo>>,
     enqueued: u64,
     dequeued: u64,
     inversions: u64,
@@ -659,7 +646,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             wred_coins: 0,
             wrap_counts: (config.wrap_policy == WrapPolicy::Wrap)
                 .then(|| SectionCounts::new(config.geometry)),
-            slot_info: vec![None; config.capacity],
             enqueued: 0,
             dequeued: 0,
             inversions: 0,
@@ -1164,8 +1150,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 capacity: self.buffer.capacity(),
             });
         };
-        // The sorter's tag store holds only the bare slot index — the
-        // generation is scheduler-side sideband, re-attached at dequeue.
+        // The sorter's tag store holds only the bare slot index; the
+        // rank, stamp and section ride in the buffer slot itself.
         let slot = PacketRef(full.index());
         let cycles_before = self.sorter.cycles();
         if let Err(e) = self.sorter.insert(out.tag, slot) {
@@ -1182,12 +1168,9 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         if let Some(counts) = self.wrap_counts.as_mut() {
             counts.admit(out.tick);
         }
-        self.slot_info[slot.index() as usize] = Some(SlotInfo {
-            finish,
-            enq_cycle,
-            full,
-            section: self.sorter.geometry().section_of(out.tag) as u8,
-        });
+        let section = self.sorter.geometry().section_of(out.tag) as u8;
+        self.buffer
+            .set_sideband(slot.index(), finish, enq_cycle, section);
         if arrival {
             self.enqueued += 1;
             self.instr.enqueued.inc(self.instr.shard, 1);
@@ -1260,27 +1243,15 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             return None;
         }
         let (_, slot) = self.sorter.pop_max()?;
-        let entry = self
-            .slot_info
-            .get_mut(slot.index() as usize)
-            .and_then(Option::take);
-        let Some(evicted) = entry else {
+        let Some((victim, sb)) = self.buffer.take(slot.index()) else {
             self.note_pointer_corruption();
             return None;
         };
-        self.uncount(evicted.section);
+        self.uncount(sb.section);
         self.pushed_out += 1;
         self.instr.pushed_out.inc(self.instr.shard, 1);
-        match self.buffer.try_release(evicted.full) {
-            Some(victim) => {
-                self.note_drop(victim.flow.0);
-                Some(())
-            }
-            None => {
-                self.note_pointer_corruption();
-                None
-            }
-        }
+        self.note_drop(victim.flow.0);
+        Some(())
     }
 
     /// Marks `tag`'s top-level section as recently written, feeding the
@@ -1326,11 +1297,11 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     pub fn dequeue_stamped(&mut self) -> Option<(Packet, SojournStamp)> {
         let Some(fs) = self.faults.as_mut() else {
             let (_, slot) = self.pop_min_timed()?;
-            let info = self.slot_info[slot.index() as usize]
-                .take()
+            let (pkt, sb) = self
+                .buffer
+                .take(slot.index())
                 .expect("sorter and buffer agree on occupancy");
-            let pkt = self.buffer.release(info.full);
-            return Some(self.complete_service(pkt, info));
+            return Some(self.complete_service(pkt, sb));
         };
         fs.op += 1;
         // Faults due this round land now, and the scrubber gets its
@@ -1345,19 +1316,10 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 break None;
             };
             self.note_section_write(tag);
-            let entry = self
-                .slot_info
-                .get_mut(slot.index() as usize)
-                .and_then(Option::take);
-            let Some(info) = entry else {
+            let Some((pkt, sb)) = self.buffer.take(slot.index()) else {
                 // Corrupted packet pointer: the sorter served a slot the
                 // buffer never issued (or already retired).
                 self.note_pointer_corruption();
-                continue;
-            };
-            let Some(pkt) = self.buffer.try_release(info.full) else {
-                self.note_pointer_corruption();
-                self.uncount(info.section);
                 continue;
             };
             // The release ran the buffer's descriptor parity check; an
@@ -1378,13 +1340,13 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                         DetectionKind::Parity,
                     );
                 }
-                if alarms.contains(&info.full.index()) {
-                    self.uncount(info.section);
+                if alarms.contains(&slot.index()) {
+                    self.uncount(sb.section);
                     self.note_drop(pkt.flow.0);
                     continue;
                 }
             }
-            break Some(self.complete_service(pkt, info));
+            break Some(self.complete_service(pkt, sb));
         };
         self.fault_sweep();
         served
@@ -1402,15 +1364,15 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
 
     /// Serves a popped packet: rank feedback, inversion accounting,
     /// counters, and the `Dequeue` event.
-    fn complete_service(&mut self, pkt: Packet, info: SlotInfo) -> (Packet, SojournStamp) {
+    fn complete_service(&mut self, pkt: Packet, sb: Sideband) -> (Packet, SojournStamp) {
         // Service feedback for state-coupled policies (STFQ's virtual
         // time follows the served rank); a no-op for the default WFQ
         // policy.
-        self.policy.on_service(&pkt, info.finish);
+        self.policy.on_service(&pkt, sb.finish);
         // Only Wrap lets the linear sorter's head overtake older ticks,
         // at the lap boundary: that is an inversion.
         if let Some(counts) = self.wrap_counts.as_mut() {
-            if counts.retire(info.section) {
+            if counts.retire(sb.section) {
                 self.inversions += 1;
                 self.instr.inversions.inc(self.instr.shard, 1);
             }
@@ -1429,7 +1391,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         (
             pkt,
             SojournStamp {
-                enqueued: info.enq_cycle,
+                enqueued: sb.enq_cycle,
                 dequeued: deq_cycle,
             },
         )
@@ -1597,7 +1559,12 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         let oldest_section = r.word()?;
         s.quantizer.load_state_words(&r.slice()?);
         s.policy.load_state_words(&r.slice()?);
-        let n = r.word()? as usize;
+        // Seven words per entry: a count the payload cannot hold is
+        // refused before anything is allocated for it.
+        let n = usize::try_from(r.word()?)
+            .ok()
+            .filter(|&n| n <= r.remaining() / 7)
+            .ok_or(statesync::CheckpointError::Exhausted)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             // Fields evaluate in the order written: the checkpoint's.
@@ -1632,17 +1599,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     fn snapshot_entries(&mut self) -> Vec<CkptEntry> {
         let mut out = Vec::with_capacity(self.sorter.len());
         while let Some((tag, slot)) = self.sorter.pop_min() {
-            let info = self.slot_info[slot.index() as usize]
-                .take()
-                .expect("sorter entry has sideband");
-            let pkt = self
+            let (pkt, sb) = self
                 .buffer
-                .try_release(info.full)
+                .take(slot.index())
                 .expect("sorter entry has a live buffer slot");
             out.push(CkptEntry {
                 tag,
-                finish: info.finish,
-                enq_cycle: info.enq_cycle,
+                finish: sb.finish,
+                enq_cycle: sb.enq_cycle,
                 pkt,
             });
         }
@@ -1659,16 +1623,12 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 .buffer
                 .store(e.pkt)
                 .expect("restored queue fits the checkpointed capacity");
-            let slot = PacketRef(full.index());
             self.sorter
-                .insert(e.tag, slot)
+                .insert(e.tag, PacketRef(full.index()))
                 .expect("checkpointed tag reinserts under eager cleanup");
-            self.slot_info[slot.index() as usize] = Some(SlotInfo {
-                finish: e.finish,
-                enq_cycle: e.enq_cycle,
-                full,
-                section: self.sorter.geometry().section_of(e.tag) as u8,
-            });
+            let section = self.sorter.geometry().section_of(e.tag) as u8;
+            self.buffer
+                .set_sideband(full.index(), e.finish, e.enq_cycle, section);
         }
     }
 
@@ -1696,24 +1656,22 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             CleanupPolicy::Eager,
             "extract_flow requires CleanupPolicy::Eager"
         );
-        let slot_info = &self.slot_info;
         let buffer = &self.buffer;
         let taken = self.sorter.extract_flow(&mut |slot: PacketRef| {
-            slot_info[slot.index() as usize].is_some_and(|info| buffer.peek(info.full).flow == flow)
+            buffer
+                .peek_slot(slot.index())
+                .is_some_and(|p| p.flow == flow)
         });
         let mut entries = Vec::with_capacity(taken.len());
         for (_, slot) in taken {
-            let info = self.slot_info[slot.index() as usize]
-                .take()
-                .expect("extracted entry has sideband");
-            let packet = self
+            let (packet, sb) = self
                 .buffer
-                .try_release(info.full)
+                .take(slot.index())
                 .expect("extracted entry has a live buffer slot");
-            self.uncount(info.section);
+            self.uncount(sb.section);
             entries.push(MigratedEntry {
                 packet,
-                finish: info.finish,
+                finish: sb.finish,
             });
         }
         self.migrated_out += entries.len() as u64;
@@ -2365,6 +2323,33 @@ mod tests {
             .is_err(),
             "bit-flipped checkpoint must not restore"
         );
+    }
+
+    #[test]
+    fn an_entry_count_past_the_payload_is_refused_before_allocating() {
+        let fl = flows(&[1.0]);
+        let words = sched(&[1.0]).checkpoint().words().to_vec();
+        // An empty queue's image ends its payload with the entry count;
+        // reseal a huge count so that only restore's own bound objects.
+        let (payload, count) = (&words[3..words.len() - 2], words[words.len() - 2]);
+        assert_eq!(count, 0);
+        for bogus in [1u64 << 40, u64::MAX, 1] {
+            let mut b = CheckpointBuilder::new();
+            payload.iter().for_each(|&w| b.word(w));
+            b.word(bogus);
+            let restored = HwScheduler::<SortRetrieveCircuit>::restore(
+                &fl,
+                1e9,
+                SchedulerConfig::default(),
+                &WfqRank::default(),
+                &b.finish(),
+            );
+            assert_eq!(
+                restored.err(),
+                Some(statesync::CheckpointError::Exhausted),
+                "count {bogus}"
+            );
+        }
     }
 
     #[test]

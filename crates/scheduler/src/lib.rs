@@ -47,7 +47,7 @@ mod hwsched;
 mod quantize;
 mod shard;
 
-pub use buffer::{BufferStats, PacketBuffer};
+pub use buffer::{BufferStats, PacketBuffer, Sideband};
 pub use egress::{DropPolicy, HwLinkSim};
 pub use hwsched::{
     AdmissionPolicy, HwScheduler, MigratedEntry, MigratedFlow, SchedulerConfig, SchedulerError,

@@ -218,7 +218,11 @@ impl Checkpoint {
                 found: self.words[1],
             });
         }
-        let expected = HEADER_WORDS + self.words[2] as usize + 1;
+        // A length word past the address space can never be met: it
+        // saturates instead of overflowing.
+        let expected = usize::try_from(self.words[2])
+            .unwrap_or(usize::MAX)
+            .saturating_add(HEADER_WORDS + 1);
         if self.words.len() != expected {
             return Err(CheckpointError::Truncated {
                 expected,
@@ -312,10 +316,10 @@ impl CheckpointReader<'_> {
     ///
     /// [`CheckpointError::Exhausted`] if the prefix or body overruns.
     pub fn slice(&mut self) -> Result<Vec<u64>, CheckpointError> {
-        let len = self.word()? as usize;
-        if self.pos + len > self.payload.len() {
-            return Err(CheckpointError::Exhausted);
-        }
+        let len = usize::try_from(self.word()?)
+            .ok()
+            .filter(|&len| len <= self.remaining())
+            .ok_or(CheckpointError::Exhausted)?;
         let out = self.payload[self.pos..self.pos + len].to_vec();
         self.pos += len;
         Ok(out)
@@ -423,5 +427,31 @@ mod tests {
         let ckpt = b.finish();
         let mut r = ckpt.reader().unwrap();
         assert_eq!(r.slice(), Err(CheckpointError::Exhausted));
+    }
+
+    #[test]
+    fn slice_length_near_the_word_limit_is_exhausted_not_panic() {
+        for len in [u64::MAX, u64::MAX - 1, 1 << 63] {
+            let mut b = CheckpointBuilder::new();
+            b.word(len);
+            b.word(1);
+            let ckpt = b.finish();
+            let mut r = ckpt.reader().unwrap();
+            assert_eq!(r.slice(), Err(CheckpointError::Exhausted), "length {len}");
+        }
+    }
+
+    #[test]
+    fn header_length_at_the_word_limit_is_truncated_not_panic() {
+        for len in [u64::MAX, u64::MAX - 3] {
+            let mut words = sample().words().to_vec();
+            words[2] = len;
+            let last = words.len() - 1;
+            words[last] = crc(&words[..last]);
+            assert!(matches!(
+                Checkpoint::from_words(words).verify(),
+                Err(CheckpointError::Truncated { .. })
+            ));
+        }
     }
 }

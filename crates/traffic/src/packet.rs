@@ -93,7 +93,7 @@ impl fmt::Display for Time {
 
 /// One IP packet as the scheduler sees it: a flow label, a length, and an
 /// arrival instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Packet {
     /// The flow (session) the packet belongs to.
     pub flow: FlowId,
