@@ -35,13 +35,13 @@
 //! shrinks the packet count (ratios barely move).
 
 use bench::{json_object, print_table};
-use fairq::WfqRank;
+use fairq::{serve_links, DropPolicy, WfqRank};
 use scheduler::{
     Executor, HwScheduler, Inline, Placement, RebalancerConfig, SchedulerConfig, ShardedFrontend,
     Threads, WrapPolicy,
 };
 use tagsort::SortRetrieveCircuit;
-use traffic::{FlowId, FlowSpec, Packet, ScaleConfig, ScaleWorkload};
+use traffic::{FlowId, FlowSpec, ScaleConfig, ScaleWorkload};
 
 const PORTS: usize = 8;
 const FLOWS: u32 = 64;
@@ -49,7 +49,7 @@ const ZIPF: f64 = 1.2;
 const RATE_BPS: f64 = 1e9;
 const LOAD: f64 = 0.97;
 const SEED: u64 = 20;
-const REBALANCE_EVERY: u64 = 1024;
+const REBALANCE_EVERY: usize = 1024;
 
 /// The frontend under test on executor `X`: the sequential and threaded
 /// runs share this type and one drive loop, so they are *provably*
@@ -95,9 +95,9 @@ struct RunResult {
     hash: u64,
 }
 
-/// Drives `fe` through the seeded workload: every port is an
-/// independent egress link at `port_rate`; arrivals are enqueued in
-/// trace order; dynamic runs get one rebalance round every
+/// Drives `fe` through the seeded workload with [`serve_links`]: every
+/// port is an independent egress link at `port_rate`; arrivals are
+/// enqueued in trace order; dynamic runs get one rebalance round every
 /// [`REBALANCE_EVERY`] arrivals. The departure hash folds
 /// `(port, flow, seq)` in service order — the sequential/parallel
 /// agreement witness.
@@ -107,50 +107,27 @@ fn drive<X: Executor<SortRetrieveCircuit, WfqRank>>(
     port_rate: f64,
     rebalance: bool,
 ) -> RunResult {
-    let mut free_at = [0.0f64; PORTS];
+    let mut makespan_s = 0.0f64;
     let mut served = 0u64;
-    let mut dropped = 0u64;
     let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    let mut fold = |port: usize, p: &Packet| {
-        for word in [port as u64, u64::from(p.flow.0), p.seq] {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    };
-    let mut arrivals = 0u64;
-    for pkt in workload(packets) {
-        let now = pkt.arrival.0;
-        for (port, free) in free_at.iter_mut().enumerate() {
-            while *free <= now {
-                let Some(p) = fe.dequeue_port(port) else {
-                    break;
-                };
-                let start = free.max(p.arrival.0);
-                *free = start + f64::from(p.size_bytes) * 8.0 / port_rate;
-                served += 1;
-                fold(port, &p);
-            }
-        }
-        if fe.enqueue(pkt).is_ok() {
-            arrivals += 1;
-            if rebalance && arrivals.is_multiple_of(REBALANCE_EVERY) {
-                fe.maybe_rebalance();
-            }
-        } else {
-            dropped += 1;
-        }
-    }
-    for (port, free) in free_at.iter_mut().enumerate() {
-        while let Some(p) = fe.dequeue_port(port) {
-            let start = free.max(p.arrival.0);
-            *free = start + f64::from(p.size_bytes) * 8.0 / port_rate;
+    let dropped = serve_links(
+        fe,
+        &[port_rate; PORTS],
+        workload(packets),
+        DropPolicy::CountAndContinue,
+        rebalance.then_some(REBALANCE_EVERY),
+        |port, d, _| {
+            makespan_s = makespan_s.max(d.finish.0);
             served += 1;
-            fold(port, &p);
-        }
-    }
-    let makespan_s = free_at.iter().copied().fold(0.0, f64::max);
+            for word in [port as u64, u64::from(d.packet.flow.0), d.packet.seq] {
+                for byte in word.to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        },
+    )
+    .expect("only buffer refusals, and those are counted");
     let stats = fe.stats();
     RunResult {
         makespan_s,

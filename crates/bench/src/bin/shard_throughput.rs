@@ -32,12 +32,16 @@
 //!
 //! **Experiment E12 — `parallel` mode:** invoked as
 //! `shard_throughput parallel`, the same drifting-tag workload is pushed
-//! through [`ParallelShardedScheduler`] — one OS thread per port — and
+//! through [`scheduler::ParallelShardedScheduler`] — one OS thread per port — and
 //! the *whole frontend's* wall-clock throughput is measured, so the
 //! speedup over the 1-port run is genuine multi-core scaling, not a
 //! model. Metrics `parallel_speedup_ports_{2,4,8}` (best of [`REPS`])
 //! and `parallel_cores` go into a separate flat-JSON file (default
-//! `BENCH_shard_parallel.json`). On a host where
+//! `BENCH_shard_parallel.json`). The same stream also runs through the
+//! inline [`ShardedScheduler`] on the caller's thread, which must depart
+//! the identical sequence; `parallel_over_inline_ports_{1,2,4,8}` is the
+//! threaded frontend's throughput over the inline one's at each port
+//! count (ungated: it prices the executor, not a regression). On a host where
 //! `std::thread::available_parallelism()` reports one core the speedups
 //! are necessarily ~1.0x and the numbers are **informational only** —
 //! CI gates them exclusively on multi-core runners.
@@ -45,8 +49,9 @@
 use std::time::Instant;
 
 use bench::{eng, json_object, print_table};
-use scheduler::{ParallelShardedScheduler, SchedulerConfig, ShardedScheduler};
-use tagsort::{PAPER_CLOCK_HZ, PAPER_MEAN_PACKET_BYTES};
+use fairq::WfqRank;
+use scheduler::{Executor, Inline, SchedulerConfig, ShardedFrontend, ShardedScheduler, Threads};
+use tagsort::{SortRetrieveCircuit, PAPER_CLOCK_HZ, PAPER_MEAN_PACKET_BYTES};
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
 const FLOWS: usize = 64;
@@ -129,14 +134,18 @@ fn run(ports: usize) -> RunResult {
 /// amortize the handoff, small enough to keep every worker busy.
 const PAR_BATCH: usize = 512;
 
-/// E12: the drifting-tag pair workload through the thread-per-shard
-/// frontend, timed end to end on the wall clock. Returns aggregate
-/// packets/s (enqueues + dequeues, as in the E11 measurement).
-fn run_parallel(ports: usize) -> f64 {
+/// E12: the drifting-tag pair workload through a frontend on executor
+/// `X` (the thread-per-shard [`scheduler::ParallelShardedScheduler`], or the inline
+/// [`ShardedScheduler`] it is compared with), timed end to end on the
+/// wall clock. Returns aggregate packets/s (enqueues + dequeues, as in
+/// the E11 measurement) and the `(port, seq)` departure order.
+fn run_parallel<X: Executor<SortRetrieveCircuit, WfqRank>>(
+    ports: usize,
+) -> (f64, Vec<(usize, u64)>) {
     let flows: Vec<FlowSpec> = (0..FLOWS)
         .map(|i| FlowSpec::new(FlowId(i as u32), 1.0 + (i % 7) as f64, 1e6))
         .collect();
-    let mut fe = ParallelShardedScheduler::new(
+    let mut fe = ShardedFrontend::<SortRetrieveCircuit, WfqRank, X>::new(
         &flows,
         40e9,
         ports,
@@ -162,18 +171,19 @@ fn run_parallel(ports: usize) -> f64 {
     // Warm a backlog so every shard stays busy through the timed loop.
     let (warm, timed) = arrivals.split_at(WARMUP * ports);
     fe.enqueue_batch(warm).expect("capacity");
-    let mut ops = 0usize;
+    let mut departed = Vec::with_capacity(total);
     let started = Instant::now();
     for chunk in timed.chunks(PAR_BATCH * ports) {
         fe.enqueue_batch(chunk).expect("capacity");
         // Serve a matching round: every backlogged port pops its share
         // concurrently while the others do the same.
-        let served = fe.dequeue_round(PAR_BATCH);
-        ops += chunk.len() + served.len();
+        departed.extend(fe.dequeue_round(PAR_BATCH));
     }
-    ops += fe.drain().len();
+    departed.extend(fe.drain());
     let elapsed = started.elapsed().as_secs_f64();
-    ops as f64 / elapsed
+    let ops = timed.len() + departed.len();
+    let order = departed.iter().map(|&(port, p)| (port, p.seq)).collect();
+    (ops as f64 / elapsed, order)
 }
 
 /// E12 driver: measures wall-clock multi-core speedup of the parallel
@@ -183,31 +193,42 @@ fn main_parallel(json_path: Option<String>) {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let port_counts = [1usize, 2, 4, 8];
+    // Best of REPS for each executor, the two runs alternating.
     let mut best = Vec::new();
     for &ports in &port_counts {
-        let mut pps = run_parallel(ports);
-        for _ in 1..REPS {
-            pps = pps.max(run_parallel(ports));
+        let (mut threads, mut inline) = (0.0f64, 0.0f64);
+        for _ in 0..REPS {
+            let (pps, threaded_order) = run_parallel::<Threads<_, _>>(ports);
+            threads = threads.max(pps);
+            let (pps, inline_order) = run_parallel::<Inline<_, _>>(ports);
+            inline = inline.max(pps);
+            assert!(
+                threaded_order == inline_order,
+                "{ports} ports: the executors departed different sequences"
+            );
         }
-        best.push(pps);
+        best.push((threads, inline));
     }
     let mut rows = Vec::new();
     let mut metrics: Vec<(String, f64)> = vec![("parallel_cores".into(), cores as f64)];
-    for (&ports, &pps) in port_counts.iter().zip(&best) {
-        let speedup = pps / best[0];
+    for (&ports, &(pps, inline)) in port_counts.iter().zip(&best) {
+        let speedup = pps / best[0].0;
         rows.push(vec![
             format!("{ports}"),
             format!("{}pps", eng(pps)),
             format!("{speedup:.2}x"),
+            format!("{}pps", eng(inline)),
+            format!("{:.2}x", pps / inline),
         ]);
         metrics.push((format!("parallel_wall_mpps_ports_{ports}"), pps / 1e6));
         if ports > 1 {
             metrics.push((format!("parallel_speedup_ports_{ports}"), speedup));
         }
+        metrics.push((format!("parallel_over_inline_ports_{ports}"), pps / inline));
     }
     print_table(
         &format!("Thread-per-shard frontend — wall-clock scaling ({cores} core(s))"),
-        &["ports", "wall-clock", "speedup"],
+        &["ports", "wall-clock", "speedup", "inline", "threads/inline"],
         &rows,
     );
     if cores == 1 {

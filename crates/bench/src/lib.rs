@@ -3,9 +3,9 @@
 //! EXPERIMENTS.md for the index).
 //!
 //! Each experiment is a binary under `src/bin/` printing the same rows or
-//! series the paper reports; the Criterion benches under `benches/`
-//! measure the corresponding wall-clock costs. This library holds what
-//! they share: table rendering, deterministic workloads, and common
+//! series the paper reports; wall-clock costs are measured end to end
+//! by the `wfqbench` harness. This library holds what the binaries
+//! share: table rendering, deterministic workloads, and common
 //! constants.
 
 #![forbid(unsafe_code)]

@@ -1,10 +1,11 @@
 //! The grid executor: one seeded [`ScaleWorkload`] per cell, a fluid
 //! egress-link model, and the deterministic report.
 //!
-//! Each cell couples the scheduler to a link serving at
-//! `rate_bps / load` bits per second: arriving packets are enqueued in
-//! trace order, and whenever simulated time passes the link's
-//! free-instant the scheduler's head-of-line packet is served. Per-cell
+//! Each cell couples the scheduler to one link serving at
+//! `rate_bps / load` bits per second, driven by [`fairq::serve_links`]:
+//! arriving packets are enqueued in trace order, and whenever the link
+//! comes free the scheduler's head-of-line packet among those present
+//! is served. Per-cell
 //! outputs are exact counters (served/dropped/pushed-out), a per-flow
 //! fairness-error distribution, a log₂-bucketed sojourn histogram, a
 //! running FNV-1a hash of the departure sequence, and the sorter's
@@ -21,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use fairq::{AnyPolicy, RankPolicy};
+use fairq::{serve_links, Admit, AnyPolicy, Departure, DropPolicy, Egress, RankPolicy};
 use fastpath::FfsSorter;
 use faultsim::FaultConfig;
 use scheduler::{
@@ -31,7 +32,7 @@ use scheduler::{
 use tagsort::{
     CleanupPolicy, HeapSorter, MemoryKind, ResidentMemory, SortBackend, SortRetrieveCircuit,
 };
-use traffic::{FlowId, FlowSpec, Packet, ScaleConfig, ScaleWorkload};
+use traffic::{FlowId, FlowSpec, Packet, ScaleConfig, ScaleWorkload, Time};
 
 use crate::spec::{CampaignSpec, Cell, Frontend};
 
@@ -135,36 +136,30 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellRun {
     }
 }
 
-/// The fluid egress link plus every departure-side accumulator.
-struct LinkModel {
-    service_rate_bps: f64,
-    free_at_s: f64,
-    served_bytes: Vec<u64>,
-    served_pkts: u64,
+/// Every departure-side accumulator of a cell's egress link.
+struct Served {
+    bytes: Vec<u64>,
+    pkts: u64,
     sojourn_hist: [u64; 65],
     hash: u64,
 }
 
-impl LinkModel {
-    fn new(service_rate_bps: f64, flows: u32) -> Self {
+impl Served {
+    fn new(flows: u32) -> Self {
         Self {
-            service_rate_bps,
-            free_at_s: 0.0,
-            served_bytes: vec![0; flows as usize],
-            served_pkts: 0,
+            bytes: vec![0; flows as usize],
+            pkts: 0,
             sojourn_hist: [0; 65],
             hash: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
         }
     }
 
-    fn serve(&mut self, p: &Packet) {
-        let start = self.free_at_s.max(p.arrival.0);
-        let done = start + f64::from(p.size_bytes) * 8.0 / self.service_rate_bps;
-        self.free_at_s = done;
-        let sojourn_ns = ((done - p.arrival.0) * 1e9) as u64;
+    fn record(&mut self, d: &Departure) {
+        let p = &d.packet;
+        let sojourn_ns = ((d.finish.0 - p.arrival.0) * 1e9) as u64;
         self.sojourn_hist[bucket(sojourn_ns)] += 1;
-        self.served_bytes[p.flow.0 as usize] += u64::from(p.size_bytes);
-        self.served_pkts += 1;
+        self.bytes[p.flow.0 as usize] += u64::from(p.size_bytes);
+        self.pkts += 1;
         for word in [u64::from(p.flow.0), p.seq, u64::from(p.size_bytes)] {
             for byte in word.to_le_bytes() {
                 self.hash ^= u64::from(byte);
@@ -192,37 +187,52 @@ struct FrontendTail {
     migrations: u64,
 }
 
-/// One cell's scheduler behind a uniform enqueue/dequeue surface, so
-/// the link loop below is written once for every frontend. `X` is the
-/// sharded frontend's executor: inline for `sharded`, one worker thread
-/// per port for `parallel`.
+/// One cell's scheduler as a single egress link at the cell's service
+/// rate, so every frontend is served by the same link loop. A sharded
+/// frontend feeds that link in work-conserving round-robin across its
+/// shards. `X` is the sharded frontend's executor: inline for
+/// `sharded`, one worker thread per port for `parallel`.
 enum AnyFrontend<B: SortBackend, X> {
     Single(Box<HwScheduler<B, AnyPolicy>>),
     Sharded(Box<ShardedFrontend<B, AnyPolicy, X>>),
 }
 
-impl<B: SortBackend, X: Executor<B, AnyPolicy>> AnyFrontend<B, X> {
-    fn enqueue(&mut self, pkt: Packet) -> bool {
-        match self {
+impl<B: SortBackend, X: Executor<B, AnyPolicy>> Egress for AnyFrontend<B, X> {
+    type Error = ();
+    type Stamp = ();
+
+    /// Every refusal is counted as a drop.
+    fn admit(&mut self, pkt: Packet) -> Admit<()> {
+        let queued = match self {
             AnyFrontend::Single(s) => s.enqueue(pkt).is_ok(),
             AnyFrontend::Sharded(s) => s.enqueue(pkt).is_ok(),
+        };
+        if queued {
+            Admit::Queued(0)
+        } else {
+            Admit::Refused(0, ())
         }
     }
 
-    fn dequeue(&mut self) -> Option<Packet> {
+    fn serve(&mut self, _port: usize, _now: Time) -> Option<(Packet, ())> {
         match self {
             AnyFrontend::Single(s) => s.dequeue(),
             AnyFrontend::Sharded(s) => s.dequeue().map(|(_, p)| p),
         }
+        .map(|p| (p, ()))
     }
 
-    /// One rebalance round; a no-op without an armed rebalancer.
-    fn maybe_rebalance(&mut self) {
+    /// A migration moves packets between shards, never onto an empty
+    /// link.
+    fn rebalance(&mut self) -> Option<usize> {
         if let AnyFrontend::Sharded(s) = self {
             s.maybe_rebalance();
         }
+        None
     }
+}
 
+impl<B: SortBackend, X: Executor<B, AnyPolicy>> AnyFrontend<B, X> {
     fn finish(self) -> FrontendTail {
         match self {
             AnyFrontend::Single(mut s) => {
@@ -318,48 +328,34 @@ fn run_one<B: SortBackend, X: Executor<B, AnyPolicy>>(spec: &CampaignSpec, cell:
         }
     };
 
-    let rebalancing = cell.frontend != Frontend::Single && spec.placement == Placement::Dynamic;
+    // Dynamic placement: one rebalance round every 1024 arrivals —
+    // frequent enough to chase Zipf skew, sparse enough that the EWMA
+    // sees fresh load between rounds.
+    let rebalance_every =
+        (cell.frontend != Frontend::Single && spec.placement == Placement::Dynamic).then_some(1024);
     let mut offered_bytes = vec![0u64; cell.flows as usize];
-    let mut link = LinkModel::new(service_rate, cell.flows);
-    let mut dropped = 0u64;
-    let mut arrivals = 0u64;
-    for pkt in workload {
-        let now = pkt.arrival.0;
-        offered_bytes[pkt.flow.0 as usize] += u64::from(pkt.size_bytes);
-        // Serve everything the link completes before this arrival.
-        while link.free_at_s <= now {
-            match sched.dequeue() {
-                Some(p) => link.serve(&p),
-                None => {
-                    // Idle gap: the link is free when the arrival lands.
-                    link.free_at_s = now;
-                    break;
-                }
-            }
-        }
-        if !sched.enqueue(pkt) {
-            dropped += 1;
-        }
-        arrivals += 1;
-        // Dynamic placement: one rebalance round every 1024 arrivals —
-        // frequent enough to chase Zipf skew, sparse enough that the
-        // EWMA sees fresh load between rounds.
-        if rebalancing && arrivals.is_multiple_of(1024) {
-            sched.maybe_rebalance();
-        }
-    }
-    while let Some(p) = sched.dequeue() {
-        link.serve(&p);
-    }
+    let mut served = Served::new(cell.flows);
+    let arrivals =
+        workload.inspect(|pkt| offered_bytes[pkt.flow.0 as usize] += u64::from(pkt.size_bytes));
+    let Ok(dropped) = serve_links(
+        &mut sched,
+        &[service_rate],
+        arrivals,
+        DropPolicy::CountAndContinue,
+        rebalance_every,
+        |_, d, ()| served.record(&d),
+    ) else {
+        unreachable!("every refusal is a counted drop")
+    };
     let tail = sched.finish();
 
     CellRun {
-        served: link.served_pkts,
+        served: served.pkts,
         dropped,
         pushed_out: tail.pushed_out,
-        fairness_p99: fairness_p99(&offered_bytes, &link.served_bytes),
-        sojourn_p99_ms: hist_p99_ms(&link.sojourn_hist),
-        departure_hash: link.hash,
+        fairness_p99: fairness_p99(&offered_bytes, &served.bytes),
+        sojourn_p99_ms: hist_p99_ms(&served.sojourn_hist),
+        departure_hash: served.hash,
         resident: tail.resident,
         faults: tail.faults,
         shard_balance: tail.shard_balance,

@@ -9,7 +9,10 @@
 //!
 //! Differences from the real crate, deliberately accepted:
 //!
-//! * **No shrinking.** A failing case reports its inputs verbatim.
+//! * **Shrinking is opt-in.** A failing case reports its inputs
+//!   verbatim, unless the property minimises its own failing program
+//!   with [`shrink`] (drop one operation at a time while it still
+//!   fails) — there are no per-strategy shrink trees.
 //! * **Deterministic seeding.** Each test derives its RNG from the test
 //!   function name and case index, so every run (and CI) explores the
 //!   same cases. There is no `PROPTEST_` environment handling.
@@ -22,6 +25,36 @@
 
 use std::fmt;
 use std::ops::Range;
+
+/// Shrinks a failing program one operation at a time: drops single
+/// operations while `run` still fails, until no single drop keeps it
+/// failing. Returns the shrunk program and its failure.
+///
+/// # Panics
+///
+/// Panics if `run` passes on `ops`.
+pub fn shrink<T: Clone, E>(
+    mut ops: Vec<T>,
+    mut run: impl FnMut(&[T]) -> Result<(), E>,
+) -> (Vec<T>, E) {
+    let mut error = match run(&ops) {
+        Ok(()) => panic!("shrinking a passing program"),
+        Err(e) => e,
+    };
+    let mut i = 0;
+    while i < ops.len() {
+        let mut fewer = ops.clone();
+        fewer.remove(i);
+        match run(&fewer) {
+            Err(e) => {
+                ops = fewer;
+                error = e;
+            }
+            Ok(()) => i += 1,
+        }
+    }
+    (ops, error)
+}
 
 /// Test-case failure carried out of a `proptest!` body by the
 /// `prop_assert*` macros.

@@ -165,37 +165,6 @@ pub trait SortBackend {
     /// Aggregated instrumentation snapshot.
     fn stats(&self) -> CircuitStats;
 
-    /// Inserts a batch in order, stopping at the first error.
-    ///
-    /// Backends with cache-conscious layouts override this to amortize
-    /// per-call overhead; the default just loops.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SortBackend::insert`]; earlier items stay inserted.
-    fn insert_batch(&mut self, items: &[(Tag, PacketRef)]) -> Result<(), SortError> {
-        for &(tag, payload) in items {
-            self.insert(tag, payload)?;
-        }
-        Ok(())
-    }
-
-    /// Pops up to `max` smallest tags into `out`, returning how many
-    /// were popped.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Tag, PacketRef)>) -> usize {
-        let mut popped = 0;
-        while popped < max {
-            match self.pop_min() {
-                Some(entry) => {
-                    out.push(entry);
-                    popped += 1;
-                }
-                None => break,
-            }
-        }
-        popped
-    }
-
     /// Enables or disables tolerant mode: invariant violations degrade
     /// and are logged instead of panicking. Inert for backends with no
     /// modeled corruption surface.
@@ -335,13 +304,17 @@ pub trait SortBackend {
     /// Installs a migrated flow's entries (already translated onto this
     /// backend's tag axis, ascending). The inverse of
     /// [`SortBackend::extract_flow`], running while the shard keeps
-    /// serving — the default is just [`SortBackend::insert_batch`].
+    /// serving — the default inserts them one by one, in order,
+    /// stopping at the first error.
     ///
     /// # Errors
     ///
     /// As for [`SortBackend::insert`]; earlier entries stay installed.
     fn install_flow(&mut self, entries: &[(Tag, PacketRef)]) -> Result<(), SortError> {
-        self.insert_batch(entries)
+        for &(tag, payload) in entries {
+            self.insert(tag, payload)?;
+        }
+        Ok(())
     }
 }
 
@@ -578,28 +551,6 @@ mod tests {
                 (Tag(2), PacketRef(11)),
                 (Tag(5), PacketRef(10)),
                 (Tag(5), PacketRef(12)),
-            ]
-        );
-    }
-
-    #[test]
-    fn batch_defaults_preserve_order() {
-        let mut b = <SortRetrieveCircuit as SortBackend>::build(&spec());
-        b.insert_batch(&[
-            (Tag(7), PacketRef(0)),
-            (Tag(3), PacketRef(1)),
-            (Tag(7), PacketRef(2)),
-        ])
-        .unwrap();
-        let mut out = Vec::new();
-        assert_eq!(b.pop_batch(8, &mut out), 3);
-        // Ascending tags, FIFO among the duplicate 7s.
-        assert_eq!(
-            out,
-            vec![
-                (Tag(3), PacketRef(1)),
-                (Tag(7), PacketRef(0)),
-                (Tag(7), PacketRef(2)),
             ]
         );
     }

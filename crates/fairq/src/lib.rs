@@ -63,7 +63,7 @@ mod virtual_time;
 
 pub use gps::gps_finish_times;
 pub use hierarchy::{Cbq, ClassMap, HierarchicalWf2q};
-pub use link::{Departure, LinkSim};
+pub use link::{serve_links, Admit, Departure, DropPolicy, Egress, LinkSim};
 pub use network::{end_to_end_delays, pg_end_to_end_bound, NetworkSim};
 pub use rank::{
     AnyPolicy, FifoPlusRank, HierarchicalWfqRank, LeakyBucketRank, RankPolicy, SrptRank, StfqRank,

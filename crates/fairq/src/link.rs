@@ -1,4 +1,5 @@
-//! Non-preemptive output-link simulation.
+//! Non-preemptive output-link simulation: [`serve_links`], the one loop
+//! that serves every simulated egress port (any [`Egress`]).
 
 use traffic::{Packet, Time};
 
@@ -22,11 +23,165 @@ impl Departure {
     }
 }
 
+/// Whether a run survives an [`Admit::Refused`] packet. The refusing
+/// scheduler counts the refusal itself either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DropPolicy {
+    /// Abort the run on the first refusal, returning its error. The
+    /// default.
+    #[default]
+    Error,
+    /// Count the drop and keep serving (the overload-study semantics);
+    /// [`Admit::Fatal`] still aborts.
+    CountAndContinue,
+}
+
+/// The outcome of offering one packet to an [`Egress`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Admit<E> {
+    /// Queued on this port.
+    Queued(usize),
+    /// This port refused the packet (buffer exhaustion, tag range).
+    Refused(usize, E),
+    /// The run cannot go on under any policy (an unknown flow).
+    Fatal(E),
+}
+
+/// Egress ports that [`serve_links`] drives.
+pub trait Egress {
+    /// Why an admission failed.
+    type Error;
+    /// What a served packet carries besides its timing.
+    type Stamp;
+
+    /// Offers one packet at its arrival time.
+    fn admit(&mut self, pkt: Packet) -> Admit<Self::Error>;
+
+    /// Removes `port`'s next packet for a link free at `now`, or `None`
+    /// when the port has nothing to send.
+    fn serve(&mut self, port: usize, now: Time) -> Option<(Packet, Self::Stamp)>;
+
+    /// One rebalance round; returns the port a migration moved packets
+    /// onto, if any.
+    fn rebalance(&mut self) -> Option<usize> {
+        None
+    }
+}
+
+/// One port's link: when it comes free, and whether its last poll came
+/// back empty.
+#[derive(Clone, Copy, Default)]
+struct Link {
+    free_at: Time,
+    idle: bool,
+}
+
+impl Link {
+    /// Serves the port while its link frees strictly before `before`.
+    fn serve_before<E: Egress>(
+        &mut self,
+        egress: &mut E,
+        port: usize,
+        rate_bps: f64,
+        before: Time,
+        depart: &mut impl FnMut(usize, Departure, E::Stamp),
+    ) {
+        while !self.idle && self.free_at < before {
+            let Some((packet, stamp)) = egress.serve(port, self.free_at) else {
+                self.idle = true;
+                return;
+            };
+            // A backlog migrated onto an idle port may be newer than the
+            // instant its link came free.
+            let start = self.free_at.max(packet.arrival);
+            let finish = start + packet.service_time(rate_bps);
+            self.free_at = finish;
+            depart(
+                port,
+                Departure {
+                    packet,
+                    start,
+                    finish,
+                },
+                stamp,
+            );
+        }
+    }
+}
+
+/// Runs `trace` through `egress` with one non-preemptive, work-conserving
+/// link per entry of `rates_bps`, handing each departure to `depart`;
+/// returns the drops counted under [`DropPolicy::CountAndContinue`].
+///
+/// A link that comes free serves from the packets present at that
+/// instant, the rule PGPS rests on. Arrivals are admitted in trace order,
+/// grouped by instant; before the group at `t` every port whose link
+/// frees strictly before `t` is served, so a link freeing at `t` chooses
+/// among the whole group. A port whose poll came back empty is polled
+/// again only after an admission to it (its link then frees no earlier
+/// than that arrival) or a rebalance round that moved packets onto it.
+/// [`Egress::rebalance`] runs after every `rebalance_every` arrivals.
+/// When the trace ends, every port drains.
+///
+/// # Errors
+///
+/// The first [`Admit::Fatal`], or under [`DropPolicy::Error`] the first
+/// refusal. Departures handed out before it stay handed out.
+///
+/// # Panics
+///
+/// Panics if the trace is not sorted by arrival time, or on a port
+/// outside `rates_bps`.
+pub fn serve_links<E: Egress>(
+    egress: &mut E,
+    rates_bps: &[f64],
+    trace: impl IntoIterator<Item = Packet>,
+    drop_policy: DropPolicy,
+    rebalance_every: Option<usize>,
+    mut depart: impl FnMut(usize, Departure, E::Stamp),
+) -> Result<u64, E::Error> {
+    let mut links = vec![Link::default(); rates_bps.len()];
+    let mut now = Time(f64::NEG_INFINITY);
+    let mut drops = 0;
+    for (n, pkt) in trace.into_iter().enumerate() {
+        assert!(pkt.arrival >= now, "trace must be sorted by arrival time");
+        if pkt.arrival > now {
+            now = pkt.arrival;
+            for (port, link) in links.iter_mut().enumerate() {
+                link.serve_before(egress, port, rates_bps[port], now, &mut depart);
+            }
+        }
+        let port = match egress.admit(pkt) {
+            Admit::Queued(port) => port,
+            Admit::Refused(port, _) if drop_policy == DropPolicy::CountAndContinue => {
+                drops += 1;
+                port
+            }
+            Admit::Refused(_, e) | Admit::Fatal(e) => return Err(e),
+        };
+        let link = &mut links[port];
+        if link.idle {
+            link.idle = false;
+            link.free_at = link.free_at.max(now);
+        }
+        if rebalance_every.is_some_and(|every| (n + 1).is_multiple_of(every)) {
+            if let Some(port) = egress.rebalance() {
+                links[port].idle = false;
+            }
+        }
+    }
+    let end = Time(f64::INFINITY);
+    for (port, link) in links.iter_mut().enumerate() {
+        link.serve_before(egress, port, rates_bps[port], end, &mut depart);
+    }
+    Ok(drops)
+}
+
 /// Drives a [`Scheduler`] over an arrival trace on a fixed-rate link.
 ///
 /// The link is non-preemptive and work-conserving: whenever it is idle
 /// and the scheduler holds packets, the scheduler picks one and the link
-/// transmits it back to back.
+/// transmits it back to back ([`serve_links`] over one port).
 ///
 /// # Example
 ///
@@ -46,6 +201,30 @@ impl Departure {
 pub struct LinkSim<S> {
     rate_bps: f64,
     scheduler: S,
+}
+
+/// A software scheduler as one egress port, checked for work
+/// conservation on every empty poll.
+struct Software<'a, S>(&'a mut S);
+
+impl<S: Scheduler> Egress for Software<'_, S> {
+    type Error = std::convert::Infallible;
+    type Stamp = ();
+
+    fn admit(&mut self, pkt: Packet) -> Admit<Self::Error> {
+        self.0.on_arrival(pkt);
+        Admit::Queued(0)
+    }
+
+    fn serve(&mut self, _port: usize, now: Time) -> Option<(Packet, ())> {
+        let pkt = self.0.select(now);
+        let name = self.0.name();
+        assert!(
+            pkt.is_some() || self.0.backlog() == 0,
+            "{name} is not work-conserving"
+        );
+        pkt.map(|p| (p, ()))
+    }
 }
 
 impl<S: Scheduler> LinkSim<S> {
@@ -73,44 +252,15 @@ impl<S: Scheduler> LinkSim<S> {
     /// Panics if the trace is not sorted by arrival time, or if the
     /// scheduler violates work conservation or loses packets.
     pub fn run(&mut self, trace: &[Packet]) -> Vec<Departure> {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "trace must be sorted by arrival time"
-        );
         let mut out = Vec::with_capacity(trace.len());
-        let mut now = Time::ZERO;
-        let mut next_arrival = 0usize;
-        loop {
-            while next_arrival < trace.len() && trace[next_arrival].arrival <= now {
-                self.scheduler.on_arrival(trace[next_arrival]);
-                next_arrival += 1;
-            }
-            match self.scheduler.select(now) {
-                Some(pkt) => {
-                    let start = now;
-                    let finish = now + pkt.service_time(self.rate_bps);
-                    out.push(Departure {
-                        packet: pkt,
-                        start,
-                        finish,
-                    });
-                    now = finish;
-                }
-                None => {
-                    assert_eq!(
-                        self.scheduler.backlog(),
-                        0,
-                        "{} is not work-conserving",
-                        self.scheduler.name()
-                    );
-                    if next_arrival < trace.len() {
-                        now = trace[next_arrival].arrival;
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
+        let Ok(_) = serve_links(
+            &mut Software(&mut self.scheduler),
+            &[self.rate_bps],
+            trace.iter().copied(),
+            DropPolicy::Error,
+            None,
+            |_, d, ()| out.push(d),
+        );
         assert_eq!(out.len(), trace.len(), "scheduler lost packets");
         out
     }
@@ -176,6 +326,77 @@ mod tests {
         let trace = vec![pkt(0, 0, 0.0, 125), pkt(1, 0, 0.0, 125)];
         let deps = LinkSim::new(1e6, Fifo::new()).run(&trace);
         assert!((deps[1].delay().seconds() - 0.002).abs() < 1e-12);
+    }
+
+    /// A two-port FIFO egress that refuses every third packet and counts
+    /// rebalance rounds.
+    #[derive(Default)]
+    struct Toy {
+        queues: [Vec<Packet>; 2],
+        offered: usize,
+        rounds: usize,
+    }
+
+    impl Egress for Toy {
+        type Error = u64;
+        type Stamp = ();
+
+        fn admit(&mut self, pkt: Packet) -> Admit<u64> {
+            self.offered += 1;
+            let port = pkt.flow.0 as usize;
+            if self.offered.is_multiple_of(3) {
+                return Admit::Refused(port, pkt.seq);
+            }
+            self.queues[port].push(pkt);
+            Admit::Queued(port)
+        }
+
+        fn serve(&mut self, port: usize, _now: Time) -> Option<(Packet, ())> {
+            let q = &mut self.queues[port];
+            (!q.is_empty()).then(|| (q.remove(0), ()))
+        }
+
+        fn rebalance(&mut self) -> Option<usize> {
+            self.rounds += 1;
+            None
+        }
+    }
+
+    #[test]
+    fn refusals_follow_the_drop_policy_and_rebalance_runs_on_cadence() {
+        let trace: Vec<Packet> = (0..7).map(|i| pkt(i, (i % 2) as u32, 0.0, 125)).collect();
+        let mut toy = Toy::default();
+        let mut served = Vec::new();
+        let drops = serve_links(
+            &mut toy,
+            &[1e6, 2e6],
+            trace.iter().copied(),
+            DropPolicy::CountAndContinue,
+            Some(3),
+            |port, d, ()| served.push((port, d.packet.seq, d.finish)),
+        );
+        assert_eq!(drops, Ok(2));
+        assert_eq!(toy.rounds, 2);
+        // Each port is its own link at its own rate.
+        assert_eq!(
+            served,
+            vec![
+                (0, 0, Time(0.001)),
+                (0, 4, Time(0.002)),
+                (0, 6, Time(0.003)),
+                (1, 1, Time(0.0005)),
+                (1, 3, Time(0.001)),
+            ]
+        );
+        let refused = serve_links(
+            &mut Toy::default(),
+            &[1e6, 1e6],
+            trace.iter().copied(),
+            DropPolicy::Error,
+            None,
+            |_, _, ()| {},
+        );
+        assert_eq!(refused, Err(2), "the first refusal aborts");
     }
 
     #[test]

@@ -363,30 +363,11 @@ fn run(population: &Population, ops: &[Op]) -> Result<(), String> {
     Ok(())
 }
 
-/// Shrinks a failing program: drops single operations while the
-/// program still fails, until no single drop keeps it failing.
-fn shrink(population: &Population, mut ops: Vec<Op>) -> (Vec<Op>, String) {
-    let mut error = run(population, &ops).expect_err("shrinking a passing program");
-    let mut i = 0;
-    while i < ops.len() {
-        let mut fewer = ops.clone();
-        fewer.remove(i);
-        match run(population, &fewer) {
-            Err(e) => {
-                ops = fewer;
-                error = e;
-            }
-            Ok(()) => i += 1,
-        }
-    }
-    (ops, error)
-}
-
 fn check(population: &Population, ops: &[Op]) -> Result<(), TestCaseError> {
     if run(population, ops).is_ok() {
         return Ok(());
     }
-    let (ops, error) = shrink(population, ops.to_vec());
+    let (ops, error) = proptest::shrink(ops.to_vec(), |ops| run(population, ops));
     Err(TestCaseError(format!(
         "{error}\n  {population:?}, shrunk program ({} ops): {ops:?}",
         ops.len()

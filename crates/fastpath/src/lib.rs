@@ -32,11 +32,7 @@
 //!
 //! The layout is cache-conscious: the hot pop path touches one `u64`
 //! per hierarchy level (at the paper's 12-bit geometry: two words) plus
-//! one interleaved `(head, tail)` bucket pair and one arena node, and
-//! the batch verbs ([`FfsSorter::insert_batch`],
-//! [`FfsSorter::pop_batch`]) amortize the descent across consecutive
-//! operations by draining or filling a leaf word before re-walking the
-//! hierarchy.
+//! one interleaved `(head, tail)` bucket pair and one arena node.
 //!
 //! Memory is `O(tag_space)` for buckets and leaf occupancy — the same
 //! scaling as the circuit's translation table, and a few MiB for every
@@ -626,93 +622,6 @@ impl SortBackend for FfsSorter {
         }
     }
 
-    fn insert_batch(&mut self, items: &[(Tag, PacketRef)]) -> Result<(), SortError> {
-        // Amortized validation: under lazy cleanup the live minimum can
-        // only drop to the smallest tag inserted so far in this batch,
-        // so one descent up front covers the whole run. `live_min`
-        // gates inserts while tags are stored; `stale_gate` only gates
-        // the restart insert into a drained system.
-        let lazy = self.policy == CleanupPolicy::Lazy;
-        let mut live_min = if lazy && self.len > 0 {
-            self.occ_stats.record_batch(self.depth() as u64);
-            self.occ_min()
-        } else {
-            None
-        };
-        let stale_gate = if lazy && self.len == 0 {
-            Self::descend_max(&self.marked)
-        } else {
-            None
-        };
-        for &(tag, payload) in items {
-            if !self.geometry.contains(tag) {
-                return Err(SortError::TagOutOfRange {
-                    tag,
-                    tag_bits: self.geometry.tag_bits(),
-                });
-            }
-            if lazy {
-                let gate = match live_min {
-                    Some(m) => Some(m),
-                    None if self.len == 0 => stale_gate,
-                    None => None,
-                };
-                if let Some(minimum) = gate {
-                    if (tag.value() as usize) < minimum {
-                        return Err(SortError::BelowMinimum {
-                            tag,
-                            minimum: Tag(minimum as u32),
-                        });
-                    }
-                }
-            }
-            if self.len == self.capacity {
-                return Err(SortError::Full {
-                    capacity: self.capacity,
-                });
-            }
-            if lazy {
-                let t = tag.value() as usize;
-                live_min = Some(live_min.map_or(t, |m| m.min(t)));
-            }
-            self.occ_stats.begin_op();
-            self.bucket_stats.begin_op();
-            self.commit_insert(tag.value() as usize, payload);
-        }
-        Ok(())
-    }
-
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Tag, PacketRef)>) -> usize {
-        let mut popped = 0usize;
-        let leaf = self.depth() - 1;
-        while popped < max && self.len > 0 {
-            self.occ_stats.begin_op();
-            self.bucket_stats.begin_op();
-            let Some(tag) = self.locate_min_for_pop() else {
-                break;
-            };
-            // Drain the located leaf word before re-walking the
-            // hierarchy: consecutive minima usually share it.
-            let mut word = tag / 64;
-            loop {
-                let bits = self.occ[leaf][word];
-                if bits == 0 || popped == max || self.len == 0 {
-                    break;
-                }
-                let t = word * 64 + bits.trailing_zeros() as usize;
-                if self.buckets[t].head == NONE {
-                    // Corruption: fall back to the healing path.
-                    break;
-                }
-                let payload = self.pop_bucket(t);
-                out.push((Tag(t as u32), payload));
-                popped += 1;
-                word = t / 64;
-            }
-        }
-        popped
-    }
-
     fn set_tolerant(&mut self, tolerant: bool) {
         self.tolerant = tolerant;
     }
@@ -988,28 +897,6 @@ mod tests {
         assert_eq!(s.recycle_section(section), 1);
         s.insert(Tag(50), PacketRef(1)).unwrap();
         assert_eq!(s.pop_min(), Some((Tag(50), PacketRef(1))));
-    }
-
-    #[test]
-    fn batch_verbs_match_singleton_verbs() {
-        let items: Vec<(Tag, PacketRef)> = [40u32, 7, 7, 3000, 40, 0, 512]
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (Tag(t), PacketRef(i as u32)))
-            .collect();
-        let mut batched = FfsSorter::build(&spec(CleanupPolicy::Eager));
-        batched.insert_batch(&items).unwrap();
-        let mut singles = FfsSorter::build(&spec(CleanupPolicy::Eager));
-        for &(t, p) in &items {
-            singles.insert(t, p).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(batched.pop_batch(items.len(), &mut out), items.len());
-        assert_eq!(
-            out,
-            std::iter::from_fn(|| singles.pop_min()).collect::<Vec<_>>()
-        );
-        assert_eq!(SortBackend::cycles(&batched), SortBackend::cycles(&singles));
     }
 
     #[test]

@@ -1,40 +1,128 @@
 //! Line-rate egress simulation of the hardware scheduler.
 //!
 //! [`fairq::LinkSim`] drives *software* schedulers; this is its twin for
-//! the full hardware pipeline: arrivals enter through
+//! the full hardware pipeline, over the same link loop
+//! ([`fairq::serve_links`]): arrivals enter through
 //! [`HwScheduler::enqueue`] (tag computation → quantization → buffer →
 //! sorter) and the output link serves [`HwScheduler::dequeue`]
 //! back-to-back — so the hardware path produces the same
 //! [`fairq::Departure`] records and can be scored with the same
 //! delay/fairness/GPS-lag metrics as the algorithms it implements.
 
-use fairq::{Departure, RankPolicy, WfqRank};
+use fairq::{serve_links, Admit, Departure, DropPolicy, Egress, RankPolicy, WfqRank};
 use tagsort::{SortBackend, SortRetrieveCircuit};
 use telemetry::LatencyTracker;
 use traffic::{Packet, Time};
 
-use crate::hwsched::{HwScheduler, SchedulerError};
+use crate::hwsched::{HwScheduler, SchedulerError, SojournStamp};
 
-/// What [`HwLinkSim::run`] (and [`crate::ShardedLinkSim::run`]) does
-/// when the scheduler refuses a packet (buffer exhaustion or tag
-/// range).
-///
-/// The scheduler itself already *counts* every refusal —
-/// [`crate::BufferStats::rejected`], the `sched_dropped` counter, and a
-/// `Drop` trace event — regardless of policy; the policy only decides
-/// whether the run survives it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DropPolicy {
-    /// Abort the run on the first refusal, returning the error
-    /// (discarding computed departures). The default, preserving the
-    /// original `run` semantics.
-    #[default]
-    Error,
-    /// Count the drop and keep serving — the overload-bench semantics,
-    /// where the departures of *accepted* packets are the result.
-    /// Configuration errors ([`SchedulerError::UnknownFlow`]) still
-    /// abort.
-    CountAndContinue,
+/// The scheduler as one egress port: a refusal other than an unknown
+/// flow (buffer exhaustion, tag range) costs only the packet.
+impl<B: SortBackend, P: RankPolicy> Egress for HwScheduler<B, P> {
+    type Error = SchedulerError;
+    type Stamp = SojournStamp;
+
+    fn admit(&mut self, pkt: Packet) -> Admit<SchedulerError> {
+        match self.enqueue(pkt) {
+            Ok(()) => Admit::Queued(0),
+            Err(e @ SchedulerError::UnknownFlow { .. }) => Admit::Fatal(e),
+            Err(e) => Admit::Refused(0, e),
+        }
+    }
+
+    fn serve(&mut self, _port: usize, _now: Time) -> Option<(Packet, SojournStamp)> {
+        self.dequeue_stamped()
+    }
+}
+
+/// A fixed-rate egress simulation over [`fairq::serve_links`]: the
+/// scheduler or frontend it drives, one link rate per port, and the run
+/// options and drop count that [`HwLinkSim`] and
+/// [`crate::ShardedLinkSim`] share.
+#[derive(Debug)]
+pub struct EgressSim<E> {
+    pub(crate) egress: E,
+    rates: Vec<f64>,
+    drop_policy: DropPolicy,
+    pub(crate) rebalance_every: Option<usize>,
+    latency: Option<LatencyTracker>,
+    drops: u64,
+}
+
+impl<E> EgressSim<E> {
+    pub(crate) fn over(egress: E, rates: Vec<f64>) -> Self {
+        Self {
+            egress,
+            rates,
+            drop_policy: DropPolicy::default(),
+            rebalance_every: None,
+            latency: None,
+            drops: 0,
+        }
+    }
+
+    /// Sets the refusal handling for subsequent runs (default
+    /// [`DropPolicy::Error`]).
+    pub fn with_drop_policy(mut self, policy: DropPolicy) -> Self {
+        self.drop_policy = policy;
+        self
+    }
+
+    /// Enables per-flow latency attribution: subsequent runs feed a
+    /// [`LatencyTracker`] with each departure's circuit-cycle sojourn
+    /// and the simulated wall-clock split (buffer wait vs. service),
+    /// keyed by global flow id.
+    pub fn with_latency(mut self) -> Self {
+        self.latency = Some(LatencyTracker::new());
+        self
+    }
+
+    /// Packets refused and skipped under
+    /// [`DropPolicy::CountAndContinue`] (0 under [`DropPolicy::Error`] —
+    /// the run aborts instead). The scheduler-level views of the same
+    /// refusals are [`crate::BufferStats::rejected`] and the
+    /// `sched_dropped` counter.
+    pub fn drops(&self) -> u64 {
+        self.drops
+    }
+
+    /// The per-flow latency attribution accumulated so far, if
+    /// [`EgressSim::with_latency`] enabled it.
+    pub fn latency(&self) -> Option<&LatencyTracker> {
+        self.latency.as_ref()
+    }
+}
+
+impl<E: Egress<Stamp = SojournStamp>> EgressSim<E> {
+    /// Runs `trace` to completion, attributing latency and counting
+    /// drops, and hands each departure to `depart`.
+    pub(crate) fn serve(
+        &mut self,
+        trace: &[Packet],
+        mut depart: impl FnMut(usize, Departure, SojournStamp),
+    ) -> Result<(), E::Error> {
+        let latency = &mut self.latency;
+        self.drops += serve_links(
+            &mut self.egress,
+            &self.rates,
+            trace.iter().copied(),
+            self.drop_policy,
+            self.rebalance_every,
+            |port, d, stamp| {
+                if let Some(lat) = latency {
+                    let wait = d.start.0 - d.packet.arrival.0;
+                    lat.record(
+                        d.packet.flow.0,
+                        stamp.cycles(),
+                        wait,
+                        d.finish.0 - d.start.0,
+                    );
+                }
+                depart(port, d, stamp);
+            },
+        )?;
+        Ok(())
+    }
 }
 
 /// A fixed-rate output link served by the hardware scheduler.
@@ -57,14 +145,7 @@ pub enum DropPolicy {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct HwLinkSim<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = WfqRank> {
-    rate_bps: f64,
-    scheduler: HwScheduler<B, P>,
-    drop_policy: DropPolicy,
-    latency: Option<LatencyTracker>,
-    drops: u64,
-}
+pub type HwLinkSim<B = SortRetrieveCircuit, P = WfqRank> = EgressSim<HwScheduler<B, P>>;
 
 impl<B: SortBackend, P: RankPolicy> HwLinkSim<B, P> {
     /// Creates a link of `rate_bps` served by `scheduler` (any sorting
@@ -79,28 +160,7 @@ impl<B: SortBackend, P: RankPolicy> HwLinkSim<B, P> {
             rate_bps > 0.0 && rate_bps.is_finite(),
             "rate must be positive and finite"
         );
-        Self {
-            rate_bps,
-            scheduler,
-            drop_policy: DropPolicy::default(),
-            latency: None,
-            drops: 0,
-        }
-    }
-
-    /// Sets the refusal handling for subsequent runs (default
-    /// [`DropPolicy::Error`]).
-    pub fn with_drop_policy(mut self, policy: DropPolicy) -> Self {
-        self.drop_policy = policy;
-        self
-    }
-
-    /// Enables per-flow latency attribution: subsequent runs feed a
-    /// [`LatencyTracker`] with each departure's circuit-cycle sojourn
-    /// and the simulated wall-clock split (buffer wait vs. service).
-    pub fn with_latency(mut self) -> Self {
-        self.latency = Some(LatencyTracker::new());
-        self
+        Self::over(scheduler, vec![rate_bps])
     }
 
     /// Runs the trace to completion, returning departures in service
@@ -111,88 +171,27 @@ impl<B: SortBackend, P: RankPolicy> HwLinkSim<B, P> {
     /// Under [`DropPolicy::Error`] (the default), propagates the first
     /// [`SchedulerError`] (buffer exhaustion, tag range, …). Under
     /// [`DropPolicy::CountAndContinue`], per-packet refusals are counted
-    /// ([`HwLinkSim::drops`]) and service continues; only
+    /// ([`EgressSim::drops`]) and service continues; only
     /// [`SchedulerError::UnknownFlow`] aborts.
     ///
     /// # Panics
     ///
     /// Panics if the trace is not sorted by arrival time.
     pub fn run(&mut self, trace: &[Packet]) -> Result<Vec<Departure>, SchedulerError> {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "trace must be sorted by arrival time"
-        );
         let mut out = Vec::with_capacity(trace.len());
-        let mut now = Time::ZERO;
-        let mut next = 0usize;
-        loop {
-            while next < trace.len() && trace[next].arrival <= now {
-                if let Err(e) = self.scheduler.enqueue(trace[next]) {
-                    match (self.drop_policy, &e) {
-                        (
-                            DropPolicy::CountAndContinue,
-                            SchedulerError::BufferFull { .. } | SchedulerError::Sorter(_),
-                        ) => self.drops += 1,
-                        _ => return Err(e),
-                    }
-                }
-                next += 1;
-            }
-            match self.scheduler.dequeue_stamped() {
-                Some((pkt, stamp)) => {
-                    let start = now;
-                    let finish = now + pkt.service_time(self.rate_bps);
-                    if let Some(lat) = &mut self.latency {
-                        lat.record(
-                            pkt.flow.0,
-                            stamp.cycles(),
-                            start.0 - pkt.arrival.0,
-                            finish.0 - start.0,
-                        );
-                    }
-                    out.push(Departure {
-                        packet: pkt,
-                        start,
-                        finish,
-                    });
-                    now = finish;
-                }
-                None => {
-                    if next < trace.len() {
-                        now = trace[next].arrival;
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
+        self.serve(trace, |_, d, _| out.push(d))?;
         Ok(out)
-    }
-
-    /// Packets refused and skipped under
-    /// [`DropPolicy::CountAndContinue`] (0 under [`DropPolicy::Error`] —
-    /// the run aborts instead). The scheduler-level views of the same
-    /// refusals are [`crate::BufferStats::rejected`] and the
-    /// `sched_dropped` counter.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// The per-flow latency attribution accumulated so far, if
-    /// [`HwLinkSim::with_latency`] enabled it.
-    pub fn latency(&self) -> Option<&LatencyTracker> {
-        self.latency.as_ref()
     }
 
     /// The scheduler, for post-run inspection.
     pub fn scheduler(&self) -> &HwScheduler<B, P> {
-        &self.scheduler
+        &self.egress
     }
 
     /// Mutable scheduler access, for post-run bookkeeping such as
     /// [`HwScheduler::reconcile_faults`].
     pub fn scheduler_mut(&mut self) -> &mut HwScheduler<B, P> {
-        &mut self.scheduler
+        &mut self.egress
     }
 }
 

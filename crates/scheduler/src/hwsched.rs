@@ -1500,8 +1500,11 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// # Errors
     ///
     /// Any [`statesync::CheckpointError`]: corrupted words (including
-    /// faultsim bit flips into the checkpoint itself), truncation, or a
-    /// foreign/duplicate format.
+    /// faultsim bit flips into the checkpoint itself), truncation, a
+    /// foreign/duplicate format, or a well-sealed image whose queue does
+    /// not fit this scheduler (more entries than the buffer holds, a
+    /// tag outside the geometry, an unconfigured flow, a size wider
+    /// than 32 bits, or quantizer state of the wrong length).
     ///
     /// # Panics
     ///
@@ -1557,7 +1560,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         s.migrated_in = r.word()?;
         s.migrated_out = r.word()?;
         let oldest_section = r.word()?;
-        s.quantizer.load_state_words(&r.slice()?);
+        let quantizer = r.slice()?;
+        if quantizer.len() != 4 {
+            return Err(out_of_range(
+                "quantizer state length",
+                quantizer.len() as u64,
+            ));
+        }
+        s.quantizer.load_state_words(&quantizer);
         s.policy.load_state_words(&r.slice()?);
         // Seven words per entry: a count the payload cannot hold is
         // refused before anything is allocated for it.
@@ -1565,18 +1575,27 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             .ok()
             .filter(|&n| n <= r.remaining() / 7)
             .ok_or(statesync::CheckpointError::Exhausted)?;
+        if n > config.capacity {
+            return Err(out_of_range("queue length", n as u64));
+        }
+        let tag_space = s.sorter.geometry().tag_space();
+        let below = |field, limit: u64, word: u64| {
+            u32::try_from(word)
+                .ok()
+                .filter(|_| word < limit)
+                .ok_or(out_of_range(field, word))
+        };
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             // Fields evaluate in the order written: the checkpoint's.
             entries.push(CkptEntry {
-                tag: Tag(u32::try_from(r.word()?).expect("checkpointed tag fits the geometry")),
+                tag: Tag(below("tag", tag_space, r.word()?)?),
                 finish: VirtualTime(r.float()?),
                 enq_cycle: r.word()?,
                 pkt: Packet {
-                    flow: FlowId(u32::try_from(r.word()?).expect("checkpointed flow id fits u32")),
+                    flow: FlowId(below("flow id", s.flows as u64, r.word()?)?),
                     seq: r.word()?,
-                    size_bytes: u32::try_from(r.word()?)
-                        .expect("checkpointed packet size fits u32"),
+                    size_bytes: below("packet size", u64::MAX, r.word()?)?,
                     arrival: Time(r.float()?),
                 },
             });
@@ -1798,6 +1817,11 @@ struct CkptEntry {
     finish: VirtualTime,
     enq_cycle: u64,
     pkt: Packet,
+}
+
+/// A restore refusal for a well-sealed word this scheduler cannot hold.
+fn out_of_range(field: &'static str, value: u64) -> statesync::CheckpointError {
+    statesync::CheckpointError::OutOfRange { field, value }
 }
 
 /// Packs an admission policy into one checkpoint word (tag byte plus

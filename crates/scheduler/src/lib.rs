@@ -48,7 +48,8 @@ mod quantize;
 mod shard;
 
 pub use buffer::{BufferStats, PacketBuffer, Sideband};
-pub use egress::{DropPolicy, HwLinkSim};
+pub use egress::{EgressSim, HwLinkSim};
+pub use fairq::DropPolicy;
 pub use hwsched::{
     AdmissionPolicy, HwScheduler, MigratedEntry, MigratedFlow, SchedulerConfig, SchedulerError,
     SchedulerStats, SojournStamp,

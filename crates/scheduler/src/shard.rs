@@ -94,13 +94,13 @@ use std::error::Error;
 use std::fmt;
 use std::marker::PhantomData;
 
-use fairq::{Departure, RankPolicy, WfqRank};
+use fairq::{Admit, Departure, Egress, RankPolicy, WfqRank};
 use statesync::{Placement, Rebalancer, RebalancerConfig, ShardLoad};
 use tagsort::{CircuitStats, SortBackend, SortRetrieveCircuit};
-use telemetry::{LatencyTracker, Snapshot, Telemetry};
+use telemetry::{Snapshot, Telemetry};
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
-use crate::egress::DropPolicy;
+use crate::egress::EgressSim;
 use crate::hwsched::{HwScheduler, SchedulerConfig, SchedulerError, SchedulerStats, SojournStamp};
 
 mod exec;
@@ -855,7 +855,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
 
     /// [`ShardedFrontend::drain`], keeping each packet's circuit-cycle
     /// stamps — the batched feed for per-flow latency attribution
-    /// ([`LatencyTracker`]).
+    /// ([`telemetry::LatencyTracker`]).
     pub fn drain_stamped(&mut self) -> Vec<(usize, Packet, SojournStamp)> {
         self.drain_round(usize::MAX)
     }
@@ -1035,6 +1035,35 @@ pub struct PortDeparture {
     pub cycles: SojournStamp,
 }
 
+/// Every port is one egress link: a refusal other than an unknown flow
+/// (buffer exhaustion, tag range) costs only the packet, and a rebalance
+/// round reports the port a migration moved a backlog onto.
+impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> Egress for ShardedFrontend<B, P, X> {
+    type Error = ShardError;
+    type Stamp = SojournStamp;
+
+    fn admit(&mut self, pkt: Packet) -> Admit<ShardError> {
+        match self.enqueue(pkt) {
+            Ok(()) => Admit::Queued(self.map.port_of(pkt.flow).expect("routed")),
+            Err(
+                e @ ShardError::Port {
+                    port,
+                    source: SchedulerError::BufferFull { .. } | SchedulerError::Sorter(_),
+                },
+            ) => Admit::Refused(port, e),
+            Err(e) => Admit::Fatal(e),
+        }
+    }
+
+    fn serve(&mut self, port: usize, _now: Time) -> Option<(Packet, SojournStamp)> {
+        self.dequeue_port_stamped(port)
+    }
+
+    fn rebalance(&mut self) -> Option<usize> {
+        self.maybe_rebalance().map(|(_, _, to)| to)
+    }
+}
+
 /// Line-rate egress simulation of a sharded frontend: every output port
 /// is an independent link transmitting at **its own configured rate**
 /// ([`ShardedFrontend::port_rate`]), served back-to-back whenever its
@@ -1043,39 +1072,23 @@ pub struct PortDeparture {
 /// fairness metrics computed from the departures are per-port-rate
 /// aware.
 ///
-/// Because routing is static per flow, the ports decouple completely:
-/// each port's service depends only on its own arrivals, so the
-/// simulation runs each port's arrival/service loop independently and
-/// merges the departures by finish time.
-#[derive(Debug)]
-pub struct ShardedLinkSim<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = WfqRank> {
-    frontend: ShardedScheduler<B, P>,
-    drop_policy: DropPolicy,
-    latency: Option<LatencyTracker>,
-    drops: u64,
-    rebalance_every: Option<usize>,
-}
+/// All ports advance together through one simulated clock
+/// ([`fairq::serve_links`]), so frontend-wide figures such as the
+/// aggregate buffer peak see every port's backlog at the same instant,
+/// and live rebalancing can move a flow between ports mid-run.
+pub type ShardedLinkSim<B = SortRetrieveCircuit, P = WfqRank> = EgressSim<ShardedScheduler<B, P>>;
 
 impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
     /// Creates a simulator over `frontend` (any sorting backend and
     /// rank policy — the types are inferred); each port transmits at
     /// the rate the frontend was configured with.
     pub fn new(frontend: ShardedScheduler<B, P>) -> Self {
-        Self {
-            frontend,
-            drop_policy: DropPolicy::default(),
-            latency: None,
-            drops: 0,
-            rebalance_every: None,
-        }
+        let rates = frontend.rates.clone();
+        Self::over(frontend, rates)
     }
 
-    /// Enables live rebalancing: every `arrivals` enqueues the run
-    /// executes one [`ShardedFrontend::maybe_rebalance`] round. Because
-    /// migration re-couples the ports, runs switch from the decoupled
-    /// per-port loop to a single global-arrival-order loop (identical
-    /// service semantics: each port is still an independent link at its
-    /// own rate).
+    /// Enables live rebalancing: every `arrivals` arrivals the run
+    /// executes one [`ShardedFrontend::maybe_rebalance`] round.
     ///
     /// # Panics
     ///
@@ -1087,32 +1100,15 @@ impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
         self
     }
 
-    /// Sets the refusal handling for subsequent runs (default
-    /// [`DropPolicy::Error`]), mirroring
-    /// [`crate::HwLinkSim::with_drop_policy`].
-    pub fn with_drop_policy(mut self, policy: DropPolicy) -> Self {
-        self.drop_policy = policy;
-        self
-    }
-
-    /// Enables per-flow latency attribution: subsequent runs feed a
-    /// [`LatencyTracker`] with each departure's shard-circuit cycle
-    /// sojourn and the simulated wall-clock split (buffer wait vs.
-    /// service), keyed by **global** flow id.
-    pub fn with_latency(mut self) -> Self {
-        self.latency = Some(LatencyTracker::new());
-        self
-    }
-
     /// Runs the trace to completion, returning departures sorted by
     /// finish time (ties broken by port).
     ///
     /// # Errors
     ///
-    /// Under [`DropPolicy::Error`] (the default), propagates the first
-    /// [`ShardError`]. Under [`DropPolicy::CountAndContinue`],
+    /// Under [`crate::DropPolicy::Error`] (the default), propagates the
+    /// first [`ShardError`]. Under [`crate::DropPolicy::CountAndContinue`],
     /// per-packet shard refusals (buffer exhaustion, tag range) are
-    /// counted ([`ShardedLinkSim::drops`]) and that port keeps serving;
+    /// counted ([`EgressSim::drops`]) and that port keeps serving;
     /// [`ShardError::UnknownFlow`] still aborts.
     ///
     /// # Panics
@@ -1120,130 +1116,17 @@ impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
     /// Panics if the trace is not sorted by arrival time.
     pub fn run(&mut self, trace: &[Packet]) -> Result<Vec<PortDeparture>, ShardError> {
         assert!(
-            trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "trace must be sorted by arrival time"
-        );
-        if self.rebalance_every.is_some() {
-            return self.run_interleaved(trace);
-        }
-        let ports = self.frontend.ports();
-        let mut per_port: Vec<Vec<Packet>> = vec![Vec::new(); ports];
-        for pkt in trace {
-            let port = self
-                .frontend
-                .port_of(pkt.flow)
-                .ok_or(ShardError::UnknownFlow {
-                    flow: pkt.flow.0,
-                    flows: self.frontend.flows(),
-                })?;
-            per_port[port].push(*pkt);
-        }
-        let mut out = Vec::with_capacity(trace.len());
-        for (port, arrivals) in per_port.iter().enumerate() {
-            let mut now = Time::ZERO;
-            let mut next = 0usize;
-            loop {
-                while next < arrivals.len() && arrivals[next].arrival <= now {
-                    if let Err(e) = self.frontend.enqueue(arrivals[next]) {
-                        match (self.drop_policy, &e) {
-                            (
-                                DropPolicy::CountAndContinue,
-                                ShardError::Port {
-                                    source:
-                                        SchedulerError::BufferFull { .. } | SchedulerError::Sorter(_),
-                                    ..
-                                },
-                            ) => self.drops += 1,
-                            _ => return Err(e),
-                        }
-                    }
-                    next += 1;
-                }
-                match self.frontend.dequeue_port_stamped(port) {
-                    Some((pkt, stamp)) => {
-                        let start = now;
-                        let finish = now + pkt.service_time(self.frontend.port_rate(port));
-                        if let Some(lat) = &mut self.latency {
-                            lat.record(
-                                pkt.flow.0,
-                                stamp.cycles(),
-                                start.0 - pkt.arrival.0,
-                                finish.0 - start.0,
-                            );
-                        }
-                        out.push(PortDeparture {
-                            port,
-                            departure: Departure {
-                                packet: pkt,
-                                start,
-                                finish,
-                            },
-                            cycles: stamp,
-                        });
-                        now = finish;
-                    }
-                    None => {
-                        if next < arrivals.len() {
-                            now = arrivals[next].arrival;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| {
-            a.departure
-                .finish
-                .cmp(&b.departure.finish)
-                .then(a.port.cmp(&b.port))
-        });
-        Ok(out)
-    }
-
-    /// The rebalance-aware run mode: arrivals are enqueued in global
-    /// trace order (migration means a port's future service can depend
-    /// on another port's past arrivals, so the loops cannot decouple),
-    /// with one rebalance round every [`ShardedLinkSim::rebalance_every`]
-    /// enqueues. Each port remains an independent egress link at its own
-    /// rate: a packet's service starts at the later of the port's
-    /// free-instant and its own arrival.
-    fn run_interleaved(&mut self, trace: &[Packet]) -> Result<Vec<PortDeparture>, ShardError> {
-        let every = self
-            .rebalance_every
-            .expect("run_interleaved only runs with a cadence set");
-        assert!(
-            self.frontend.rebalancer.is_some(),
+            self.rebalance_every.is_none() || self.egress.rebalancer.is_some(),
             "rebalance cadence set but no rebalancer armed; use with_rebalancer"
         );
-        let ports = self.frontend.ports();
-        let mut free_at = vec![Time::ZERO; ports];
         let mut out = Vec::with_capacity(trace.len());
-        let mut arrivals = 0usize;
-        for pkt in trace {
-            for port in 0..ports {
-                self.serve_through(port, pkt.arrival, &mut free_at, &mut out);
-            }
-            if let Err(e) = self.frontend.enqueue(*pkt) {
-                match (self.drop_policy, &e) {
-                    (
-                        DropPolicy::CountAndContinue,
-                        ShardError::Port {
-                            source: SchedulerError::BufferFull { .. } | SchedulerError::Sorter(_),
-                            ..
-                        },
-                    ) => self.drops += 1,
-                    _ => return Err(e),
-                }
-            }
-            arrivals += 1;
-            if arrivals.is_multiple_of(every) {
-                self.frontend.maybe_rebalance();
-            }
-        }
-        for port in 0..ports {
-            self.serve_through(port, Time(f64::INFINITY), &mut free_at, &mut out);
-        }
+        self.serve(trace, |port, departure, cycles| {
+            out.push(PortDeparture {
+                port,
+                departure,
+                cycles,
+            });
+        })?;
         out.sort_by(|a, b| {
             a.departure
                 .finish
@@ -1251,72 +1134,24 @@ impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
                 .then(a.port.cmp(&b.port))
         });
         Ok(out)
-    }
-
-    /// Serves `port`'s backlog for as long as its link comes free by
-    /// `now`, advancing the port's free-instant past each departure.
-    fn serve_through(
-        &mut self,
-        port: usize,
-        now: Time,
-        free_at: &mut [Time],
-        out: &mut Vec<PortDeparture>,
-    ) {
-        while free_at[port] <= now {
-            let Some((pkt, stamp)) = self.frontend.dequeue_port_stamped(port) else {
-                break;
-            };
-            let start = free_at[port].max(pkt.arrival);
-            let finish = start + pkt.service_time(self.frontend.port_rate(port));
-            if let Some(lat) = &mut self.latency {
-                lat.record(
-                    pkt.flow.0,
-                    stamp.cycles(),
-                    start.0 - pkt.arrival.0,
-                    finish.0 - start.0,
-                );
-            }
-            out.push(PortDeparture {
-                port,
-                departure: Departure {
-                    packet: pkt,
-                    start,
-                    finish,
-                },
-                cycles: stamp,
-            });
-            free_at[port] = finish;
-        }
-    }
-
-    /// Packets refused and skipped under
-    /// [`DropPolicy::CountAndContinue`] across all ports (0 under
-    /// [`DropPolicy::Error`] — the run aborts instead).
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// The per-flow latency attribution accumulated so far (global flow
-    /// ids), if [`ShardedLinkSim::with_latency`] enabled it.
-    pub fn latency(&self) -> Option<&LatencyTracker> {
-        self.latency.as_ref()
     }
 
     /// The frontend, for post-run inspection.
     pub fn frontend(&self) -> &ShardedScheduler<B, P> {
-        &self.frontend
+        &self.egress
     }
 
     /// Mutable frontend access, for post-run bookkeeping such as
     /// [`ShardedFrontend::reconcile_faults`].
     pub fn frontend_mut(&mut self) -> &mut ShardedScheduler<B, P> {
-        &mut self.frontend
+        &mut self.egress
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DropPolicy;
     use traffic::SizeDist;
 
     /// A WFQ-ranked frontend over explicit port rates and placement.

@@ -336,30 +336,11 @@ fn run(capacity: usize, ops: &[Op]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Shrinks a failing program: drops single operations while the
-/// program still fails, until no single drop keeps it failing.
-fn shrink(capacity: usize, mut ops: Vec<Op>) -> (Vec<Op>, TestCaseError) {
-    let mut error = run(capacity, &ops).expect_err("shrinking a passing program");
-    let mut i = 0;
-    while i < ops.len() {
-        let mut fewer = ops.clone();
-        fewer.remove(i);
-        match run(capacity, &fewer) {
-            Err(e) => {
-                ops = fewer;
-                error = e;
-            }
-            Ok(()) => i += 1,
-        }
-    }
-    (ops, error)
-}
-
 fn check(capacity: usize, ops: &[Op]) -> Result<(), TestCaseError> {
     if run(capacity, ops).is_ok() {
         return Ok(());
     }
-    let (ops, error) = shrink(capacity, ops.to_vec());
+    let (ops, error) = proptest::shrink(ops.to_vec(), |ops| run(capacity, ops));
     Err(TestCaseError(format!(
         "{error}\n  capacity {capacity}, shrunk program ({} ops): {ops:?}",
         ops.len()

@@ -57,6 +57,15 @@ pub enum CheckpointError {
     /// A reader ran past the end of the payload — the payload is valid
     /// but does not contain what the caller tried to decode.
     Exhausted,
+    /// A decoded word is out of range for the state it restores (a tag
+    /// outside the geometry, an unconfigured flow, a queue longer than
+    /// the buffer).
+    OutOfRange {
+        /// What the word encodes.
+        field: &'static str,
+        /// The word found.
+        value: u64,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -84,6 +93,9 @@ impl fmt::Display for CheckpointError {
                 )
             }
             CheckpointError::Exhausted => f.write_str("checkpoint payload exhausted"),
+            CheckpointError::OutOfRange { field, value } => {
+                write!(f, "checkpoint {field} {value} is out of range")
+            }
         }
     }
 }

@@ -12,8 +12,16 @@
 //! abort. The seed and the case count are fixed, so a failure
 //! reproduces exactly, and the budget stays well under a second in a
 //! debug build.
+//!
+//! The same holds one level up, for [`HwScheduler::restore`]: a resealed
+//! scheduler image whose queue words are out of range (a tag outside
+//! the geometry, an unconfigured or over-wide flow id, an over-wide
+//! size, more entries than the buffer holds) is refused with
+//! [`CheckpointError::OutOfRange`].
 
+use scheduler::{HwScheduler, SchedulerConfig};
 use statesync::{Checkpoint, CheckpointBuilder, CheckpointError};
+use traffic::{FlowId, FlowSpec, Packet, Time};
 
 const SEED: u64 = 0x5eed_c4e9_2006_0003;
 const CASES: usize = 4_000;
@@ -172,5 +180,128 @@ fn resealed_header_mutations_never_panic() {
         }
         seal(&mut words);
         read_all(&mut rng, &Checkpoint::from_words(words));
+    }
+}
+
+const FLOWS: u32 = 3;
+const CAPACITY: usize = 4;
+
+fn flows() -> Vec<FlowSpec> {
+    (0..FLOWS)
+        .map(|i| FlowSpec::new(FlowId(i), 1.0, 1e6))
+        .collect()
+}
+
+fn config() -> SchedulerConfig {
+    SchedulerConfig {
+        capacity: CAPACITY,
+        ..SchedulerConfig::default()
+    }
+}
+
+/// The payload of a scheduler checkpoint holding `packets` packets;
+/// its last `7 * packets` words are the queue entries (tag, finish,
+/// enqueue cycle, flow, seq, size, arrival), preceded by their count.
+fn scheduler_payload(packets: usize) -> Vec<u64> {
+    let mut s = HwScheduler::new(&flows(), 1e6, config());
+    for seq in 0..packets as u64 {
+        s.enqueue(Packet {
+            flow: FlowId(seq as u32 % FLOWS),
+            size_bytes: 100,
+            arrival: Time(seq as f64 * 1e-4),
+            seq,
+        })
+        .unwrap();
+    }
+    let words = s.checkpoint().words().to_vec();
+    words[3..words.len() - 1].to_vec()
+}
+
+fn restore(payload: &[u64]) -> Result<HwScheduler, CheckpointError> {
+    let mut b = CheckpointBuilder::new();
+    payload.iter().for_each(|&w| b.word(w));
+    HwScheduler::restore(
+        &flows(),
+        1e6,
+        config(),
+        &fairq::WfqRank::default(),
+        &b.finish(),
+    )
+}
+
+#[test]
+fn resealed_out_of_range_queue_words_are_refused() {
+    let clean = scheduler_payload(1);
+    assert!(restore(&clean).is_ok());
+    let entry = clean.len() - 7;
+    let tag_space = 1u64 << 12;
+    for (offset, field, value) in [
+        (0, "tag", 1 << 33),
+        (0, "tag", 1 << 30),
+        (0, "tag", tag_space),
+        (3, "flow id", 1 << 33),
+        (3, "flow id", u64::from(FLOWS)),
+        (5, "packet size", 1 << 33),
+    ] {
+        let mut words = clean.clone();
+        words[entry + offset] = value;
+        assert_eq!(
+            restore(&words).err(),
+            Some(CheckpointError::OutOfRange { field, value }),
+            "{field} word {value}"
+        );
+    }
+}
+
+#[test]
+fn a_resealed_queue_longer_than_the_buffer_is_refused() {
+    let mut words = scheduler_payload(CAPACITY);
+    let count = words.len() - 7 * CAPACITY - 1;
+    assert_eq!(words[count], CAPACITY as u64);
+    let last: Vec<u64> = words[words.len() - 7..].to_vec();
+    words.extend(last);
+    words[count] += 1;
+    assert_eq!(
+        restore(&words).err(),
+        Some(CheckpointError::OutOfRange {
+            field: "queue length",
+            value: CAPACITY as u64 + 1,
+        })
+    );
+}
+
+#[test]
+fn a_resealed_quantizer_state_of_the_wrong_length_is_refused() {
+    let mut words = scheduler_payload(0);
+    // Thirteen scalar words, then the quantizer slice: length, then
+    // four words.
+    assert_eq!(words[13], 4);
+    words[13] = 3;
+    words.remove(14);
+    assert_eq!(
+        restore(&words).err(),
+        Some(CheckpointError::OutOfRange {
+            field: "quantizer state length",
+            value: 3,
+        })
+    );
+}
+
+#[test]
+fn resealed_queue_word_mutations_never_panic_restore() {
+    let mut rng = Rng(SEED ^ 0x5c4e);
+    let clean = scheduler_payload(CAPACITY - 1);
+    let entries = clean.len() - 7 * (CAPACITY - 1);
+    for _ in 0..CASES / 8 {
+        let mut words = clean.clone();
+        for _ in 0..1 + rng.below(3) {
+            let i = entries + rng.below(words.len() - entries);
+            words[i] = if rng.below(2) == 0 {
+                boundary(&mut rng, words.len())
+            } else {
+                words[i] ^ 1 << rng.below(64)
+            };
+        }
+        let _ = restore(&words);
     }
 }
