@@ -704,6 +704,30 @@ mod tests {
     }
 
     #[test]
+    fn faulted_cells_report_identically_on_both_executors() {
+        // A fault plan's op clock also ticks on empty dequeues, so the
+        // ledgers only agree if both executors make the same calls on
+        // every shard, idle ones included.
+        let text = "frontends = sharded, parallel\nfaults = 32@7:trie:1, 32@9:any:1\n\
+                    backends = trie\npolicies = wfq\nports = 4\nflows = 64\n\
+                    packets = 2000\ngeometry = 4x3\ncapacity = 256\n";
+        let report = run(&CampaignSpec::parse("faulted_executors", text).unwrap());
+        let (sharded, parallel): (Vec<_>, Vec<_>) = report
+            .text
+            .lines()
+            .filter(|line| line.starts_with("cell "))
+            .partition(|line| line.contains("__sharded "));
+        assert_eq!((sharded.len(), parallel.len()), (2, 2));
+        for (seq, par) in sharded.iter().zip(&parallel) {
+            assert!(seq.contains("faults_injected="), "{seq}");
+            assert_eq!(
+                seq.replace("__sharded ", " "),
+                par.replace("__parallel ", " ")
+            );
+        }
+    }
+
+    #[test]
     fn push_out_admission_reports_evictions() {
         let mut spec = tiny();
         // Critically loaded link + tiny buffer: the queue random-walks

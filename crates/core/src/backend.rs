@@ -253,17 +253,6 @@ pub trait SortBackend {
         None
     }
 
-    /// Removes **every** entry in service order (ascending tags, FIFO
-    /// among duplicates) — the checkpoint walk. The default drains via
-    /// [`SortBackend::pop_min`], so normal pop cycle accounting applies.
-    fn drain_entries(&mut self) -> Vec<(Tag, PacketRef)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(entry) = self.pop_min() {
-            out.push(entry);
-        }
-        out
-    }
-
     /// Extracts the entries whose payload matches `belongs`, leaving
     /// everything else stored in its original service order — the
     /// migration primitive: one flow's queued tags leave the shard, the
@@ -299,22 +288,6 @@ pub trait SortBackend {
                 .expect("reinserting a just-popped entry cannot fail under eager cleanup");
         }
         taken
-    }
-
-    /// Installs a migrated flow's entries (already translated onto this
-    /// backend's tag axis, ascending). The inverse of
-    /// [`SortBackend::extract_flow`], running while the shard keeps
-    /// serving — the default inserts them one by one, in order,
-    /// stopping at the first error.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SortBackend::insert`]; earlier entries stay installed.
-    fn install_flow(&mut self, entries: &[(Tag, PacketRef)]) -> Result<(), SortError> {
-        for &(tag, payload) in entries {
-            self.insert(tag, payload)?;
-        }
-        Ok(())
     }
 }
 
@@ -520,7 +493,7 @@ mod tests {
         let taken = b.extract_flow(&mut |p: PacketRef| p.0 % 2 == 1);
         assert_eq!(taken, vec![(Tag(3), PacketRef(1)), (Tag(3), PacketRef(3))]);
         assert_eq!(SortBackend::len(&b), 3);
-        let rest = b.drain_entries();
+        let rest: Vec<_> = std::iter::from_fn(|| SortBackend::pop_min(&mut b)).collect();
         assert_eq!(
             rest,
             vec![
@@ -529,29 +502,6 @@ mod tests {
                 (Tag(9), PacketRef(4)),
             ],
             "survivors must keep ascending order and FIFO among duplicates"
-        );
-    }
-
-    #[test]
-    fn install_flow_round_trips_an_extraction() {
-        let src_spec = spec();
-        let mut src = <SortRetrieveCircuit as SortBackend>::build(&src_spec);
-        let mut dst = <SortRetrieveCircuit as SortBackend>::build(&src_spec);
-        for (tag, pr) in [(5, 10), (2, 11), (5, 12)] {
-            SortBackend::insert(&mut src, Tag(tag), PacketRef(pr)).unwrap();
-        }
-        SortBackend::insert(&mut dst, Tag(1), PacketRef(99)).unwrap();
-        let taken = src.extract_flow(&mut |_| true);
-        dst.install_flow(&taken).unwrap();
-        assert!(SortBackend::is_empty(&src));
-        assert_eq!(
-            dst.drain_entries(),
-            vec![
-                (Tag(1), PacketRef(99)),
-                (Tag(2), PacketRef(11)),
-                (Tag(5), PacketRef(10)),
-                (Tag(5), PacketRef(12)),
-            ]
         );
     }
 }

@@ -674,13 +674,19 @@ mod tests {
             taken,
             vec![(Tag(12), PacketRef(1)), (Tag(55), PacketRef(3))]
         );
-        dst.install_flow(&taken).unwrap();
+        for &(tag, payload) in &taken {
+            dst.insert(tag, payload).unwrap();
+        }
         // Survivors keep FIFO among the duplicate 40s.
+        let survivors: Vec<_> = std::iter::from_fn(|| src.pop_min()).collect();
         assert_eq!(
-            src.drain_entries(),
+            survivors,
             vec![(Tag(40), PacketRef(0)), (Tag(40), PacketRef(2))]
         );
-        assert_eq!(dst.drain_entries(), taken);
+        assert_eq!(
+            std::iter::from_fn(|| dst.pop_min()).collect::<Vec<_>>(),
+            taken
+        );
     }
 
     #[test]

@@ -348,11 +348,6 @@ impl TagStore {
         )
     }
 
-    /// The memory technology in use.
-    pub fn memory_kind(&self) -> MemoryKind {
-        self.kind
-    }
-
     /// Cycles per operation slot (4 single-port, 2 QDR-like).
     pub fn slot_cycles(&self) -> u64 {
         self.kind.slot_cycles()

@@ -73,4 +73,4 @@ pub use rr::{Drr, Mdrr, Wrr};
 pub use scheduler::{Fifo, Scheduler};
 pub use stratified::{Fbfq, StratifiedRr};
 pub use timestamp::{Scfq, Sfq, Wf2q, Wf2qPlus, Wfq};
-pub use virtual_time::{GpsVirtualClock, VirtualTime};
+pub use virtual_time::{GpsVirtualClock, StateError, VirtualTime};

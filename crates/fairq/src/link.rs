@@ -77,7 +77,20 @@ struct Link {
 }
 
 impl Link {
+    /// Packets reached the port at `now`: an idle link polls it again,
+    /// freeing no earlier than `now`, so no packet starts before the
+    /// instant that brought it.
+    fn wake(&mut self, now: Time) {
+        if self.idle {
+            self.idle = false;
+            self.free_at = self.free_at.max(now);
+        }
+    }
+
     /// Serves the port while its link frees strictly before `before`.
+    /// A link never frees before a packet it holds arrived (a busy link
+    /// was served up to the latest arrival instant, and [`Link::wake`]
+    /// covers an idle one), so each packet starts when the link frees.
     fn serve_before<E: Egress>(
         &mut self,
         egress: &mut E,
@@ -91,9 +104,8 @@ impl Link {
                 self.idle = true;
                 return;
             };
-            // A backlog migrated onto an idle port may be newer than the
-            // instant its link came free.
-            let start = self.free_at.max(packet.arrival);
+            let start = self.free_at;
+            debug_assert!(packet.arrival <= start, "packet served before it arrived");
             let finish = start + packet.service_time(rate_bps);
             self.free_at = finish;
             depart(
@@ -118,8 +130,9 @@ impl Link {
 /// grouped by instant; before the group at `t` every port whose link
 /// frees strictly before `t` is served, so a link freeing at `t` chooses
 /// among the whole group. A port whose poll came back empty is polled
-/// again only after an admission to it (its link then frees no earlier
-/// than that arrival) or a rebalance round that moved packets onto it.
+/// again only after an admission to it or a rebalance round that moved
+/// packets onto it; either way its link then frees no earlier than that
+/// instant.
 /// [`Egress::rebalance`] runs after every `rebalance_every` arrivals.
 /// When the trace ends, every port drains.
 ///
@@ -159,14 +172,10 @@ pub fn serve_links<E: Egress>(
             }
             Admit::Refused(_, e) | Admit::Fatal(e) => return Err(e),
         };
-        let link = &mut links[port];
-        if link.idle {
-            link.idle = false;
-            link.free_at = link.free_at.max(now);
-        }
+        links[port].wake(now);
         if rebalance_every.is_some_and(|every| (n + 1).is_multiple_of(every)) {
             if let Some(port) = egress.rebalance() {
-                links[port].idle = false;
+                links[port].wake(now);
             }
         }
     }
@@ -397,6 +406,57 @@ mod tests {
             |_, _, ()| {},
         );
         assert_eq!(refused, Err(2), "the first refusal aborts");
+    }
+
+    /// Two FIFO ports whose rebalance round moves port 0's backlog onto
+    /// port 1.
+    #[derive(Default)]
+    struct Mover([Vec<Packet>; 2]);
+
+    impl Egress for Mover {
+        type Error = ();
+        type Stamp = ();
+
+        fn admit(&mut self, pkt: Packet) -> Admit<()> {
+            self.0[pkt.flow.0 as usize].push(pkt);
+            Admit::Queued(pkt.flow.0 as usize)
+        }
+
+        fn serve(&mut self, port: usize, _now: Time) -> Option<(Packet, ())> {
+            let q = &mut self.0[port];
+            (!q.is_empty()).then(|| (q.remove(0), ()))
+        }
+
+        fn rebalance(&mut self) -> Option<usize> {
+            let moved = std::mem::take(&mut self.0[0]);
+            self.0[1].extend(moved);
+            Some(1)
+        }
+    }
+
+    #[test]
+    fn a_port_woken_by_a_rebalance_starts_no_earlier_than_the_round() {
+        // 1000-bit packets on 2 kb/s links take 0.5 s. Port 1 serves
+        // packet 0 and idles from 0.5 s; the round after the sixth
+        // arrival, at 1.0 s, moves port 0's last three packets over.
+        let mut trace = vec![pkt(0, 1, 0.0, 125)];
+        trace.extend((1..5).map(|i| pkt(i, 0, 0.0, 125)));
+        trace.push(pkt(5, 0, 1.0, 125));
+        let mut starts = Vec::new();
+        let drops = serve_links(
+            &mut Mover::default(),
+            &[2e3, 2e3],
+            trace,
+            DropPolicy::Error,
+            Some(6),
+            |port, d, ()| starts.push((port, d.packet.seq, d.start)),
+        );
+        assert_eq!(drops, Ok(0));
+        starts.retain(|&(port, seq, _)| port == 1 && seq > 0);
+        assert_eq!(
+            starts,
+            [(1, 3, Time(1.0)), (1, 4, Time(1.5)), (1, 5, Time(2.0))]
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@
 
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
-use crate::virtual_time::{GpsVirtualClock, VirtualTime};
+use crate::virtual_time::{GpsVirtualClock, StateError, VirtualTime};
 
 /// A programmable rank computation over the sorting circuit.
 ///
@@ -106,17 +106,14 @@ pub trait RankPolicy: std::fmt::Debug + Clone {
     /// Restores the state captured by [`RankPolicy::state_words`] into
     /// a policy built for the same link.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the words do not match this policy's shape (wrong
-    /// policy, or a different flow population).
-    fn load_state_words(&mut self, words: &[u64]) {
-        assert!(
-            words.is_empty(),
-            "{} carries no checkpoint state, got {} words",
-            self.name(),
-            words.len()
-        );
+    /// A [`StateError`] if the words do not match this policy's shape
+    /// (wrong policy, or a different flow population) or a word that
+    /// holds a float is not finite. A refused image may leave the
+    /// policy partly loaded; a restore discards it.
+    fn load_state_words(&mut self, words: &[u64]) -> Result<(), StateError> {
+        StateError::require("rank-policy state length", words.len() as u64, 0)
     }
 
     /// The scheduling history a flow takes with it when it migrates off
@@ -152,6 +149,25 @@ pub(crate) fn dense_weights(flows: &[FlowSpec]) -> Vec<f64> {
         weights[idx] = f.weight;
     }
     weights
+}
+
+/// Decodes the `[scalar, n, n per-flow floats]` image that STFQ and the
+/// leaky bucket share, for a link of `flows` flows; `[scalar, per_flow]`
+/// name the floats, which must all be finite.
+fn scalar_and_flows(
+    [scalar, per_flow]: [&'static str; 2],
+    words: &[u64],
+    flows: usize,
+) -> Result<(f64, Vec<f64>), StateError> {
+    let length = words.len() as u64;
+    StateError::require("rank-policy state length", length, 2 + flows as u64)?;
+    StateError::require("rank-policy flow count", words[1], flows as u64)?;
+    let x = StateError::finite(scalar, words[0])?;
+    let per_flow = words[2..]
+        .iter()
+        .map(|&w| StateError::finite(per_flow, w))
+        .collect::<Result<_, _>>()?;
+    Ok((x, per_flow))
 }
 
 /// Weighted fair queueing (PGPS) — the paper's policy and the default.
@@ -215,8 +231,8 @@ impl RankPolicy for WfqRank {
         self.clock().state_words()
     }
 
-    fn load_state_words(&mut self, words: &[u64]) {
-        self.clock_mut().load_state_words(words);
+    fn load_state_words(&mut self, words: &[u64]) -> Result<(), StateError> {
+        self.clock_mut().load_state_words(words)
     }
 
     fn flow_finish(&self, flow: FlowId) -> VirtualTime {
@@ -282,17 +298,10 @@ impl RankPolicy for StfqRank {
         words
     }
 
-    fn load_state_words(&mut self, words: &[u64]) {
-        let n = self.last_finish.len();
-        assert!(
-            words.len() == 2 + n && words[1] as usize == n,
-            "stfq state for {} flows cannot restore into {n}",
-            words.get(1).copied().unwrap_or(0),
-        );
-        self.v = f64::from_bits(words[0]);
-        for (slot, &w) in self.last_finish.iter_mut().zip(&words[2..]) {
-            *slot = f64::from_bits(w);
-        }
+    fn load_state_words(&mut self, words: &[u64]) -> Result<(), StateError> {
+        let names = ["stfq virtual time", "stfq finish tag"];
+        (self.v, self.last_finish) = scalar_and_flows(names, words, self.last_finish.len())?;
+        Ok(())
     }
 
     fn flow_finish(&self, flow: FlowId) -> VirtualTime {
@@ -380,9 +389,10 @@ impl RankPolicy for FifoPlusRank {
         vec![self.last_arrival.to_bits()]
     }
 
-    fn load_state_words(&mut self, words: &[u64]) {
-        assert_eq!(words.len(), 1, "fifo+ state is one word");
-        self.last_arrival = f64::from_bits(words[0]);
+    fn load_state_words(&mut self, words: &[u64]) -> Result<(), StateError> {
+        StateError::require("rank-policy state length", words.len() as u64, 1)?;
+        self.last_arrival = StateError::finite("fifo+ last arrival", words[0])?;
+        Ok(())
     }
 }
 
@@ -507,17 +517,10 @@ impl RankPolicy for LeakyBucketRank {
         words
     }
 
-    fn load_state_words(&mut self, words: &[u64]) {
-        let n = self.eta.len();
-        assert!(
-            words.len() == 2 + n && words[1] as usize == n,
-            "leaky state for {} flows cannot restore into {n}",
-            words.get(1).copied().unwrap_or(0),
-        );
-        self.last_arrival = f64::from_bits(words[0]);
-        for (slot, &w) in self.eta.iter_mut().zip(&words[2..]) {
-            *slot = f64::from_bits(w);
-        }
+    fn load_state_words(&mut self, words: &[u64]) -> Result<(), StateError> {
+        let names = ["leaky last arrival", "leaky bucket level"];
+        (self.last_arrival, self.eta) = scalar_and_flows(names, words, self.eta.len())?;
+        Ok(())
     }
 
     fn flow_finish(&self, flow: FlowId) -> VirtualTime {
@@ -663,29 +666,27 @@ impl RankPolicy for HierarchicalWfqRank {
         words
     }
 
-    fn load_state_words(&mut self, words: &[u64]) {
-        assert!(
-            words.first().copied() == Some(self.clocks.len() as u64),
-            "hwfq state for {} classes cannot restore into {}",
-            words.first().copied().unwrap_or(0),
-            self.clocks.len(),
-        );
-        let mut rest = &words[1..];
-        for (class, clock) in self.clocks.iter_mut().enumerate() {
-            let body = rest
-                .split_first()
-                .and_then(|(&len, tail)| tail.split_at_checked(usize::try_from(len).ok()?));
-            let Some((state, tail)) = body else {
-                panic!("hwfq state truncated in class {class}");
+    fn load_state_words(&mut self, words: &[u64]) -> Result<(), StateError> {
+        let Some((&classes, mut rest)) = words.split_first() else {
+            return Err(StateError {
+                field: "hwfq state length",
+                value: 0,
+            });
+        };
+        StateError::require("hwfq class count", classes, self.clocks.len() as u64)?;
+        for clock in &mut self.clocks {
+            let truncated = StateError {
+                field: "hwfq class state length",
+                value: rest.first().copied().unwrap_or(0),
             };
-            clock.load_state_words(state);
+            let (state, tail) = rest
+                .split_first()
+                .and_then(|(&len, tail)| tail.split_at_checked(usize::try_from(len).ok()?))
+                .ok_or(truncated)?;
+            clock.load_state_words(state)?;
             rest = tail;
         }
-        assert!(
-            rest.is_empty(),
-            "hwfq state has {} trailing words",
-            rest.len()
-        );
+        StateError::require("hwfq trailing words", rest.len() as u64, 0)
     }
 
     fn flow_finish(&self, flow: FlowId) -> VirtualTime {
@@ -806,7 +807,7 @@ impl RankPolicy for AnyPolicy {
         delegate!(self, p => p.state_words())
     }
 
-    fn load_state_words(&mut self, words: &[u64]) {
+    fn load_state_words(&mut self, words: &[u64]) -> Result<(), StateError> {
         delegate!(self, p => p.load_state_words(words))
     }
 
@@ -943,7 +944,7 @@ mod tests {
             }
             let words = live.state_words();
             let mut twin = proto.for_link(&fl, 1e6);
-            twin.load_state_words(&words);
+            assert_eq!(twin.load_state_words(&words), Ok(()), "{name}");
             assert_eq!(twin.state_words(), words, "{name}: reload changed state");
             assert_eq!(twin.rank_floor(), live.rank_floor(), "{name}");
             for i in 30..60u32 {
@@ -954,14 +955,34 @@ mod tests {
     }
 
     #[test]
-    fn state_words_reject_the_wrong_population() {
-        let mut small = StfqRank::default().for_link(&flows(&[1.0]), 1e6);
-        let big = StfqRank::default().for_link(&flows(&[1.0, 2.0]), 1e6);
-        let words = big.state_words();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            small.load_state_words(&words)
-        }));
-        assert!(result.is_err(), "cross-population restore must panic");
+    fn state_words_refuse_wrong_lengths_and_non_finite_words() {
+        // Every word of every policy's image is a float, a count, a
+        // length or a 0/1 flag, so NaN or infinity bits in any of them
+        // must be refused, as must one word too many or too few.
+        let fl = flows(&[1.0, 3.0, 2.0]);
+        for name in AnyPolicy::NAMES {
+            let proto = AnyPolicy::by_name(name).expect(name);
+            let mut live = proto.for_link(&fl, 1e6);
+            for i in 0..12u32 {
+                live.rank(&pkt(i % 3, f64::from(i) * 1e-4, 300));
+            }
+            let words = live.state_words();
+            let load = |image: &[u64]| proto.for_link(&fl, 1e6).load_state_words(image);
+            assert_eq!(load(&words), Ok(()), "{name}");
+            let mut long = words.clone();
+            long.push(0);
+            assert!(load(&long).is_err(), "{name}: a trailing word restored");
+            if let Some((_, short)) = words.split_last() {
+                assert!(load(short).is_err(), "{name}: a short image restored");
+            }
+            for at in 0..words.len() {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut image = words.clone();
+                    image[at] = bad.to_bits();
+                    assert!(load(&image).is_err(), "{name}: {bad} at word {at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -973,35 +994,27 @@ mod tests {
         }
         let words = live.state_words();
         let restore = |image: &[u64]| {
-            let mut twin = HierarchicalWfqRank::with_classes(2).for_link(&fl, 1e6);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                twin.load_state_words(image)
-            }))
-            .map_err(|e| {
-                e.downcast_ref::<String>()
-                    .cloned()
-                    .expect("a formatted panic message")
-            })
+            HierarchicalWfqRank::with_classes(2)
+                .for_link(&fl, 1e6)
+                .load_state_words(image)
+                .map_err(|e| e.field)
         };
-        assert!(restore(&words).is_ok());
+        assert_eq!(restore(&words), Ok(()));
+        assert_eq!(restore(&[]), Err("hwfq state length"));
         for cut in 1..words.len() {
-            let err = restore(&words[..cut]).expect_err("truncated image restored");
-            assert!(
-                err.contains("truncated") || err.contains("cannot restore"),
-                "cut at {cut}: {err}"
+            assert_eq!(
+                restore(&words[..cut]),
+                Err("hwfq class state length"),
+                "cut at {cut}"
             );
         }
         let mut long = words.clone();
         long.push(0);
-        assert!(restore(&long)
-            .expect_err("trailing word restored")
-            .contains("trailing"));
+        assert_eq!(restore(&long), Err("hwfq trailing words"));
         // A length word past the end must not overflow the slice bound.
         let mut huge = words;
         huge[1] = u64::MAX;
-        assert!(restore(&huge)
-            .expect_err("oversized length")
-            .contains("truncated"));
+        assert_eq!(restore(&huge), Err("hwfq class state length"));
     }
 
     #[test]

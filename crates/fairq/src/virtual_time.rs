@@ -54,6 +54,43 @@ impl fmt::Display for VirtualTime {
     }
 }
 
+/// A checkpoint image that does not fit the clock or rank policy it is
+/// loaded into: a length or count for another flow population, a float
+/// that is not finite, or a flag out of range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StateError {
+    /// What the offending word encodes.
+    pub field: &'static str,
+    /// The word found (a float's bit pattern).
+    pub value: u64,
+}
+
+impl StateError {
+    /// Requires `found == expected`.
+    pub(crate) fn require(field: &'static str, found: u64, expected: u64) -> Result<(), Self> {
+        let err = Self {
+            field,
+            value: found,
+        };
+        (found == expected).then_some(()).ok_or(err)
+    }
+
+    /// Decodes a word that must hold a finite float.
+    pub(crate) fn finite(field: &'static str, word: u64) -> Result<f64, Self> {
+        let x = f64::from_bits(word);
+        let err = Self { field, value: word };
+        x.is_finite().then_some(x).ok_or(err)
+    }
+}
+
+impl fmt::Display for StateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} word {:#x} does not fit", self.field, self.value)
+    }
+}
+
+impl std::error::Error for StateError {}
+
 /// Incremental tracker of the GPS virtual time V(t) of paper eq. (1).
 ///
 /// V advances at rate `R / Σφᵢ` over the *busy* sessions — sessions whose
@@ -471,39 +508,25 @@ impl GpsVirtualClock {
     /// clock's V trajectory continues exactly where the source left
     /// off.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the words do not describe a clock over the same number
-    /// of flows (a checkpoint CRC guards against corruption upstream;
-    /// this guards against restoring into the wrong link), if V, the
-    /// last event time or a finish tag is not finite, or if a busy flag
-    /// is neither 0 nor 1. A non-finite busy key would sort outside
-    /// every real tag and never drain, freezing V's slope.
-    pub fn load_state_words(&mut self, words: &[u64]) {
+    /// A [`StateError`], with the clock unchanged, if the words do not
+    /// describe a clock over the same number of flows (a checkpoint CRC
+    /// guards against corruption upstream; this guards against
+    /// restoring into the wrong link), if V, the last event time or a
+    /// finish tag is not finite, or if a busy flag is neither 0 nor 1.
+    /// A non-finite busy key would sort outside every real tag and
+    /// never drain, freezing V's slope.
+    pub fn load_state_words(&mut self, words: &[u64]) -> Result<(), StateError> {
         let n = self.flows.len();
-        assert!(
-            words.len() == 3 + 2 * n && words[2] as usize == n,
-            "clock state for {} flows cannot restore into {n}",
-            words.get(2).copied().unwrap_or(0),
-        );
-        let v = f64::from_bits(words[0]);
-        let t_last = f64::from_bits(words[1]);
-        assert!(v.is_finite(), "clock state V is not finite: {v}");
-        assert!(
-            t_last.is_finite(),
-            "clock state last event time is not finite: {t_last}"
-        );
+        StateError::require("clock state length", words.len() as u64, 3 + 2 * n as u64)?;
+        StateError::require("clock flow count", words[2], n as u64)?;
+        let v = StateError::finite("clock V", words[0])?;
+        let t_last = StateError::finite("clock last event time", words[1])?;
         let (finishes, flags) = words[3..].split_at(n);
-        for (i, (&f, &busy)) in finishes.iter().zip(flags).enumerate() {
-            let f = f64::from_bits(f);
-            assert!(
-                f.is_finite(),
-                "clock state finish tag of flow {i} is not finite: {f}"
-            );
-            assert!(
-                busy <= 1,
-                "clock state busy flag of flow {i} is {busy}, not 0 or 1"
-            );
+        for (&f, &busy) in finishes.iter().zip(flags) {
+            StateError::finite("clock finish tag", f)?;
+            StateError::require("clock busy flag", busy, busy & 1)?; // 0 or 1
         }
         self.v = v;
         self.t_last = t_last;
@@ -520,6 +543,7 @@ impl GpsVirtualClock {
             }
         }
         self.breakpoints = vec![(self.t_last, self.v)];
+        Ok(())
     }
 
     fn push_breakpoint(&mut self) {
@@ -716,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_non_finite_words_and_bad_busy_flags() {
+    fn restore_refuses_wrong_shapes_non_finite_words_and_bad_busy_flags() {
         let mut src = GpsVirtualClock::new(&[1.0, 2.0], 1e6);
         src.on_arrival(FlowId(0), 8000.0, Time(0.0));
         src.on_arrival(FlowId(1), 8000.0, Time(1e-3));
@@ -724,26 +748,32 @@ mod tests {
         // Words: V, last event time, flow count, finish tags, busy flags.
         let negative_nan = (-f64::NAN).to_bits();
         let bad = [
-            (0, negative_nan, "V is not finite"),
-            (0, f64::INFINITY.to_bits(), "V is not finite"),
-            (1, f64::NAN.to_bits(), "last event time is not finite"),
-            (3, negative_nan, "finish tag of flow 0"),
-            (4, f64::NEG_INFINITY.to_bits(), "finish tag of flow 1"),
-            (6, 2, "busy flag of flow 1 is 2"),
+            (0, negative_nan, "clock V"),
+            (0, f64::INFINITY.to_bits(), "clock V"),
+            (1, f64::NAN.to_bits(), "clock last event time"),
+            (2, 3, "clock flow count"),
+            (3, negative_nan, "clock finish tag"),
+            (4, f64::NEG_INFINITY.to_bits(), "clock finish tag"),
+            (6, 2, "clock busy flag"),
         ];
-        for (at, word, want) in bad {
+        for (at, value, field) in bad {
             let mut image = words.clone();
-            image[at] = word;
+            image[at] = value;
             let mut dst = GpsVirtualClock::new(&[1.0, 2.0], 1e6);
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dst.load_state_words(&image)
-            }))
-            .expect_err("bad word restored");
-            let msg = err.downcast_ref::<String>().expect("a formatted message");
-            assert!(msg.contains(want), "word {at}: {msg}");
+            let before = dst.state_words();
+            let refused = dst.load_state_words(&image);
+            let want = Err(StateError { field, value });
+            // A refused image leaves the clock as it was.
+            assert_eq!((refused, dst.state_words()), (want, before), "word {at}");
         }
         let mut dst = GpsVirtualClock::new(&[1.0, 2.0], 1e6);
-        dst.load_state_words(&words);
+        for len in [0, 3, words.len() - 1, words.len() + 1] {
+            let mut image = words.clone();
+            image.resize(len, 0);
+            let refused = dst.load_state_words(&image).map_err(|e| (e.field, e.value));
+            assert_eq!(refused, Err(("clock state length", len as u64)));
+        }
+        assert_eq!(dst.load_state_words(&words), Ok(()));
         assert_eq!(dst.state_words(), words);
     }
 

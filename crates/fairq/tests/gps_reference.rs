@@ -338,7 +338,9 @@ fn run(population: &Population, ops: &[Op]) -> Result<(), String> {
             Op::RoundTrip => {
                 let words = clock.state_words();
                 clock = population.clock(RATE);
-                clock.load_state_words(&words);
+                clock
+                    .load_state_words(&words)
+                    .expect("a clock's own image loads");
                 let ref_words = reference.state_words();
                 reference = RefClock::new(weights, RATE);
                 reference.load_state_words(&ref_words);
@@ -508,7 +510,9 @@ fn clock_matches_the_reference_on_a_deep_zipf_incast() {
                 same_words(&clock, &reference, &format!("round {r} middle"));
                 let words = clock.state_words();
                 clock = GpsVirtualClock::new(&weights, LINK_BPS);
-                clock.load_state_words(&words);
+                clock
+                    .load_state_words(&words)
+                    .expect("a clock's own image loads");
                 reference.load_state_words(&words);
             }
             assert_eq!(

@@ -620,16 +620,6 @@ impl FaultLedger {
             }
         }
     }
-
-    /// Indices of records matching `pred` (repair attribution sweeps).
-    pub fn find_all(&self, mut pred: impl FnMut(&FaultRecord) -> bool) -> Vec<usize> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| pred(r))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Fault-injection parse/config errors carried to CLI surfaces.

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use fairq::{GpsVirtualClock, RankPolicy, VirtualTime, WfqRank};
+use fairq::{RankPolicy, VirtualTime, WfqRank};
 use faultsim::{
     DetectionKind, FaultAttachError, FaultComponent, FaultConfig, FaultLedger, FaultPlan,
     FaultPolicy, FaultRecord, FaultTarget, ScrubOrder,
@@ -550,14 +550,6 @@ impl HwScheduler {
     }
 }
 
-impl<B: SortBackend> HwScheduler<B, WfqRank> {
-    /// The WFQ virtual clock (read access for experiments). Only the
-    /// default [`WfqRank`] policy exposes one.
-    pub fn virtual_clock(&self) -> &GpsVirtualClock {
-        self.policy.clock()
-    }
-}
-
 impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// Creates a scheduler whose sorting engine is built from the
     /// backend type `B` (see [`SortBackend::build`]) and whose rank
@@ -749,12 +741,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         }
     }
 
-    /// The smallest queued tag, if any — the sorter's head register,
-    /// available every cycle for the eq. (1) feedback.
-    pub fn peek_min_tag(&self) -> Option<Tag> {
-        self.sorter.peek_min().map(|(t, _)| t)
-    }
-
     /// The fault ledger's records, in injection order (empty when no
     /// fault campaign is configured).
     pub fn fault_records(&self) -> &[FaultRecord] {
@@ -768,12 +754,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// without a fault campaign.
     pub fn fault_rejections(&self) -> &[(u64, FaultAttachError)] {
         self.faults.as_ref().map_or(&[], |f| &f.rejected)
-    }
-
-    /// The sorting backend's self-reported name (`"trie"`,
-    /// `"fastpath"`, `"heap"`, ...).
-    pub fn backend_name(&self) -> &'static str {
-        self.sorter.name()
     }
 
     /// Whether the sorter's off-chip state is paged (see
@@ -1406,8 +1386,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     }
 
     /// Advances the policy's notion of time to `now` without an arrival
-    /// (useful before reading [`HwScheduler::virtual_clock`]
-    /// mid-experiment; a no-op for clockless policies).
+    /// (a no-op for clockless policies).
     pub fn advance_clock(&mut self, now: Time) {
         self.policy.advance(now);
     }
@@ -1504,7 +1483,9 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// foreign/duplicate format, or a well-sealed image whose queue does
     /// not fit this scheduler (more entries than the buffer holds, a
     /// tag outside the geometry, an unconfigured flow, a size wider
-    /// than 32 bits, or quantizer state of the wrong length).
+    /// than 32 bits, quantizer state of the wrong length, or rank-policy
+    /// state that does not fit the policy — see
+    /// [`RankPolicy::load_state_words`]).
     ///
     /// # Panics
     ///
@@ -1568,7 +1549,9 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             ));
         }
         s.quantizer.load_state_words(&quantizer);
-        s.policy.load_state_words(&r.slice()?);
+        s.policy
+            .load_state_words(&r.slice()?)
+            .map_err(|e| out_of_range(e.field, e.value))?;
         // Seven words per entry: a count the payload cannot hold is
         // refused before anything is allocated for it.
         let n = usize::try_from(r.word()?)

@@ -18,8 +18,9 @@
 //!
 //! One core owns every decision the frontend makes: routing and the
 //! global↔local flow ids, the migration protocol and rebalancing, the
-//! round-robin merge, and statistics. An *executor* only carries the
-//! per-port calls to the shards:
+//! round-robin merge, which ports to poll, and statistics. It writes
+//! each per-port verb once, as a call on one port, and an *executor*
+//! only carries those calls to the shards:
 //!
 //! - [`ShardedScheduler`] runs every shard inline on the caller's thread
 //!   ([`Inline`]);
@@ -341,12 +342,6 @@ impl ShardStats {
             .sum()
     }
 
-    /// Modeled aggregate line rate for a mean packet size, bits per
-    /// second.
-    pub fn modeled_line_rate_bps(&self, clock_hz: f64, mean_packet_bytes: f64) -> f64 {
-        self.modeled_packets_per_second(clock_hz) * mean_packet_bytes * 8.0
-    }
-
     /// Load-balance quality: the max/mean ratio of per-port admitted
     /// packets (`enqueued`). 1.0 is a perfectly even spread; N means
     /// everything landed on one of N ports. An idle frontend (no
@@ -646,7 +641,8 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
                 "registry shard count must match port count"
             );
         }
-        self.exec.attach_telemetry(tel);
+        let tel = tel.clone();
+        self.each(move |p| p.attach_telemetry(&tel));
     }
 
     /// Number of output ports.
@@ -699,11 +695,6 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
         self.map.placement()
     }
 
-    /// The live flow → port ownership table.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
     /// Completed flow migrations (see
     /// [`ShardedFrontend::migrate_flow`]).
     pub fn migrations(&self) -> u64 {
@@ -736,7 +727,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     pub fn enqueue(&mut self, pkt: Packet) -> Result<(), ShardError> {
         let (port, routed) = self.route(&pkt)?;
         self.exec
-            .enqueue(port, routed)
+            .on(port, move |p| p.admit(routed))
             .map_err(|source| ShardError::Port { port, source })?;
         self.flow_arrivals[pkt.flow.0 as usize] += 1;
         self.peak = self.peak.max(self.len());
@@ -770,9 +761,14 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
                 .map_err(|error| BatchError { accepted: 0, error })?;
             buckets[port].push(routed);
         }
+        let calls = buckets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(port, bucket)| (port, move |p: &mut Port<B, P>| p.admit_all(bucket)));
         let mut admitted = vec![0; self.ports()];
         let mut first_error = None;
-        for (port, (accepted, error)) in self.exec.enqueue_buckets(buckets) {
+        for (port, (accepted, error)) in self.exec.scatter(calls) {
             admitted[port] = accepted;
             if let (Some(source), None) = (error, &first_error) {
                 first_error = Some(ShardError::Port { port, source });
@@ -806,7 +802,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
         let ports = self.ports();
         for step in 0..ports {
             let port = (self.cursor + step) % ports;
-            if let Some((pkt, _)) = self.exec.pop(port) {
+            if let Some((pkt, _)) = self.dequeue_port_stamped(port) {
                 self.cursor = (port + 1) % ports;
                 return Some((port, pkt));
             }
@@ -820,7 +816,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     ///
     /// Panics if `port` is out of range.
     pub fn dequeue_port(&mut self, port: usize) -> Option<Packet> {
-        self.exec.pop(port).map(|(pkt, _)| pkt)
+        self.dequeue_port_stamped(port).map(|(pkt, _)| pkt)
     }
 
     /// Serves one port's smallest tag with the shard's circuit-cycle
@@ -831,7 +827,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     ///
     /// Panics if `port` is out of range.
     pub fn dequeue_port_stamped(&mut self, port: usize) -> Option<(Packet, SojournStamp)> {
-        self.exec.pop(port)
+        self.exec.on(port, |p| p.pop_one())
     }
 
     /// Serves up to `per_port` packets from **every** port (concurrently
@@ -853,19 +849,20 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
         self.dequeue_round(usize::MAX)
     }
 
-    /// [`ShardedFrontend::drain`], keeping each packet's circuit-cycle
-    /// stamps — the batched feed for per-flow latency attribution
-    /// ([`telemetry::LatencyTracker`]).
-    pub fn drain_stamped(&mut self) -> Vec<(usize, Packet, SojournStamp)> {
-        self.drain_round(usize::MAX)
-    }
-
-    /// Pops up to `max` packets per port and merges the per-port
-    /// tag-order runs in round-robin order, advancing the cursor exactly
-    /// as serving them one by one would have.
+    /// Pops up to `max` packets from every backlogged port — an idle
+    /// port is not polled at all — and merges the per-port tag-order
+    /// runs in round-robin order, advancing the cursor exactly as
+    /// serving them one by one would have.
     fn drain_round(&mut self, max: usize) -> Vec<(usize, Packet, SojournStamp)> {
-        let runs = self.exec.pop_each(max);
-        let ports = runs.len();
+        let ports = self.ports();
+        let calls: Vec<_> = (0..ports)
+            .filter(|&port| self.port_len(port) > 0)
+            .map(|port| (port, move |p: &mut Port<B, P>| p.pop(max)))
+            .collect();
+        let mut runs = vec![Vec::new(); ports];
+        for (port, run) in self.exec.scatter(calls) {
+            runs[port] = run;
+        }
         let total = runs.iter().map(Vec::len).sum();
         let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
         let mut out = Vec::with_capacity(total);
@@ -885,7 +882,25 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     /// Per-port and aggregated statistics (gathered from all workers
     /// concurrently under [`Threads`]).
     pub fn stats(&self) -> ShardStats {
-        aggregate_stats(self.exec.stats(), self.peak)
+        aggregate_stats(self.port_stats(), self.peak)
+    }
+
+    fn port_stats(&self) -> Vec<SchedulerStats> {
+        self.exec.every(|p| p.shard.stats())
+    }
+
+    /// Runs `call` on every port (concurrently under [`Threads`]);
+    /// results in port order.
+    fn each<R: Send + 'static>(
+        &mut self,
+        call: impl FnOnce(&mut Port<B, P>) -> R + Clone + Send + 'static,
+    ) -> Vec<R> {
+        let calls = (0..self.ports()).map(|port| (port, call.clone()));
+        self.exec
+            .scatter(calls)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect()
     }
 
     /// End-of-run fault accounting on every port (see
@@ -898,12 +913,14 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     /// dropping the frontend without calling this never loses the
     /// accounting.
     pub fn reconcile_faults(&mut self) -> (u64, u64, u64, u64) {
-        self.exec
-            .reconcile_faults()
-            .into_iter()
-            .fold((0, 0, 0, 0), |acc, (i, d, r, s)| {
-                (acc.0 + i, acc.1 + d, acc.2 + r, acc.3 + s)
-            })
+        self.each(|p| {
+            p.shard.reconcile_faults();
+            p.shard.fault_totals()
+        })
+        .into_iter()
+        .fold((0, 0, 0, 0), |acc, (i, d, r, s)| {
+            (acc.0 + i, acc.1 + d, acc.2 + r, acc.3 + s)
+        })
     }
 
     /// Moves one flow's entire queued backlog — and its rank state —
@@ -942,10 +959,10 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
         self.map.begin_migration(flow, to);
         // Dynamic placement keeps global flow ids on every shard, so the
         // flow's id is the same on both ports.
-        let backlog = self.exec.extract(from, flow);
+        let backlog = self.exec.on(from, move |p| p.shard.extract_flow(flow));
         let packets = backlog.len();
-        if let Err((source, backlog)) = self.exec.install(to, flow, backlog) {
-            let reinstalled = self.exec.install(from, flow, backlog);
+        if let Err((source, backlog)) = self.exec.on(to, move |p| p.install(flow, backlog)) {
+            let reinstalled = self.exec.on(from, move |p| p.install(flow, backlog));
             assert!(
                 reinstalled.is_ok(),
                 "reinstalling into the slots just vacated cannot fail"
@@ -980,8 +997,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
             "no rebalancer armed; use with_rebalancer"
         );
         let loads: Vec<ShardLoad> = self
-            .exec
-            .stats()
+            .port_stats()
             .iter()
             .zip(&mut self.last_enqueued)
             .enumerate()
@@ -1201,8 +1217,15 @@ mod tests {
 
     #[test]
     fn routing_matches_the_hash_and_restores_global_ids() {
+        routing_matches_the_hash_and_restores_global_ids_on::<Inline<_, _>>();
+        routing_matches_the_hash_and_restores_global_ids_on::<Threads<_, _>>();
+    }
+
+    fn routing_matches_the_hash_and_restores_global_ids_on<
+        X: Executor<SortRetrieveCircuit, WfqRank>,
+    >() {
         let fl = flows(16);
-        let mut fe = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
+        let mut fe = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 4, SchedulerConfig::default());
         assert_eq!(fe.ports(), 4);
         assert_eq!(fe.flows(), 16);
         for f in 0..16u32 {
@@ -1210,10 +1233,12 @@ mod tests {
         }
         assert_eq!(fe.port_of(FlowId(99)), None);
         fe.enqueue(pkt(0, 7, 0.0, 140)).unwrap();
+        assert_eq!(fe.len(), 1);
         let (port, out) = fe.dequeue().unwrap();
         assert_eq!(port, shard_of(FlowId(7), 4));
         assert_eq!(out.flow, FlowId(7), "global id restored");
         assert_eq!(out.seq, 0);
+        assert!(fe.is_empty());
     }
 
     #[test]
@@ -1327,31 +1352,20 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_is_work_conserving() {
-        let fl = flows(16);
-        let mut fe = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        for i in 0..64 {
-            fe.enqueue(pkt(i, (i % 16) as u32, 0.0, 500)).unwrap();
-        }
-        let mut served = 0;
-        while !fe.is_empty() {
-            let before = fe.len();
-            assert!(fe.dequeue().is_some(), "idle with {before} backlogged");
-            served += 1;
-        }
-        assert_eq!(served, 64);
-        assert!(fe.dequeue().is_none());
+    fn stats_aggregate_sums_ports() {
+        stats_aggregate_sums_ports_on::<Inline<_, _>>();
+        stats_aggregate_sums_ports_on::<Threads<_, _>>();
     }
 
-    #[test]
-    fn stats_aggregate_sums_ports() {
+    fn stats_aggregate_sums_ports_on<X: Executor<SortRetrieveCircuit, WfqRank>>() {
         let fl = flows(16);
-        let mut fe = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        for i in 0..40 {
-            fe.enqueue(pkt(i, (i % 16) as u32, 0.0, 500)).unwrap();
-        }
-        while fe.dequeue().is_some() {}
+        let mut fe = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 4, SchedulerConfig::default());
+        let batch: Vec<Packet> = (0..40).map(|i| pkt(i, (i % 16) as u32, 0.0, 500)).collect();
+        fe.enqueue_batch(&batch).unwrap();
+        let peak = fe.len();
+        assert_eq!(fe.drain().len(), 40);
         let stats = fe.stats();
+        assert_eq!(stats.aggregate.buffer.peak, peak);
         assert_eq!(stats.per_port.len(), 4);
         assert_eq!(stats.aggregate.enqueued, 40);
         assert_eq!(stats.aggregate.dequeued, 40);
@@ -1362,7 +1376,6 @@ mod tests {
         let single = stats.per_port[0].circuit.packets_per_second(143.2e6);
         let modeled = stats.modeled_packets_per_second(143.2e6);
         assert!(modeled > 3.0 * single, "modeled {modeled} vs {single}");
-        assert!(stats.modeled_line_rate_bps(143.2e6, 140.0) > 0.0);
     }
 
     #[test]
@@ -1567,8 +1580,15 @@ mod tests {
 
     #[test]
     fn migrate_flow_moves_backlog_and_reroutes_later_enqueues() {
+        migrate_flow_moves_backlog_and_reroutes_later_enqueues_on::<Inline<_, _>>();
+        migrate_flow_moves_backlog_and_reroutes_later_enqueues_on::<Threads<_, _>>();
+    }
+
+    fn migrate_flow_moves_backlog_and_reroutes_later_enqueues_on<
+        X: Executor<SortRetrieveCircuit, WfqRank>,
+    >() {
         let fl = flows(8);
-        let mut fe = build::<Inline<_, _>>(
+        let mut fe = build::<X>(
             &fl,
             &[1e9; 2],
             SchedulerConfig::default(),
@@ -1652,8 +1672,15 @@ mod tests {
 
     #[test]
     fn rebalancer_moves_the_hottest_flow_off_the_hot_port() {
+        rebalancer_moves_the_hottest_flow_off_the_hot_port_on::<Inline<_, _>>();
+        rebalancer_moves_the_hottest_flow_off_the_hot_port_on::<Threads<_, _>>();
+    }
+
+    fn rebalancer_moves_the_hottest_flow_off_the_hot_port_on<
+        X: Executor<SortRetrieveCircuit, WfqRank>,
+    >() {
         let fl = flows(8);
-        let mut fe = build::<Inline<_, _>>(
+        let mut fe = build::<X>(
             &fl,
             &[1e9; 2],
             SchedulerConfig::default(),
@@ -1726,45 +1753,6 @@ mod tests {
     }
 
     #[test]
-    fn routes_and_restores_global_ids_like_the_sequential_frontend() {
-        let fl = flows(16);
-        let mut fe = ParallelShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        let seq = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        assert_eq!(fe.ports(), 4);
-        assert_eq!(fe.flows(), 16);
-        for f in 0..16u32 {
-            assert_eq!(fe.port_of(FlowId(f)), seq.port_of(FlowId(f)));
-        }
-        assert_eq!(fe.port_of(FlowId(99)), None);
-        fe.enqueue(pkt(0, 7, 0.0, 140)).unwrap();
-        assert_eq!(fe.len(), 1);
-        let (port, out) = fe.dequeue().unwrap();
-        assert_eq!(Some(port), seq.port_of(FlowId(7)));
-        assert_eq!(out.flow, FlowId(7), "global id restored");
-        assert!(fe.is_empty());
-    }
-
-    #[test]
-    fn batch_and_drain_match_the_sequential_round_robin_exactly() {
-        let fl = flows(24);
-        let batch: Vec<Packet> = (0..96)
-            .map(|i| pkt(i, (i % 24) as u32, i as f64 * 1e-6, 500))
-            .collect();
-
-        let mut seq = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        seq.enqueue_batch(&batch).unwrap();
-        let mut reference = Vec::new();
-        while let Some(served) = seq.dequeue() {
-            reference.push(served);
-        }
-
-        let mut par = ParallelShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        assert_eq!(par.enqueue_batch(&batch).unwrap(), 96);
-        let drained = par.drain();
-        assert_eq!(drained, reference, "global round-robin order must match");
-    }
-
-    #[test]
     fn dequeue_round_preserves_order_across_rounds() {
         let fl = flows(24);
         let batch: Vec<Packet> = (0..96)
@@ -1802,137 +1790,31 @@ mod tests {
     }
 
     #[test]
-    fn drain_stamped_matches_sequential_cycle_stamps() {
+    fn stamped_service_matches_sequential_cycle_stamps() {
         // Same batch through both frontends: each shard executes the
         // identical enqueue/dequeue sequence, so the per-port stamped
         // streams must be identical — the property that makes parallel
         // latency attribution trustworthy.
-        let fl = flows(24);
-        let batch: Vec<Packet> = (0..96)
-            .map(|i| pkt(i, (i % 24) as u32, i as f64 * 1e-6, 500))
-            .collect();
-        let mut seq = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        seq.enqueue_batch(&batch).unwrap();
-        let mut seq_runs: Vec<Vec<(u64, SojournStamp)>> = vec![Vec::new(); 4];
-        for (port, run) in seq_runs.iter_mut().enumerate() {
-            while let Some((p, st)) = seq.dequeue_port_stamped(port) {
-                run.push((p.seq, st));
-            }
+        fn runs<X: Executor<SortRetrieveCircuit, WfqRank>>() -> Vec<Vec<(u64, SojournStamp)>> {
+            let fl = flows(24);
+            let batch: Vec<Packet> = (0..96)
+                .map(|i| pkt(i, (i % 24) as u32, i as f64 * 1e-6, 500))
+                .collect();
+            let mut fe = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 4, SchedulerConfig::default());
+            fe.enqueue_batch(&batch).unwrap();
+            (0..4)
+                .map(|port| {
+                    std::iter::from_fn(|| fe.dequeue_port_stamped(port))
+                        .map(|(p, st)| (p.seq, st))
+                        .collect()
+                })
+                .collect()
         }
-        let mut par = ParallelShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        par.enqueue_batch(&batch).unwrap();
-        let mut par_runs: Vec<Vec<(u64, SojournStamp)>> = vec![Vec::new(); 4];
-        for (port, p, st) in par.drain_stamped() {
-            assert!(st.dequeued > st.enqueued);
-            par_runs[port].push((p.seq, st));
-        }
-        assert_eq!(par_runs, seq_runs);
-    }
-
-    #[test]
-    fn stats_aggregate_matches_traffic() {
-        let fl = flows(16);
-        let mut fe = ParallelShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        let batch: Vec<Packet> = (0..40).map(|i| pkt(i, (i % 16) as u32, 0.0, 500)).collect();
-        fe.enqueue_batch(&batch).unwrap();
-        let peak_now = fe.len();
-        fe.drain();
-        let stats = fe.stats();
-        assert_eq!(stats.per_port.len(), 4);
-        assert_eq!(stats.aggregate.enqueued, 40);
-        assert_eq!(stats.aggregate.dequeued, 40);
-        assert_eq!(stats.aggregate.buffer.peak, peak_now);
-        assert!(stats.modeled_packets_per_second(143.2e6) > 0.0);
-    }
-
-    #[test]
-    fn migration_matches_the_sequential_frontend_departure_for_departure() {
-        let fl = flows(8);
-        let batch: Vec<Packet> = (0..48)
-            .map(|i| pkt(i, (i % 8) as u32, i as f64 * 1e-6, 500))
-            .collect();
-        let flow = FlowId(0);
-        let mut seq = build::<Inline<_, _>>(
-            &fl,
-            &[1e9; 2],
-            SchedulerConfig::default(),
-            Placement::Dynamic,
-        );
-        let mut par = build::<Threads<_, _>>(
-            &fl,
-            &[1e9; 2],
-            SchedulerConfig::default(),
-            Placement::Dynamic,
-        );
-        let to = 1 - seq.port_of(flow).unwrap();
-        seq.enqueue_batch(&batch).unwrap();
-        par.enqueue_batch(&batch).unwrap();
-        assert_eq!(
-            seq.migrate_flow(flow, to).unwrap(),
-            par.migrate_flow(flow, to).unwrap(),
-            "both frontends move the same backlog"
-        );
-        assert_eq!(par.port_of(flow), Some(to));
-        assert_eq!(par.migrations(), 1);
-        // Post-migration arrivals chase the flow to its new port.
-        let late: Vec<Packet> = (48..56).map(|i| pkt(i, 0, i as f64 * 1e-6, 500)).collect();
-        seq.enqueue_batch(&late).unwrap();
-        par.enqueue_batch(&late).unwrap();
-        let mut expected = Vec::new();
-        while let Some((port, p)) = seq.dequeue() {
-            expected.push((port, p.flow, p.seq));
-        }
-        let got: Vec<_> = par
-            .drain()
-            .into_iter()
-            .map(|(port, p)| (port, p.flow, p.seq))
-            .collect();
-        assert_eq!(got, expected, "departure sequences diverged");
-        let stats = par.stats();
-        assert_eq!(stats.aggregate.migrated_out, stats.aggregate.migrated_in);
-        assert!(stats.aggregate.migrated_out > 0);
-    }
-
-    #[test]
-    fn parallel_rebalancer_drains_everything_it_admitted() {
-        let fl = flows(8);
-        let mut fe = build::<Threads<_, _>>(
-            &fl,
-            &[1e9; 2],
-            SchedulerConfig::default(),
-            Placement::Dynamic,
-        )
-        .with_rebalancer(RebalancerConfig::default());
-        let hot: Vec<u32> = (0..8u32).filter(|&f| shard_of(FlowId(f), 2) == 0).collect();
-        let mut admitted = 0usize;
-        let mut migrated = None;
-        let mut seq = 0;
-        for _round in 0..8 {
-            let mut batch = Vec::new();
-            for _ in 0..16 {
-                for &f in &hot {
-                    batch.push(pkt(seq, f, 0.0, 500));
-                    seq += 1;
-                }
-            }
-            admitted += fe.enqueue_batch(&batch).unwrap();
-            if let Some(m) = fe.maybe_rebalance() {
-                migrated = Some(m);
-                break;
-            }
-        }
-        let (flow, from, to) = migrated.expect("skewed load trips the rebalancer");
-        assert_eq!((from, to), (0, 1));
-        assert_eq!(fe.port_of(flow), Some(1));
-        // Every admitted packet is still serviceable, per-flow order
-        // intact.
-        let served = fe.drain();
-        assert_eq!(served.len(), admitted);
-        let mut last: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for (_, p) in served {
-            if let Some(prev) = last.insert(p.flow.0, p.seq) {
-                assert!(prev < p.seq, "flow {} reordered", p.flow.0);
-            }
-        }
+        let par = runs::<Threads<_, _>>();
+        assert!(par
+            .iter()
+            .flatten()
+            .all(|(_, st)| st.dequeued > st.enqueued));
+        assert_eq!(par, runs::<Inline<_, _>>());
     }
 }

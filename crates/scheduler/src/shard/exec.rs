@@ -2,12 +2,13 @@
 //! shards.
 //!
 //! The frontend core ([`crate::ShardedFrontend`]) makes every decision —
-//! routing, migration, rebalancing, the round-robin merge, statistics —
-//! and hands the per-port work to an executor. [`Inline`] calls each
-//! port's scheduler directly on the caller's thread. [`Threads`] gives
-//! each port its own OS worker thread and carries every call there as a
-//! job over a bounded channel. Both run the same per-port code
-//! ([`Port`]), so they serve identical departures.
+//! routing, migration, rebalancing, the round-robin merge, statistics,
+//! which ports to poll — and writes each per-port verb once, as a call
+//! on a [`Port`]. An executor only carries those calls. [`Inline`] runs
+//! each call on the caller's thread. [`Threads`] gives each port its own
+//! OS worker thread and carries every call there as a job over a bounded
+//! channel. Both run the same calls in the same order on every port, so
+//! they serve identical departures and write identical fault ledgers.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -20,14 +21,14 @@ use tagsort::SortBackend;
 use telemetry::{Counter, EventKind, Telemetry, Tracer};
 use traffic::{FlowId, Packet};
 
-use crate::hwsched::{HwScheduler, MigratedFlow, SchedulerError, SchedulerStats, SojournStamp};
+use crate::hwsched::{HwScheduler, MigratedFlow, SchedulerError, SojournStamp};
 
 /// One output port as an executor runs it: the port's scheduler plus
 /// the frontend instruments that count and trace its handoffs.
 #[derive(Debug, Clone)]
 pub struct Port<B: SortBackend, P: RankPolicy> {
     index: usize,
-    shard: HwScheduler<B, P>,
+    pub(super) shard: HwScheduler<B, P>,
     /// Packets handed to this port (disabled until telemetry attaches).
     /// Recorded on whichever thread runs the port, like the scheduler's
     /// own cells: the port is its shard's one writer.
@@ -53,7 +54,8 @@ impl<B: SortBackend, P: RankPolicy> Port<B, P> {
 
     /// Admits one packet (local flow id), tracing and counting the
     /// handoff.
-    fn admit(&mut self, pkt: Packet) -> Result<(), SchedulerError> {
+    #[inline]
+    pub(super) fn admit(&mut self, pkt: Packet) -> Result<(), SchedulerError> {
         self.tracer.emit(
             self.index,
             self.shard.cycles(),
@@ -67,7 +69,7 @@ impl<B: SortBackend, P: RankPolicy> Port<B, P> {
     }
 
     /// Admits a bucket in order, stopping at the first refusal.
-    fn admit_all(&mut self, bucket: Vec<Packet>) -> Admitted {
+    pub(super) fn admit_all(&mut self, bucket: Vec<Packet>) -> Admitted {
         let total = bucket.len();
         for (admitted, pkt) in bucket.into_iter().enumerate() {
             if let Err(e) = self.admit(pkt) {
@@ -78,25 +80,22 @@ impl<B: SortBackend, P: RankPolicy> Port<B, P> {
     }
 
     /// Serves the smallest tag, restoring the global flow id.
-    fn pop_one(&mut self) -> Option<(Packet, SojournStamp)> {
+    #[inline]
+    pub(super) fn pop_one(&mut self) -> Option<(Packet, SojournStamp)> {
         let (mut pkt, stamp) = self.shard.dequeue_stamped()?;
         pkt.flow = self.shard.global_flow(pkt.flow);
         Some((pkt, stamp))
     }
 
-    /// Serves up to `max` packets in tag order; an idle port is not
-    /// polled at all.
-    fn pop(&mut self, max: usize) -> Vec<(Packet, SojournStamp)> {
-        if self.shard.is_empty() {
-            return Vec::new();
-        }
+    /// Serves up to `max` packets in tag order.
+    pub(super) fn pop(&mut self, max: usize) -> Vec<(Packet, SojournStamp)> {
         let mut out = Vec::with_capacity(max.min(self.shard.len()));
         out.extend(std::iter::from_fn(|| self.pop_one()).take(max));
         out
     }
 
     /// Installs a migrated flow; a refusal hands the backlog back.
-    fn install(
+    pub(super) fn install(
         &mut self,
         flow: FlowId,
         backlog: MigratedFlow,
@@ -106,14 +105,7 @@ impl<B: SortBackend, P: RankPolicy> Port<B, P> {
             .map_err(|e| (e, backlog))
     }
 
-    /// End-of-run fault accounting; returns the reconciled
-    /// `(injected, detected, repaired, silent)` totals.
-    fn reconcile_faults(&mut self) -> (u64, u64, u64, u64) {
-        self.shard.reconcile_faults();
-        self.shard.fault_totals()
-    }
-
-    fn attach_telemetry(&mut self, tel: &Telemetry) {
+    pub(super) fn attach_telemetry(&mut self, tel: &Telemetry) {
         self.shard.attach_telemetry(tel, self.index);
         self.handoffs = tel.counter("shard_handoffs");
         self.tracer = tel.tracer();
@@ -121,10 +113,11 @@ impl<B: SortBackend, P: RankPolicy> Port<B, P> {
 }
 
 /// How a [`crate::ShardedFrontend`] reaches its shards: [`Inline`] or
-/// [`Threads`]. These are the per-port calls the frontend core makes;
-/// an executor carries them and makes no decision of its own. The trait
-/// is sealed: its calls take this crate's per-port type, which other
-/// crates cannot name.
+/// [`Threads`]. An executor owns the ports and carries calls to them;
+/// what each call does is written once, by the frontend core. Calls are
+/// `Send + 'static` so that [`Threads`] can hand them to a worker. The
+/// trait is sealed: its calls take this crate's per-port type, which
+/// other crates cannot name.
 pub trait Executor<B: SortBackend, P: RankPolicy> {
     /// Takes ownership of the ports, in port order.
     fn start(ports: Vec<Port<B, P>>) -> Self;
@@ -133,34 +126,24 @@ pub trait Executor<B: SortBackend, P: RankPolicy> {
     /// Queued packets on `port`: the shard's own count after the last
     /// call.
     fn len(&self, port: usize) -> usize;
-    /// Admits one packet (local flow id) on `port`.
-    fn enqueue(&mut self, port: usize, pkt: Packet) -> Result<(), SchedulerError>;
-    /// Admits each non-empty bucket (local flow ids) on its port, each up
-    /// to its own first refusal; a refusal on one port does not stop the
-    /// others. Returns `(port, admitted)` in port order for every
-    /// non-empty bucket.
-    fn enqueue_buckets(&mut self, buckets: Vec<Vec<Packet>>) -> Vec<(usize, Admitted)>;
-    /// Serves `port`'s smallest tag, global flow id restored.
-    fn pop(&mut self, port: usize) -> Option<(Packet, SojournStamp)>;
-    /// Serves up to `max` packets from every port; one tag-order run
-    /// per port.
-    fn pop_each(&mut self, max: usize) -> Vec<Vec<(Packet, SojournStamp)>>;
-    /// Extracts `flow`'s backlog and rank state from `port`.
-    fn extract(&mut self, port: usize, flow: FlowId) -> MigratedFlow;
-    /// Installs a migrated flow on `port`; a refusal hands the backlog
-    /// back.
-    fn install(
-        &mut self,
-        port: usize,
-        flow: FlowId,
-        backlog: MigratedFlow,
-    ) -> Result<(), (SchedulerError, MigratedFlow)>;
-    /// Every port's statistics.
-    fn stats(&self) -> Vec<SchedulerStats>;
-    /// Every port's reconciled fault-ledger totals.
-    fn reconcile_faults(&mut self) -> Vec<(u64, u64, u64, u64)>;
-    /// Connects every port to `tel`, each as its own shard.
-    fn attach_telemetry(&mut self, tel: &Telemetry);
+    /// Runs `call` on `port`.
+    fn on<R, F>(&mut self, port: usize, call: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Port<B, P>) -> R + Send + 'static;
+    /// Runs each call on its port, concurrently where the executor can;
+    /// returns `(port, result)` in call order. Each port appears at most
+    /// once per call: [`Threads`] sends every job before reading any
+    /// reply over bounded channels, so repeats could block on a worker.
+    fn scatter<R, F>(&mut self, calls: impl IntoIterator<Item = (usize, F)>) -> Vec<(usize, R)>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Port<B, P>) -> R + Send + 'static;
+    /// Reads every port; results in port order.
+    fn every<R, F>(&self, read: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(&Port<B, P>) -> R + Clone + Send + 'static;
 }
 
 /// The inline executor: every port's scheduler runs on the caller's
@@ -189,52 +172,23 @@ impl<B: SortBackend, P: RankPolicy> Executor<B, P> for Inline<B, P> {
         self.0[port].shard.len()
     }
 
-    fn enqueue(&mut self, port: usize, pkt: Packet) -> Result<(), SchedulerError> {
-        self.0[port].admit(pkt)
+    #[inline]
+    fn on<R, F: FnOnce(&mut Port<B, P>) -> R>(&mut self, port: usize, call: F) -> R {
+        call(&mut self.0[port])
     }
 
-    fn enqueue_buckets(&mut self, buckets: Vec<Vec<Packet>>) -> Vec<(usize, Admitted)> {
-        buckets
+    fn scatter<R, F>(&mut self, calls: impl IntoIterator<Item = (usize, F)>) -> Vec<(usize, R)>
+    where
+        F: FnOnce(&mut Port<B, P>) -> R,
+    {
+        calls
             .into_iter()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(port, bucket)| (port, self.0[port].admit_all(bucket)))
+            .map(|(port, call)| (port, call(&mut self.0[port])))
             .collect()
     }
 
-    fn pop(&mut self, port: usize) -> Option<(Packet, SojournStamp)> {
-        self.0[port].pop_one()
-    }
-
-    fn pop_each(&mut self, max: usize) -> Vec<Vec<(Packet, SojournStamp)>> {
-        self.0.iter_mut().map(|p| p.pop(max)).collect()
-    }
-
-    fn extract(&mut self, port: usize, flow: FlowId) -> MigratedFlow {
-        self.0[port].shard.extract_flow(flow)
-    }
-
-    fn install(
-        &mut self,
-        port: usize,
-        flow: FlowId,
-        backlog: MigratedFlow,
-    ) -> Result<(), (SchedulerError, MigratedFlow)> {
-        self.0[port].install(flow, backlog)
-    }
-
-    fn stats(&self) -> Vec<SchedulerStats> {
-        self.0.iter().map(|p| p.shard.stats()).collect()
-    }
-
-    fn reconcile_faults(&mut self) -> Vec<(u64, u64, u64, u64)> {
-        self.0.iter_mut().map(Port::reconcile_faults).collect()
-    }
-
-    fn attach_telemetry(&mut self, tel: &Telemetry) {
-        for port in &mut self.0 {
-            port.attach_telemetry(tel);
-        }
+    fn every<R, F: Fn(&Port<B, P>) -> R>(&self, read: F) -> Vec<R> {
+        self.0.iter().map(read).collect()
     }
 }
 
@@ -256,10 +210,11 @@ const CHANNEL_DEPTH: usize = 2;
 /// shard work runs in parallel.
 ///
 /// Every call travels to its worker as a job over a bounded channel, and
-/// the worker answers jobs in order. A call that touches several ports
-/// sends all its jobs before awaiting any reply, so the shards work
-/// concurrently while the frontend waits. Single-packet calls pay a full
-/// channel round trip; the batch calls are what exploit the threads.
+/// the worker answers jobs in order. [`Executor::scatter`] and
+/// [`Executor::every`] send all their jobs before awaiting any reply, so
+/// the shards work concurrently while the frontend waits. A call through
+/// [`Executor::on`] pays a full channel round trip; the batch calls are
+/// what exploit the threads.
 ///
 /// Dropping the executor closes the channels, joins every worker, and
 /// re-raises any worker panic on the calling thread: a crashed shard is
@@ -317,43 +272,23 @@ impl<B: SortBackend + Send + 'static, P: RankPolicy + Send + 'static> Threads<B,
         *reply.downcast().expect("workers answer jobs in order")
     }
 
-    fn call<R: Send + 'static>(
-        &self,
-        port: usize,
-        call: impl FnOnce(&mut Port<B, P>) -> R + Send + 'static,
-    ) -> R {
-        self.send(port, call);
-        self.recv(port)
-    }
-
-    /// Runs each call on its port concurrently: every job goes out
-    /// before any reply is awaited. Results come back in call order.
-    fn scatter<R, F>(&self, calls: impl IntoIterator<Item = (usize, F)>) -> Vec<(usize, R)>
+    /// Sends every call before awaiting any reply; results in call
+    /// order.
+    fn gather<R, F>(&self, calls: impl IntoIterator<Item = (usize, F)>) -> Vec<(usize, R)>
     where
         R: Send + 'static,
         F: FnOnce(&mut Port<B, P>) -> R + Send + 'static,
     {
-        let ports: Vec<usize> = calls
-            .into_iter()
-            .map(|(port, call)| {
-                self.send(port, call);
-                port
-            })
-            .collect();
+        let mut ports = Vec::new();
+        for (port, call) in calls {
+            debug_assert!(!ports.contains(&port), "port {port} called twice");
+            self.send(port, call);
+            ports.push(port);
+        }
         ports
             .into_iter()
             .map(|port| (port, self.recv(port)))
             .collect()
-    }
-
-    /// Runs `call` on every port concurrently; results in port order.
-    fn every<R, F>(&self, call: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut Port<B, P>) -> R + Clone + Send + 'static,
-    {
-        let calls = (0..self.workers.len()).map(|port| (port, call.clone()));
-        self.scatter(calls).into_iter().map(|(_, r)| r).collect()
     }
 
     /// A worker's channel closed early: join it and re-raise its panic
@@ -417,62 +352,33 @@ impl<B: SortBackend + Send + 'static, P: RankPolicy + Send + 'static> Executor<B
         self.workers[port].len.get()
     }
 
-    fn enqueue(&mut self, port: usize, pkt: Packet) -> Result<(), SchedulerError> {
-        self.call(port, move |p| p.admit(pkt))
+    fn on<R, F>(&mut self, port: usize, call: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Port<B, P>) -> R + Send + 'static,
+    {
+        self.send(port, call);
+        self.recv(port)
     }
 
-    /// Every bucket's port admits concurrently.
-    fn enqueue_buckets(&mut self, buckets: Vec<Vec<Packet>>) -> Vec<(usize, Admitted)> {
-        let calls = buckets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(port, bucket)| (port, move |p: &mut Port<B, P>| p.admit_all(bucket)));
-        self.scatter(calls)
+    fn scatter<R, F>(&mut self, calls: impl IntoIterator<Item = (usize, F)>) -> Vec<(usize, R)>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Port<B, P>) -> R + Send + 'static,
+    {
+        self.gather(calls)
     }
 
-    fn pop(&mut self, port: usize) -> Option<(Packet, SojournStamp)> {
-        // The reported length spares an idle port the round trip.
-        if self.len(port) == 0 {
-            return None;
-        }
-        self.call(port, Port::pop_one)
-    }
-
-    fn pop_each(&mut self, max: usize) -> Vec<Vec<(Packet, SojournStamp)>> {
-        let mut runs = vec![Vec::new(); self.ports()];
-        let busy = (0..self.ports()).filter(|&port| self.len(port) > 0);
-        let calls = busy.map(|port| (port, move |p: &mut Port<B, P>| p.pop(max)));
-        for (port, run) in self.scatter(calls) {
-            runs[port] = run;
-        }
-        runs
-    }
-
-    fn extract(&mut self, port: usize, flow: FlowId) -> MigratedFlow {
-        self.call(port, move |p| p.shard.extract_flow(flow))
-    }
-
-    fn install(
-        &mut self,
-        port: usize,
-        flow: FlowId,
-        backlog: MigratedFlow,
-    ) -> Result<(), (SchedulerError, MigratedFlow)> {
-        self.call(port, move |p| p.install(flow, backlog))
-    }
-
-    fn stats(&self) -> Vec<SchedulerStats> {
-        self.every(|p| p.shard.stats())
-    }
-
-    fn reconcile_faults(&mut self) -> Vec<(u64, u64, u64, u64)> {
-        self.every(Port::reconcile_faults)
-    }
-
-    fn attach_telemetry(&mut self, tel: &Telemetry) {
-        let tel = tel.clone();
-        self.every(move |p| p.attach_telemetry(&tel));
+    fn every<R, F>(&self, read: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(&Port<B, P>) -> R + Clone + Send + 'static,
+    {
+        let calls = (0..self.ports()).map(|port| {
+            let read = read.clone();
+            (port, move |p: &mut Port<B, P>| read(p))
+        });
+        self.gather(calls).into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -530,8 +436,7 @@ mod tests {
             jobs: Some(jobs),
             replies,
             handle: Cell::new(Some(handle)),
-            // A backlog, so the call below is sent rather than skipped.
-            len: Cell::new(1),
+            len: Cell::new(0),
         };
         let old = std::mem::replace(&mut fe.exec.workers[0], poisoned);
         drop(old.jobs);

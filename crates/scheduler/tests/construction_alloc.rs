@@ -1,32 +1,42 @@
-//! Building a hardware scheduler allocates its per-flow and per-slot
-//! records and nothing of the same size beside them.
+//! What the scheduler allocates, counted by a global allocator that
+//! tracks live bytes, their peak and the number of allocation calls.
 //!
-//! At 2^20 flows and a 2^18-packet buffer the GPS clock's 16-byte flow
-//! records cost 16 MiB and the buffer's 48-byte slot records 12 MiB,
-//! with a 4-byte free-list entry per slot and the fastpath sorter's
-//! arrays on top. A second per-slot array of sideband records beside the
-//! buffer would add 8 MiB more. A counting global allocator tracks live
-//! bytes and their peak while `HwScheduler::with_backend` runs.
+//! - Building a hardware scheduler allocates its per-flow and per-slot
+//!   records and nothing of the same size beside them: at 2^20 flows
+//!   and a 2^18-packet buffer, 16 MiB of 16-byte GPS flow records and
+//!   12 MiB of 48-byte slot records, plus a 4-byte free-list entry per
+//!   slot and the fastpath sorter's arrays. A second per-slot sideband
+//!   array would add 8 MiB more.
+//! - The inline sharded frontend's per-packet path allocates nothing:
+//!   each enqueue and dequeue is a direct call on its port. The setup
+//!   follows the `sharded_overload` benchmark workload (FFS sorter,
+//!   STFQ ranks, push-out, dynamic placement, telemetry attached).
 //!
-//! This file holds one test so that no other test's allocations land
-//! in the count.
+//! The tests take a lock so that no other test's allocations land in
+//! a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use fairq::{RankPolicy, WfqRank};
+use fairq::{RankPolicy, StfqRank, WfqRank};
 use fastpath::FfsSorter;
-use scheduler::{HwScheduler, SchedulerConfig};
+use scheduler::{AdmissionPolicy, HwScheduler, Placement, SchedulerConfig, ShardedScheduler};
 use tagsort::Geometry;
-use traffic::{FlowId, FlowSpec};
+use telemetry::Telemetry;
+use traffic::{FlowId, FlowSpec, Packet, Time};
 
-/// Tracks the bytes currently allocated and their high-water mark.
+/// Tracks the bytes currently allocated, their high-water mark, and the
+/// allocation calls made.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn grow(bytes: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -67,6 +77,7 @@ const MIB: usize = 1 << 20;
 
 #[test]
 fn building_a_million_flow_scheduler_peaks_at_its_records() {
+    let _lock = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     const FLOWS: u32 = 1 << 20;
     const CAPACITY: usize = 1 << 18;
     const LINK_BPS: f64 = 10e9;
@@ -89,4 +100,56 @@ fn building_a_million_flow_scheduler_peaks_at_its_records() {
         peak as f64 / MIB as f64
     );
     assert_eq!(sched.stats().buffer.occupied, 0);
+}
+
+#[test]
+fn inline_sharded_enqueue_dequeue_pairs_allocate_nothing() {
+    const PORTS: usize = 4;
+    const FLOWS: u64 = 64;
+    const BACKLOG: u64 = 256;
+    const PAIRS: u64 = 100_000;
+    const PORT_BPS: f64 = 1e9;
+    let _lock = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let flows: Vec<FlowSpec> = (0..FLOWS as u32)
+        .map(|i| FlowSpec::new(FlowId(i), 1.0, 1e6))
+        .collect();
+    let config = SchedulerConfig {
+        capacity: 1 << 10,
+        tick_scale: StfqRank::default().tick_scale(PORT_BPS),
+        admission: AdmissionPolicy::PushOut,
+        ..SchedulerConfig::default()
+    };
+    let mut fe = ShardedScheduler::<FfsSorter, StfqRank>::with_policy_port_rates_placement(
+        &flows,
+        &[PORT_BPS; PORTS],
+        config,
+        &StfqRank::default(),
+        Placement::Dynamic,
+    );
+    fe.attach_telemetry(&Telemetry::new(PORTS));
+    let packet = |seq: u64| Packet {
+        flow: FlowId((seq.wrapping_mul(0x9e37_79b9) % FLOWS) as u32),
+        size_bytes: 64 + (seq % 1437) as u32,
+        arrival: Time(seq as f64 * 1e-7),
+        seq,
+    };
+    let mut pairs = |from: u64, to: u64| {
+        for seq in from..to {
+            fe.enqueue(packet(seq))
+                .expect("push-out admits every arrival");
+            if seq >= BACKLOG {
+                fe.dequeue().expect("a standing backlog");
+            }
+        }
+    };
+    // Warm-up: a standing backlog, then as many pairs again as are
+    // counted, so every port's structures reach their working size.
+    pairs(0, BACKLOG + PAIRS);
+    let before = CALLS.load(Ordering::Relaxed);
+    pairs(BACKLOG + PAIRS, BACKLOG + 2 * PAIRS);
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        calls, 0,
+        "{PAIRS} enqueue/dequeue pairs allocated {calls} times"
+    );
 }

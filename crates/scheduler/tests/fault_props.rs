@@ -14,9 +14,9 @@
 
 use proptest::prelude::*;
 
-use fairq::{AnyPolicy, RankPolicy};
+use fairq::{AnyPolicy, RankPolicy, WfqRank};
 use faultsim::{DetectionKind, FaultConfig, FaultPolicy, FaultSpec, ScrubOrder};
-use scheduler::{HwScheduler, ParallelShardedScheduler, SchedulerConfig, ShardedScheduler};
+use scheduler::{Executor, HwScheduler, Inline, SchedulerConfig, ShardedFrontend, Threads};
 use tagsort::{Geometry, SortRetrieveCircuit};
 use telemetry::Telemetry;
 use traffic::{FlowId, FlowSpec, Packet, SizeDist, Time};
@@ -207,48 +207,47 @@ fn buffer_fault_ledger_reconciles() {
     );
 }
 
-/// The parallel frontend reconciles its per-worker fault ledgers: with
-/// the same per-port seed offsets as the sequential frontend, the same
-/// campaign run through [`ParallelShardedScheduler`] serves the same
-/// schedule and reports the same aggregated `(injected, detected,
-/// repaired, silent)` totals, and the `detected + silent == injected`
-/// invariant is verifiable from the parallel side. The op clock also
-/// ticks on *empty* dequeue polls, and the sequential round-robin
-/// polls idle ports where the parallel drain does not — so the horizon
-/// is kept below every port's enqueue count, making the whole plan due
-/// before the first dequeue in both frontends; scrub-and-repair with a
-/// full section budget then pins the detected/silent split too.
+/// Both executors make the same calls on every shard, so they serve the
+/// same departures and write the same fault ledgers. A plan's op clock
+/// also ticks on *empty* dequeues: the program keeps the backlog short
+/// (three `dequeue()`s per four arrivals), so the round robin polls idle
+/// ports while plan entries are still coming due.
 #[test]
 fn parallel_frontend_reconciles_fault_ledgers_like_the_sequential_one() {
-    let fl = flows(24);
+    /// `(injected, detected, repaired, silent)`.
+    type Totals = (u64, u64, u64, u64);
+    fn run<X: Executor<SortRetrieveCircuit, WfqRank>>(
+        config: SchedulerConfig,
+        trace: &[Packet],
+    ) -> (Vec<(usize, Packet)>, Totals) {
+        let fl = flows(24);
+        let mut fe = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 4, config);
+        let mut served = Vec::new();
+        for (i, p) in trace.iter().enumerate() {
+            fe.enqueue(*p).unwrap();
+            if i % 4 != 3 {
+                served.extend(fe.dequeue());
+            }
+        }
+        served.extend(std::iter::from_fn(|| fe.dequeue()));
+        let totals = fe.reconcile_faults();
+        assert_eq!(fe.reconcile_faults(), totals, "reconcile is idempotent");
+        (served, totals)
+    }
     let picks: Vec<u32> = (0..300u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
     let trace = stream(&picks, 24);
-    for (seed, component) in [(3u64, "trie"), (11, "translation"), (17, "trie")] {
+    for seed in 0..20u64 {
+        let component = ["trie", "translation", "any"][seed as usize % 3];
         let spec: FaultSpec = format!("12@{seed}:{component}:1").parse().unwrap();
-        let mut cfg = FaultConfig::new(spec, FaultPolicy::ScrubAndRepair, 32);
+        let mut cfg = FaultConfig::new(spec, FaultPolicy::ScrubAndRepair, 256);
         cfg.scrub_sections = Geometry::paper().sections();
         let config = SchedulerConfig {
             faults: Some(cfg),
             ..SchedulerConfig::default()
         };
-
-        let mut seq = ShardedScheduler::new(&fl, 1e9, 4, config);
-        for p in &trace {
-            seq.enqueue(*p).unwrap();
-        }
-        let mut seq_order = Vec::new();
-        while let Some(served) = seq.dequeue() {
-            seq_order.push(served);
-        }
-        let seq_totals = seq.reconcile_faults();
-
-        let mut par = ParallelShardedScheduler::new(&fl, 1e9, 4, config);
-        for p in &trace {
-            par.enqueue(*p).unwrap();
-        }
-        let par_order = par.drain();
-        let par_totals = par.reconcile_faults();
-
+        let (seq_order, seq_totals) = run::<Inline<_, _>>(config, &trace);
+        let (par_order, par_totals) = run::<Threads<_, _>>(config, &trace);
+        assert_eq!(seq_order.len(), trace.len(), "seed {seed}: packets lost");
         assert_eq!(
             par_order, seq_order,
             "seed {seed}/{component}: frontends must serve the same schedule"
@@ -262,14 +261,20 @@ fn parallel_frontend_reconciles_fault_ledgers_like_the_sequential_one() {
             injected > 0,
             "seed {seed}/{component}: no faults materialized"
         );
-        assert_eq!(detected, repaired, "a detected fault went unrepaired");
         assert_eq!(
             detected + silent,
             injected,
             "seed {seed}/{component}: the parallel ledger must reconcile"
         );
-        // Idempotent, like the sequential reconcile.
-        assert_eq!(par.reconcile_faults(), par_totals);
+        // Scrub-and-repair with a full-section budget repairs every
+        // trie and translation fault it detects; parity detections on
+        // other components (`any`) are counted, never repaired.
+        if component != "any" {
+            assert_eq!(
+                detected, repaired,
+                "seed {seed}/{component}: a detected fault went unrepaired"
+            );
+        }
     }
 }
 

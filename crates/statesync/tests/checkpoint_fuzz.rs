@@ -16,11 +16,14 @@
 //! The same holds one level up, for [`HwScheduler::restore`]: a resealed
 //! scheduler image whose queue words are out of range (a tag outside
 //! the geometry, an unconfigured or over-wide flow id, an over-wide
-//! size, more entries than the buffer holds) is refused with
-//! [`CheckpointError::OutOfRange`].
+//! size, more entries than the buffer holds) or whose rank-policy state
+//! does not fit the policy (a wrong length, a non-finite float) is
+//! refused with [`CheckpointError::OutOfRange`].
 
+use fairq::AnyPolicy;
 use scheduler::{HwScheduler, SchedulerConfig};
 use statesync::{Checkpoint, CheckpointBuilder, CheckpointError};
+use tagsort::SortRetrieveCircuit;
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
 const SEED: u64 = 0x5eed_c4e9_2006_0003;
@@ -199,11 +202,16 @@ fn config() -> SchedulerConfig {
     }
 }
 
-/// The payload of a scheduler checkpoint holding `packets` packets;
-/// its last `7 * packets` words are the queue entries (tag, finish,
-/// enqueue cycle, flow, seq, size, arrival), preceded by their count.
-fn scheduler_payload(packets: usize) -> Vec<u64> {
-    let mut s = HwScheduler::new(&flows(), 1e6, config());
+/// A scheduler ranking with any library policy.
+type Scheduler = HwScheduler<SortRetrieveCircuit, AnyPolicy>;
+
+/// The payload of a `policy` scheduler's checkpoint holding `packets`
+/// packets; its last `7 * packets` words are the queue entries (tag,
+/// finish, enqueue cycle, flow, seq, size, arrival), preceded by their
+/// count.
+fn scheduler_payload(policy: &str, packets: usize) -> Vec<u64> {
+    let proto = AnyPolicy::by_name(policy).expect("a library policy");
+    let mut s = Scheduler::with_backend_and_policy(&flows(), 1e6, config(), &proto);
     for seq in 0..packets as u64 {
         s.enqueue(Packet {
             flow: FlowId(seq as u32 % FLOWS),
@@ -217,22 +225,17 @@ fn scheduler_payload(packets: usize) -> Vec<u64> {
     words[3..words.len() - 1].to_vec()
 }
 
-fn restore(payload: &[u64]) -> Result<HwScheduler, CheckpointError> {
+fn restore(policy: &str, payload: &[u64]) -> Result<Scheduler, CheckpointError> {
+    let proto = AnyPolicy::by_name(policy).expect("a library policy");
     let mut b = CheckpointBuilder::new();
     payload.iter().for_each(|&w| b.word(w));
-    HwScheduler::restore(
-        &flows(),
-        1e6,
-        config(),
-        &fairq::WfqRank::default(),
-        &b.finish(),
-    )
+    Scheduler::restore(&flows(), 1e6, config(), &proto, &b.finish())
 }
 
 #[test]
 fn resealed_out_of_range_queue_words_are_refused() {
-    let clean = scheduler_payload(1);
-    assert!(restore(&clean).is_ok());
+    let clean = scheduler_payload("wfq", 1);
+    assert!(restore("wfq", &clean).is_ok());
     let entry = clean.len() - 7;
     let tag_space = 1u64 << 12;
     for (offset, field, value) in [
@@ -246,7 +249,7 @@ fn resealed_out_of_range_queue_words_are_refused() {
         let mut words = clean.clone();
         words[entry + offset] = value;
         assert_eq!(
-            restore(&words).err(),
+            restore("wfq", &words).err(),
             Some(CheckpointError::OutOfRange { field, value }),
             "{field} word {value}"
         );
@@ -255,14 +258,14 @@ fn resealed_out_of_range_queue_words_are_refused() {
 
 #[test]
 fn a_resealed_queue_longer_than_the_buffer_is_refused() {
-    let mut words = scheduler_payload(CAPACITY);
+    let mut words = scheduler_payload("wfq", CAPACITY);
     let count = words.len() - 7 * CAPACITY - 1;
     assert_eq!(words[count], CAPACITY as u64);
     let last: Vec<u64> = words[words.len() - 7..].to_vec();
     words.extend(last);
     words[count] += 1;
     assert_eq!(
-        restore(&words).err(),
+        restore("wfq", &words).err(),
         Some(CheckpointError::OutOfRange {
             field: "queue length",
             value: CAPACITY as u64 + 1,
@@ -272,14 +275,14 @@ fn a_resealed_queue_longer_than_the_buffer_is_refused() {
 
 #[test]
 fn a_resealed_quantizer_state_of_the_wrong_length_is_refused() {
-    let mut words = scheduler_payload(0);
+    let mut words = scheduler_payload("wfq", 0);
     // Thirteen scalar words, then the quantizer slice: length, then
     // four words.
     assert_eq!(words[13], 4);
     words[13] = 3;
     words.remove(14);
     assert_eq!(
-        restore(&words).err(),
+        restore("wfq", &words).err(),
         Some(CheckpointError::OutOfRange {
             field: "quantizer state length",
             value: 3,
@@ -287,10 +290,45 @@ fn a_resealed_quantizer_state_of_the_wrong_length_is_refused() {
     );
 }
 
+/// Thirteen scalar words and the five-word quantizer slice precede the
+/// rank-policy slice: its length, then its words.
+const POLICY_SLICE: usize = 18;
+
+#[test]
+fn resealed_rank_policy_state_that_does_not_fit_is_refused() {
+    let refused = |r: Result<Scheduler, CheckpointError>| {
+        matches!(r, Err(CheckpointError::OutOfRange { .. }))
+    };
+    for name in AnyPolicy::NAMES {
+        let clean = scheduler_payload(name, 3);
+        assert!(restore(name, &clean).is_ok(), "{name}");
+        let len = clean[POLICY_SLICE] as usize;
+        // One word short, or one word long for a stateless policy.
+        let mut words = clean.clone();
+        if len == 0 {
+            words[POLICY_SLICE] = 1;
+            words.insert(POLICY_SLICE + 1, 0);
+        } else {
+            words[POLICY_SLICE] -= 1;
+            words.remove(POLICY_SLICE + len);
+        }
+        let err = restore(name, &words).err();
+        assert!(
+            matches!(err, Some(CheckpointError::OutOfRange { field, .. }) if field.ends_with("length")),
+            "{name}: wrong length gave {err:?}"
+        );
+        for at in POLICY_SLICE + 1..=POLICY_SLICE + len {
+            let mut words = clean.clone();
+            words[at] = f64::NAN.to_bits();
+            assert!(refused(restore(name, &words)), "{name}: NaN at word {at}");
+        }
+    }
+}
+
 #[test]
 fn resealed_queue_word_mutations_never_panic_restore() {
     let mut rng = Rng(SEED ^ 0x5c4e);
-    let clean = scheduler_payload(CAPACITY - 1);
+    let clean = scheduler_payload("wfq", CAPACITY - 1);
     let entries = clean.len() - 7 * (CAPACITY - 1);
     for _ in 0..CASES / 8 {
         let mut words = clean.clone();
@@ -302,6 +340,6 @@ fn resealed_queue_word_mutations_never_panic_restore() {
                 words[i] ^ 1 << rng.below(64)
             };
         }
-        let _ = restore(&words);
+        let _ = restore("wfq", &words);
     }
 }
