@@ -22,10 +22,6 @@
 //! * `ceil_rebalance_migrations` — the migration-cost ceiling: the
 //!   rebalancer must not thrash; each migration stalls both shards for
 //!   the flow's backlog length.
-//! * `rebalance_seq_par_agree` — 1.0 iff the sequential and
-//!   thread-per-shard frontends, driven identically, produce the same
-//!   departure hash and migration count (the live-migration
-//!   determinism bit).
 //! * `rebalance_ckpt_deterministic` — 1.0 iff checkpointing the same
 //!   logical state twice, and from an identically-driven twin, is
 //!   byte-identical (the checkpoint byte-diff gate).
@@ -37,8 +33,7 @@
 use bench::{json_object, print_table};
 use fairq::{serve_links, DropPolicy, WfqRank};
 use scheduler::{
-    Executor, HwScheduler, Inline, Placement, RebalancerConfig, SchedulerConfig, ShardedFrontend,
-    Threads, WrapPolicy,
+    HwScheduler, Placement, RebalancerConfig, SchedulerConfig, ShardedScheduler, WrapPolicy,
 };
 use tagsort::SortRetrieveCircuit;
 use traffic::{FlowId, FlowSpec, ScaleConfig, ScaleWorkload};
@@ -50,11 +45,6 @@ const RATE_BPS: f64 = 1e9;
 const LOAD: f64 = 0.97;
 const SEED: u64 = 20;
 const REBALANCE_EVERY: usize = 1024;
-
-/// The frontend under test on executor `X`: the sequential and threaded
-/// runs share this type and one drive loop, so they are *provably*
-/// driven identically.
-type Frontend<X> = ShardedFrontend<SortRetrieveCircuit, WfqRank, X>;
 
 fn workload(packets: u64) -> ScaleWorkload {
     ScaleWorkload::new(ScaleConfig {
@@ -85,46 +75,31 @@ fn config(port_rate: f64) -> SchedulerConfig {
 }
 
 /// One run's outputs: per-port fluid-link completion time, admission
-/// balance, a departure hash, and the migration bill.
+/// balance, and the migration bill.
 struct RunResult {
     makespan_s: f64,
     balance: f64,
     served: u64,
     dropped: u64,
     migrations: u64,
-    hash: u64,
 }
 
 /// Drives `fe` through the seeded workload with [`serve_links`]: every
 /// port is an independent egress link at `port_rate`; arrivals are
 /// enqueued in trace order; dynamic runs get one rebalance round every
-/// [`REBALANCE_EVERY`] arrivals. The departure hash folds
-/// `(port, flow, seq)` in service order — the sequential/parallel
-/// agreement witness.
-fn drive<X: Executor<SortRetrieveCircuit, WfqRank>>(
-    fe: &mut Frontend<X>,
-    packets: u64,
-    port_rate: f64,
-    rebalance: bool,
-) -> RunResult {
+/// [`REBALANCE_EVERY`] arrivals.
+fn drive(fe: &mut ShardedScheduler, packets: u64, port_rate: f64, rebalance: bool) -> RunResult {
     let mut makespan_s = 0.0f64;
     let mut served = 0u64;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
     let dropped = serve_links(
         fe,
         &[port_rate; PORTS],
         workload(packets),
         DropPolicy::CountAndContinue,
         rebalance.then_some(REBALANCE_EVERY),
-        |port, d, _| {
+        |_, d, _| {
             makespan_s = makespan_s.max(d.finish.0);
             served += 1;
-            for word in [port as u64, u64::from(d.packet.flow.0), d.packet.seq] {
-                for byte in word.to_le_bytes() {
-                    hash ^= u64::from(byte);
-                    hash = hash.wrapping_mul(0x100_0000_01b3);
-                }
-            }
         },
     )
     .expect("only buffer refusals, and those are counted");
@@ -135,16 +110,13 @@ fn drive<X: Executor<SortRetrieveCircuit, WfqRank>>(
         served,
         dropped,
         migrations: fe.migrations(),
-        hash,
     }
 }
 
-/// A frontend on executor `X`; dynamic placement arms the rebalancer.
-fn frontend<X: Executor<SortRetrieveCircuit, WfqRank>>(
-    placement: Placement,
-    port_rate: f64,
-) -> Frontend<X> {
-    let fe = ShardedFrontend::with_policy_port_rates_placement(
+/// A frontend of the paper's circuit and WFQ ranks; dynamic placement
+/// arms the rebalancer.
+fn frontend(placement: Placement, port_rate: f64) -> ShardedScheduler {
+    let fe = ShardedScheduler::with_policy_port_rates_placement(
         &flow_table(),
         &[port_rate; PORTS],
         config(port_rate),
@@ -195,25 +167,17 @@ fn main() {
     let port_rate = RATE_BPS / LOAD / PORTS as f64;
 
     let stat = drive(
-        &mut frontend::<Inline<_, _>>(Placement::Hash, port_rate),
+        &mut frontend(Placement::Hash, port_rate),
         packets,
         port_rate,
         false,
     );
-    let dyn_seq = drive(
-        &mut frontend::<Inline<_, _>>(Placement::Dynamic, port_rate),
+    let dynamic = drive(
+        &mut frontend(Placement::Dynamic, port_rate),
         packets,
         port_rate,
         true,
     );
-    let dyn_par = drive(
-        &mut frontend::<Threads<_, _>>(Placement::Dynamic, port_rate),
-        packets,
-        port_rate,
-        true,
-    );
-
-    let agree = dyn_seq.hash == dyn_par.hash && dyn_seq.migrations == dyn_par.migrations;
     let ckpt_ok = checkpoint_deterministic(packets);
 
     let rows = vec![
@@ -226,20 +190,12 @@ fn main() {
             "-".into(),
         ],
         vec![
-            "dynamic (sequential)".into(),
-            format!("{:.4}", dyn_seq.makespan_s),
-            format!("{:.3}", dyn_seq.balance),
-            format!("{}", dyn_seq.served),
-            format!("{}", dyn_seq.dropped),
-            format!("{}", dyn_seq.migrations),
-        ],
-        vec![
-            "dynamic (parallel)".into(),
-            format!("{:.4}", dyn_par.makespan_s),
-            format!("{:.3}", dyn_par.balance),
-            format!("{}", dyn_par.served),
-            format!("{}", dyn_par.dropped),
-            format!("{}", dyn_par.migrations),
+            "dynamic".into(),
+            format!("{:.4}", dynamic.makespan_s),
+            format!("{:.3}", dynamic.balance),
+            format!("{}", dynamic.served),
+            format!("{}", dynamic.dropped),
+            format!("{}", dynamic.migrations),
         ],
     ];
     print_table(
@@ -250,41 +206,33 @@ fn main() {
         &rows,
     );
     println!(
-        "\nmakespan gain {:.3}x, balance gain {:.3}x, {} migration(s); seq/par agree: {}, checkpoint deterministic: {}",
-        stat.makespan_s / dyn_seq.makespan_s,
-        stat.balance / dyn_seq.balance,
-        dyn_seq.migrations,
-        if agree { "yes" } else { "NO" },
+        "\nmakespan gain {:.3}x, balance gain {:.3}x, {} migration(s); checkpoint deterministic: {}",
+        stat.makespan_s / dynamic.makespan_s,
+        stat.balance / dynamic.balance,
+        dynamic.migrations,
         if ckpt_ok { "yes" } else { "NO" },
     );
 
     let metrics = vec![
         (
             "rebalance_makespan_gain".to_string(),
-            stat.makespan_s / dyn_seq.makespan_s,
+            stat.makespan_s / dynamic.makespan_s,
         ),
         (
             "rebalance_balance_gain".to_string(),
-            stat.balance / dyn_seq.balance,
+            stat.balance / dynamic.balance,
         ),
         ("rebalance_balance_static".to_string(), stat.balance),
         (
             "ceil_rebalance_balance_dynamic".to_string(),
-            dyn_seq.balance,
+            dynamic.balance,
         ),
         (
             "ceil_rebalance_migrations".to_string(),
-            dyn_seq.migrations as f64,
+            dynamic.migrations as f64,
         ),
-        (
-            "ceil_rebalance_dropped".to_string(),
-            (dyn_seq.dropped + dyn_par.dropped) as f64,
-        ),
-        ("rebalance_served".to_string(), dyn_seq.served as f64),
-        (
-            "rebalance_seq_par_agree".to_string(),
-            f64::from(u8::from(agree)),
-        ),
+        ("ceil_rebalance_dropped".to_string(), dynamic.dropped as f64),
+        ("rebalance_served".to_string(), dynamic.served as f64),
         (
             "rebalance_ckpt_deterministic".to_string(),
             f64::from(u8::from(ckpt_ok)),

@@ -29,29 +29,12 @@
 //! object (default `BENCH_shard_throughput.json`) for the regression
 //! gate (`check_regression`). Raw single-thread wall-clock simulation
 //! speed is printed but never gated (host-dependent).
-//!
-//! **Experiment E12 — `parallel` mode:** invoked as
-//! `shard_throughput parallel`, the same drifting-tag workload is pushed
-//! through [`scheduler::ParallelShardedScheduler`] — one OS thread per port — and
-//! the *whole frontend's* wall-clock throughput is measured, so the
-//! speedup over the 1-port run is genuine multi-core scaling, not a
-//! model. Metrics `parallel_speedup_ports_{2,4,8}` (best of [`REPS`])
-//! and `parallel_cores` go into a separate flat-JSON file (default
-//! `BENCH_shard_parallel.json`). The same stream also runs through the
-//! inline [`ShardedScheduler`] on the caller's thread, which must depart
-//! the identical sequence; `parallel_over_inline_ports_{1,2,4,8}` is the
-//! threaded frontend's throughput over the inline one's at each port
-//! count (ungated: it prices the executor, not a regression). On a host where
-//! `std::thread::available_parallelism()` reports one core the speedups
-//! are necessarily ~1.0x and the numbers are **informational only** —
-//! CI gates them exclusively on multi-core runners.
 
 use std::time::Instant;
 
 use bench::{eng, json_object, print_table};
-use fairq::WfqRank;
-use scheduler::{Executor, Inline, SchedulerConfig, ShardedFrontend, ShardedScheduler, Threads};
-use tagsort::{SortRetrieveCircuit, PAPER_CLOCK_HZ, PAPER_MEAN_PACKET_BYTES};
+use scheduler::{SchedulerConfig, ShardedScheduler};
+use tagsort::{PAPER_CLOCK_HZ, PAPER_MEAN_PACKET_BYTES};
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
 const FLOWS: usize = 64;
@@ -129,143 +112,13 @@ fn run(ports: usize) -> RunResult {
     }
 }
 
-/// Packets handed across a channel per enqueue batch (and served back
-/// per port per round) in the parallel measurement — large enough to
-/// amortize the handoff, small enough to keep every worker busy.
-const PAR_BATCH: usize = 512;
-
-/// E12: the drifting-tag pair workload through a frontend on executor
-/// `X` (the thread-per-shard [`scheduler::ParallelShardedScheduler`], or the inline
-/// [`ShardedScheduler`] it is compared with), timed end to end on the
-/// wall clock. Returns aggregate packets/s (enqueues + dequeues, as in
-/// the E11 measurement) and the `(port, seq)` departure order.
-fn run_parallel<X: Executor<SortRetrieveCircuit, WfqRank>>(
-    ports: usize,
-) -> (f64, Vec<(usize, u64)>) {
-    let flows: Vec<FlowSpec> = (0..FLOWS)
-        .map(|i| FlowSpec::new(FlowId(i as u32), 1.0 + (i % 7) as f64, 1e6))
-        .collect();
-    let mut fe = ShardedFrontend::<SortRetrieveCircuit, WfqRank, X>::new(
-        &flows,
-        40e9,
-        ports,
-        SchedulerConfig {
-            capacity: 1 << 14,
-            tick_scale: 2000.0,
-            ..SchedulerConfig::default()
-        },
-    );
-    // The same global arrival stream as the sequential measurement.
-    let mut t = 0.0;
-    let total = (WARMUP + PAIRS_PER_PORT) * ports;
-    let mut arrivals = Vec::with_capacity(total);
-    for seq in 0..total as u64 {
-        t += 28e-9; // 140 B at 40 Gb/s
-        arrivals.push(Packet {
-            flow: FlowId((seq % FLOWS as u64) as u32),
-            size_bytes: 140,
-            arrival: Time(t),
-            seq,
-        });
-    }
-    // Warm a backlog so every shard stays busy through the timed loop.
-    let (warm, timed) = arrivals.split_at(WARMUP * ports);
-    fe.enqueue_batch(warm).expect("capacity");
-    let mut departed = Vec::with_capacity(total);
-    let started = Instant::now();
-    for chunk in timed.chunks(PAR_BATCH * ports) {
-        fe.enqueue_batch(chunk).expect("capacity");
-        // Serve a matching round: every backlogged port pops its share
-        // concurrently while the others do the same.
-        departed.extend(fe.dequeue_round(PAR_BATCH));
-    }
-    departed.extend(fe.drain());
-    let elapsed = started.elapsed().as_secs_f64();
-    let ops = timed.len() + departed.len();
-    let order = departed.iter().map(|&(port, p)| (port, p.seq)).collect();
-    (ops as f64 / elapsed, order)
-}
-
-/// E12 driver: measures wall-clock multi-core speedup of the parallel
-/// frontend and writes the `parallel_*` metric family.
-fn main_parallel(json_path: Option<String>) {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let port_counts = [1usize, 2, 4, 8];
-    // Best of REPS for each executor, the two runs alternating.
-    let mut best = Vec::new();
-    for &ports in &port_counts {
-        let (mut threads, mut inline) = (0.0f64, 0.0f64);
-        for _ in 0..REPS {
-            let (pps, threaded_order) = run_parallel::<Threads<_, _>>(ports);
-            threads = threads.max(pps);
-            let (pps, inline_order) = run_parallel::<Inline<_, _>>(ports);
-            inline = inline.max(pps);
-            assert!(
-                threaded_order == inline_order,
-                "{ports} ports: the executors departed different sequences"
-            );
-        }
-        best.push((threads, inline));
-    }
-    let mut rows = Vec::new();
-    let mut metrics: Vec<(String, f64)> = vec![("parallel_cores".into(), cores as f64)];
-    for (&ports, &(pps, inline)) in port_counts.iter().zip(&best) {
-        let speedup = pps / best[0].0;
-        rows.push(vec![
-            format!("{ports}"),
-            format!("{}pps", eng(pps)),
-            format!("{speedup:.2}x"),
-            format!("{}pps", eng(inline)),
-            format!("{:.2}x", pps / inline),
-        ]);
-        metrics.push((format!("parallel_wall_mpps_ports_{ports}"), pps / 1e6));
-        if ports > 1 {
-            metrics.push((format!("parallel_speedup_ports_{ports}"), speedup));
-        }
-        metrics.push((format!("parallel_over_inline_ports_{ports}"), pps / inline));
-    }
-    print_table(
-        &format!("Thread-per-shard frontend — wall-clock scaling ({cores} core(s))"),
-        &["ports", "wall-clock", "speedup", "inline", "threads/inline"],
-        &rows,
-    );
-    if cores == 1 {
-        println!(
-            "\nOnly one core available: every worker thread time-slices the\n\
-             same CPU, so the speedups above are ~1.0x by construction and\n\
-             must be read as informational, not as a regression."
-        );
-    } else {
-        println!(
-            "\nSpeedup is the N-port frontend's wall-clock throughput over the\n\
-             1-port frontend's in the same run: real multi-core scaling of\n\
-             the thread-per-shard workers, including all channel handoff\n\
-             costs."
-        );
-    }
-    if let Some(path) = json_path {
-        std::fs::write(&path, json_object(&metrics)).expect("write json");
-        println!("\nwrote {path}");
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parallel = args.first().is_some_and(|a| a == "parallel");
     let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            if parallel {
-                "BENCH_shard_parallel.json".into()
-            } else {
-                "BENCH_shard_throughput.json".into()
-            }
-        })
+        args.get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| "BENCH_shard_throughput.json".into())
     });
-    if parallel {
-        return main_parallel(json_path);
-    }
 
     let port_counts = [1usize, 2, 4, 8];
     let mut rows = Vec::new();

@@ -5,7 +5,7 @@
 //! A spec file is `key = value` lines; `#` starts a comment. Axis keys
 //! (`flows`, `policies`, `backends`, `admissions`, `faults`,
 //! `frontends`) take comma-separated lists and multiply into the grid;
-//! every other key is a scalar shared by all cells (sharded frontends
+//! every other key is a scalar shared by all cells (sharded cells
 //! read the `ports` and `placement` scalars). The scalar keys are
 //! `ports`, `placement`, `packets`, `seed`, `zipf`, `rate_bps`, `load`,
 //! `min_bytes`, `max_bytes`, `capacity`, `geometry` (`BITSxLEVELS`, at
@@ -31,12 +31,8 @@ pub enum Frontend {
     /// One [`scheduler::HwScheduler`] serving one egress link.
     #[default]
     Single,
-    /// [`scheduler::ShardedScheduler`] — one scheduler per port,
-    /// sequential coordination.
+    /// [`scheduler::ShardedScheduler`] — one scheduler per port.
     Sharded,
-    /// [`scheduler::ParallelShardedScheduler`] — one worker thread per
-    /// port.
-    Parallel,
 }
 
 impl Frontend {
@@ -45,7 +41,6 @@ impl Frontend {
         match self {
             Self::Single => "single",
             Self::Sharded => "sharded",
-            Self::Parallel => "parallel",
         }
     }
 }
@@ -63,9 +58,8 @@ impl FromStr for Frontend {
         match s {
             "single" => Ok(Self::Single),
             "sharded" => Ok(Self::Sharded),
-            "parallel" => Ok(Self::Parallel),
             other => Err(format!(
-                "unknown frontend \"{other}\" (expected single, sharded, or parallel)"
+                "unknown frontend \"{other}\" (expected single or sharded)"
             )),
         }
     }
@@ -139,12 +133,12 @@ pub struct CampaignSpec {
     pub admissions: Vec<AdmissionPolicy>,
     /// Fault axis: `"none"` or `COUNT@SEED[:COMPONENT[:BITS]]` specs.
     pub faults: Vec<String>,
-    /// Frontend axis (single, sharded, parallel).
+    /// Frontend axis (single, sharded).
     pub frontends: Vec<Frontend>,
-    /// Output-port count for the multi-port frontends (ignored by
+    /// Output-port count for the multi-port frontend (ignored by
     /// `single`).
     pub ports: usize,
-    /// Flow placement for the multi-port frontends: `hash` is the
+    /// Flow placement for the multi-port frontend: `hash` is the
     /// static affinity map, `dynamic` arms the rebalancer (ignored by
     /// `single`).
     pub placement: Placement,
@@ -502,20 +496,17 @@ mod tests {
             churn = 0.1:0.2:32:0.5
             scrub_order = write-priority
             fault_policy = detect-and-count
-            frontends = single, sharded, parallel
+            frontends = single, sharded
             ports = 8
             placement = dynamic
         ";
         let spec = CampaignSpec::parse("t", text).unwrap();
         assert_eq!(spec.flows, vec![64, 128]);
         assert_eq!(spec.policies, vec!["wfq", "srpt"]);
-        assert_eq!(
-            spec.frontends,
-            vec![Frontend::Single, Frontend::Sharded, Frontend::Parallel]
-        );
+        assert_eq!(spec.frontends, vec![Frontend::Single, Frontend::Sharded]);
         assert_eq!(spec.ports, 8);
         assert_eq!(spec.placement, Placement::Dynamic);
-        assert_eq!(spec.cells().len(), 2 * 2 * 2 * 2 * 2 * 3);
+        assert_eq!(spec.cells().len(), 2 * 2 * 2 * 2 * 2 * 2);
         assert_eq!(spec.geometry, Geometry::new(3, 4));
         assert_eq!(spec.scrub_order, ScrubOrder::WritePriority);
         assert_eq!(
@@ -540,6 +531,9 @@ mod tests {
         assert!(CampaignSpec::parse("t", "geometry = 9x1").is_err());
         assert!(CampaignSpec::parse("t", "mode = paged").is_err());
         assert!(CampaignSpec::parse("t", "frontends = mesh").is_err());
+        assert!(CampaignSpec::parse("t", "frontends = parallel").is_err());
+        let err = "parallel".parse::<Frontend>().unwrap_err();
+        assert!(err.contains("expected single or sharded"), "{err}");
         assert!(CampaignSpec::parse("t", "placement = roulette").is_err());
         assert!(CampaignSpec::parse("t", "ports = 0").is_err());
     }
@@ -695,9 +689,9 @@ mod tests {
     fn frontend_suffix_leaves_single_keys_unchanged() {
         let mut spec = CampaignSpec::builtin("smoke").unwrap();
         let before: Vec<String> = spec.cells().iter().map(Cell::key).collect();
-        spec.frontends = vec![Frontend::Single, Frontend::Sharded, Frontend::Parallel];
+        spec.frontends = vec![Frontend::Single, Frontend::Sharded];
         let after: Vec<String> = spec.cells().iter().map(Cell::key).collect();
-        assert_eq!(after.len(), before.len() * 3);
+        assert_eq!(after.len(), before.len() * 2);
         // Every pre-axis key survives verbatim; the new cells append a
         // frontend suffix.
         for key in &before {
@@ -705,10 +699,6 @@ mod tests {
         }
         assert_eq!(
             after.iter().filter(|k| k.ends_with("__sharded")).count(),
-            before.len()
-        );
-        assert_eq!(
-            after.iter().filter(|k| k.ends_with("__parallel")).count(),
             before.len()
         );
     }

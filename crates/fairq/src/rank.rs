@@ -6,8 +6,8 @@
 //! schedulers if only the **rank computation** is swapped: WFQ, STFQ,
 //! SRPT, shaping, strict priority, and hierarchical schemes all reduce
 //! to "compute a rank, push, pop the minimum". [`RankPolicy`] is that
-//! swap point. The scheduler stack (`scheduler::HwScheduler` and both
-//! sharded frontends) is generic over it, with [`WfqRank`] — the
+//! swap point. The scheduler stack (`scheduler::HwScheduler` and the
+//! sharded frontend) is generic over it, with [`WfqRank`] — the
 //! paper's WFQ finishing-tag computation — as the default, so the
 //! default pipeline is bit-for-bit the pre-policy behavior.
 //!
@@ -33,8 +33,8 @@
 //! Policies are built with the **prototype pattern**: a prototype value
 //! carries configuration only (e.g. the hierarchical class count), and
 //! [`RankPolicy::for_link`] stamps out the live instance for a concrete
-//! link — the sharded frontends call it once per port with that port's
-//! locally renumbered flows, exactly as they build one sorter per port.
+//! link — the sharded frontend calls it once per port with that port's
+//! locally renumbered flows, exactly as it builds one sorter per port.
 //!
 //! See `POLICIES.md` at the repository root for the cookbook: each
 //! policy's rank formula, reference-model pseudocode, and example

@@ -325,7 +325,7 @@ impl FromStr for ScrubOrder {
 }
 
 /// Everything a scheduler shard needs to run faulted, as plain values —
-/// `Copy`, so it rides inside a scheduler config into worker threads.
+/// `Copy`, so it rides inside a scheduler config.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// The fault plan specification.

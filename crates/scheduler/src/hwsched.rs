@@ -528,7 +528,7 @@ pub struct HwScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = Wfq
     migrated_in: u64,
     migrated_out: u64,
     /// Shard-local → global flow id map for trace events (identity when
-    /// empty; set by sharded frontends so joined event streams keep
+    /// empty; set by the sharded frontend so joined event streams keep
     /// globally meaningful flow ids).
     global_flows: Vec<u32>,
     faults: Option<FaultState>,
@@ -651,7 +651,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     }
 
     /// Installs the shard-local → global flow id map (`ids[local]` =
-    /// global id). Sharded frontends call this so `Enqueue`/`Dequeue`/
+    /// global id). The sharded frontend calls this so `Enqueue`/`Dequeue`/
     /// `Drop` events from different ports join on one global flow
     /// namespace, and restore global ids on dequeue through
     /// [`HwScheduler::global_flow`]; flows outside the map keep their
@@ -1765,8 +1765,7 @@ pub struct MigratedEntry {
 /// order, exact ranks) and the rank bookkeeping needed to continue the
 /// flow's relative schedule on another shard. Produced by
 /// [`HwScheduler::extract_flow`], consumed by
-/// [`HwScheduler::install_flow`]; plain data, so it crosses worker
-/// channels as-is.
+/// [`HwScheduler::install_flow`]; plain data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigratedFlow {
     /// Queued packets in service order.

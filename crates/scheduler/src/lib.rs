@@ -56,7 +56,6 @@ pub use hwsched::{
 };
 pub use quantize::{QuantizeOutcome, TagQuantizer, WrapPolicy};
 pub use shard::{
-    shard_of, BatchError, Executor, Inline, ParallelShardedScheduler, PortDeparture, ShardError,
-    ShardMap, ShardStats, ShardedFrontend, ShardedLinkSim, ShardedScheduler, Threads,
+    shard_of, PortDeparture, ShardError, ShardMap, ShardStats, ShardedLinkSim, ShardedScheduler,
 };
 pub use statesync::{Placement, RebalanceHint, Rebalancer, RebalancerConfig, ShardLoad};

@@ -7,33 +7,29 @@
 //! sorter, so the per-flow FIFO order that WFQ tag arithmetic assumes is
 //! never split across sorters.
 //!
-//! [`ShardedFrontend`] instantiates one independent [`HwScheduler`] per
+//! [`ShardedScheduler`] instantiates one independent [`HwScheduler`] per
 //! output port and routes arriving packets by **flow affinity**:
 //! [`shard_of`] is a pure hash of the flow id, so a flow's packets always
 //! meet the same shard, in order. Under [`Placement::Dynamic`] the live
 //! [`ShardMap`] starts from that hash and follows flows as they migrate.
-//! On the service side, [`ShardedFrontend::dequeue`] drives a
+//! On the service side, [`ShardedScheduler::dequeue`] drives a
 //! work-conserving round-robin across ports — it never reports an idle
 //! frontend while any shard holds a packet.
 //!
-//! One core owns every decision the frontend makes: routing and the
-//! global↔local flow ids, the migration protocol and rebalancing, the
-//! round-robin merge, which ports to poll, and statistics. It writes
-//! each per-port verb once, as a call on one port, and an *executor*
-//! only carries those calls to the shards:
+//! The frontend owns every decision: routing and the global↔local flow
+//! ids, the migration protocol and rebalancing, the round-robin service
+//! order, which ports to poll, and statistics. Every port's scheduler
+//! runs on the caller's thread and each per-port step is a direct method
+//! call, so the frontend allocates nothing per packet. The circuits'
+//! concurrency is modeled in cycles, not run on OS threads.
 //!
-//! - [`ShardedScheduler`] runs every shard inline on the caller's thread
-//!   ([`Inline`]);
-//! - [`ParallelShardedScheduler`] runs each shard on its own OS worker
-//!   thread ([`Threads`]) — the same departures, with real concurrency.
-//!
-//! Both are built the same way: [`ShardedFrontend::new`] for uniform
-//! links with the paper's circuit and WFQ ranks, and
-//! [`ShardedFrontend::with_policy_port_rates_placement`] for everything
+//! [`ShardedScheduler::new`] builds uniform links with the paper's
+//! circuit and WFQ ranks, and
+//! [`ShardedScheduler::with_policy_port_rates_placement`] everything
 //! else — per-port link rates, another sort backend or rank policy, and
-//! dynamic placement. [`ShardedFrontend::attach_telemetry`] and
-//! [`ShardedFrontend::with_rebalancer`] add instruments and live
-//! rebalancing to either.
+//! dynamic placement. [`ShardedScheduler::attach_telemetry`] and
+//! [`ShardedScheduler::with_rebalancer`] add instruments and live
+//! rebalancing.
 //!
 //! Each shard keeps the fixed four-cycle-per-packet slot of the single
 //! circuit, so the frontend's *modeled* aggregate throughput scales
@@ -61,53 +57,44 @@
 //! # }
 //! ```
 //!
-//! The threaded executor, with two ports at different link rates:
+//! Two ports at different link rates:
 //!
 //! ```
 //! use fairq::WfqRank;
-//! use scheduler::{ParallelShardedScheduler, Placement, SchedulerConfig};
+//! use scheduler::{Placement, SchedulerConfig, ShardedScheduler};
 //! use traffic::{FlowId, FlowSpec, Packet, Time};
 //!
+//! # fn main() -> Result<(), scheduler::ShardError> {
 //! let flows: Vec<FlowSpec> = (0..8)
 //!     .map(|i| FlowSpec::new(FlowId(i), 1.0, 1e6))
 //!     .collect();
-//! let mut fe: ParallelShardedScheduler = ParallelShardedScheduler::with_policy_port_rates_placement(
+//! let mut fe: ShardedScheduler = ShardedScheduler::with_policy_port_rates_placement(
 //!     &flows,
 //!     &[10e9, 1e9],
 //!     SchedulerConfig::default(),
 //!     &WfqRank::default(),
 //!     Placement::Hash,
 //! );
-//! let batch: Vec<Packet> = (0..32)
-//!     .map(|seq| Packet {
-//!         flow: FlowId((seq % 8) as u32),
-//!         size_bytes: 140,
-//!         arrival: Time(seq as f64 * 1e-6),
-//!         seq,
-//!     })
-//!     .collect();
-//! assert_eq!(fe.enqueue_batch(&batch).unwrap(), 32);
+//! for seq in 0..32 {
+//!     let flow = FlowId((seq % 8) as u32);
+//!     fe.enqueue(Packet { flow, size_bytes: 140, arrival: Time(seq as f64 * 1e-6), seq })?;
+//! }
 //! assert_eq!(fe.drain().len(), 32);
-//! // Workers are joined when `fe` drops.
+//! # Ok(())
+//! # }
 //! ```
 
 use std::error::Error;
 use std::fmt;
-use std::marker::PhantomData;
 
 use fairq::{Admit, Departure, Egress, RankPolicy, WfqRank};
 use statesync::{Placement, Rebalancer, RebalancerConfig, ShardLoad};
 use tagsort::{CircuitStats, SortBackend, SortRetrieveCircuit};
-use telemetry::{Snapshot, Telemetry};
+use telemetry::{Counter, EventKind, Snapshot, Telemetry, Tracer};
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
 use crate::egress::EgressSim;
 use crate::hwsched::{HwScheduler, SchedulerConfig, SchedulerError, SchedulerStats, SojournStamp};
-
-mod exec;
-
-use exec::Port;
-pub use exec::{Executor, Inline, Threads};
 
 /// The output port a flow is pinned to, as a pure function of the flow
 /// id and the port count.
@@ -283,35 +270,6 @@ impl Error for ShardError {
     }
 }
 
-/// A failed [`ShardedFrontend::enqueue_batch`]: the batch stopped at
-/// `error`, with `accepted` earlier packets already admitted (and still
-/// enqueued — a batch is not transactional).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchError {
-    /// Packets of the batch admitted before the failure (see
-    /// [`ShardedFrontend::enqueue_batch`] for which ones). These
-    /// remain enqueued.
-    pub accepted: usize,
-    /// The failure that stopped the batch.
-    pub error: ShardError,
-}
-
-impl fmt::Display for BatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "batch stopped after {} packet(s): {}",
-            self.accepted, self.error
-        )
-    }
-}
-
-impl Error for BatchError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
 /// Per-port and aggregated instrumentation of a sharded frontend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
@@ -412,30 +370,22 @@ fn aggregate_stats(per_port: Vec<SchedulerStats>, peak: usize) -> ShardStats {
     }
 }
 
-/// The sharded frontend with every shard running inline on the caller's
-/// thread ([`Inline`]).
-pub type ShardedScheduler<B = SortRetrieveCircuit, P = WfqRank> =
-    ShardedFrontend<B, P, Inline<B, P>>;
-
-/// The sharded frontend with one OS worker thread per port
-/// ([`Threads`]): the same departures as [`ShardedScheduler`], with
-/// shard work running concurrently.
-pub type ParallelShardedScheduler<B = SortRetrieveCircuit, P = WfqRank> =
-    ShardedFrontend<B, P, Threads<B, P>>;
-
 /// A multi-port egress frontend: one [`HwScheduler`] per output port,
 /// flow-affinity routing, live migration, and work-conserving service
-/// across ports, over an executor `X` that carries the per-port calls
-/// ([`Inline`] or [`Threads`]; see the aliases [`ShardedScheduler`] and
-/// [`ParallelShardedScheduler`]).
+/// across ports, every port running on the caller's thread.
 ///
 /// Flow ids stay **global** at this interface: under hash placement the
 /// frontend renumbers them into each shard's dense local space on the
 /// way in (the [`HwScheduler`] contract) and restores the global id on
 /// the way out.
 #[derive(Debug, Clone)]
-pub struct ShardedFrontend<B, P, X> {
-    exec: X,
+pub struct ShardedScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = WfqRank> {
+    /// Each port's scheduler, indexed by port.
+    shards: Vec<HwScheduler<B, P>>,
+    /// Packets handed to each port (disabled until telemetry attaches).
+    handoffs: Counter,
+    /// Event tracer (disabled until telemetry attaches).
+    tracer: Tracer,
     /// Each port's egress link rate, bits per second.
     rates: Vec<f64>,
     /// Global flow id → the flow's id on its port, under hash placement.
@@ -451,7 +401,7 @@ pub struct ShardedFrontend<B, P, X> {
     /// deltas.
     last_enqueued: Vec<u64>,
     /// Migration advisor (None until
-    /// [`ShardedFrontend::with_rebalancer`]).
+    /// [`ShardedScheduler::with_rebalancer`]).
     rebalancer: Option<Rebalancer>,
     /// Completed flow migrations.
     migrations: u64,
@@ -460,21 +410,20 @@ pub struct ShardedFrontend<B, P, X> {
     /// Frontend-wide high-water mark of queued packets (all ports at
     /// the same instant — not the sum of per-port peaks).
     peak: usize,
-    backend: PhantomData<(B, P)>,
 }
 
-impl<X: Executor<SortRetrieveCircuit, WfqRank>> ShardedFrontend<SortRetrieveCircuit, WfqRank, X> {
+impl ShardedScheduler {
     /// Creates a frontend of `ports` output ports, each an independent
     /// link of `port_rate_bps` sorting with the paper's trie circuit and
     /// ranking with WFQ finishing tags; flows are placed by
     /// [`shard_of`]. Per-port rates, other backends or policies, and
     /// dynamic placement are
-    /// [`ShardedFrontend::with_policy_port_rates_placement`].
+    /// [`ShardedScheduler::with_policy_port_rates_placement`].
     ///
     /// # Panics
     ///
     /// Panics if `ports` is zero, plus as
-    /// [`ShardedFrontend::with_policy_port_rates_placement`].
+    /// [`ShardedScheduler::with_policy_port_rates_placement`].
     pub fn new(
         flows: &[FlowSpec],
         port_rate_bps: f64,
@@ -491,7 +440,7 @@ impl<X: Executor<SortRetrieveCircuit, WfqRank>> ShardedFrontend<SortRetrieveCirc
     }
 }
 
-impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> {
+impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     /// Creates a frontend with one output port per entry of
     /// `port_rates_bps`, each an independent link of its own rate — the
     /// non-uniform line card (a few 40G uplinks next to many 1G access
@@ -505,7 +454,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     /// Under [`Placement::Hash`] each port is built with only its
     /// [`shard_of`] flows, renumbered into a dense local space. Under
     /// [`Placement::Dynamic`] every port is built with the full flow
-    /// table, so [`ShardedFrontend::migrate_flow`] can later move any
+    /// table, so [`ShardedScheduler::migrate_flow`] can later move any
     /// flow's backlog to any port; initial ownership is still
     /// [`shard_of`], so before the first migration it serves exactly
     /// like hash placement.
@@ -556,7 +505,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
             HwScheduler::with_backend_and_policy(fl, port_rates_bps[port], cfg, prototype)
         };
         let mut local = Vec::new();
-        let shards: Vec<HwScheduler<B, P>> = match placement {
+        let shards = match placement {
             Placement::Dynamic => (0..ports).map(|port| build(port, flows)).collect(),
             Placement::Hash => {
                 let mut subsets: Vec<Vec<FlowSpec>> = vec![Vec::new(); ports];
@@ -588,13 +537,9 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
             }
         };
         Self {
-            exec: X::start(
-                shards
-                    .into_iter()
-                    .enumerate()
-                    .map(|(port, shard)| Port::new(port, shard))
-                    .collect(),
-            ),
+            shards,
+            handoffs: Counter::disabled(),
+            tracer: Tracer::disabled(),
             rates: port_rates_bps.to_vec(),
             local,
             map,
@@ -604,11 +549,10 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
             migrations: 0,
             cursor: 0,
             peak: 0,
-            backend: PhantomData,
         }
     }
 
-    /// Arms dynamic rebalancing: [`ShardedFrontend::maybe_rebalance`]
+    /// Arms dynamic rebalancing: [`ShardedScheduler::maybe_rebalance`]
     /// rounds feed a [`Rebalancer`] with per-port load and execute the
     /// migration it advises.
     ///
@@ -627,8 +571,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
 
     /// Connects the frontend — and every port's scheduler, each as its
     /// own shard — to a telemetry registry. The registry's shard count
-    /// must equal the port count. The handles are `Send` and recording
-    /// is lock-free, so threaded shards never contend on telemetry.
+    /// must equal the port count.
     ///
     /// # Panics
     ///
@@ -641,13 +584,16 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
                 "registry shard count must match port count"
             );
         }
-        let tel = tel.clone();
-        self.each(move |p| p.attach_telemetry(&tel));
+        for (port, shard) in self.shards.iter_mut().enumerate() {
+            shard.attach_telemetry(tel, port);
+        }
+        self.handoffs = tel.counter("shard_handoffs");
+        self.tracer = tel.tracer();
     }
 
     /// Number of output ports.
     pub fn ports(&self) -> usize {
-        self.exec.ports()
+        self.shards.len()
     }
 
     /// One port's egress link rate, bits per second.
@@ -666,7 +612,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
 
     /// Total queued packets across all ports.
     pub fn len(&self) -> usize {
-        (0..self.ports()).map(|port| self.exec.len(port)).sum()
+        self.shards.iter().map(HwScheduler::len).sum()
     }
 
     /// Whether every shard is empty.
@@ -680,7 +626,16 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     ///
     /// Panics if `port` is out of range.
     pub fn port_len(&self, port: usize) -> usize {
-        self.exec.len(port)
+        self.shards[port].len()
+    }
+
+    /// Read access to one port's scheduler (for experiments).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    pub fn shard(&self, port: usize) -> &HwScheduler<B, P> {
+        &self.shards[port]
     }
 
     /// The port a configured flow is routed to, or `None` for an
@@ -696,101 +651,44 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     }
 
     /// Completed flow migrations (see
-    /// [`ShardedFrontend::migrate_flow`]).
+    /// [`ShardedScheduler::migrate_flow`]).
     pub fn migrations(&self) -> u64 {
         self.migrations
     }
 
-    /// Looks up a packet's route, renumbering its flow id into the
-    /// shard's local space. The port comes from the live [`ShardMap`],
-    /// so packets racing an in-flight migration go to the flow's **new**
-    /// owner — whose install precedes them — rather than being dropped
-    /// or stranded.
-    fn route(&self, pkt: &Packet) -> Result<(usize, Packet), ShardError> {
-        let port = self.map.port_of(pkt.flow).ok_or(ShardError::UnknownFlow {
-            flow: pkt.flow.0,
-            flows: self.flows(),
-        })?;
-        let mut routed = *pkt;
-        if let Some(&local) = self.local.get(pkt.flow.0 as usize) {
-            routed.flow = FlowId(local);
-        }
-        Ok((port, routed))
-    }
-
-    /// Routes one packet (global flow id) to its shard.
+    /// Routes one packet (global flow id) to its shard. The port comes
+    /// from the live [`ShardMap`], so packets racing an in-flight
+    /// migration go to the flow's **new** owner — whose install precedes
+    /// them — rather than being dropped or stranded.
     ///
     /// # Errors
     ///
     /// [`ShardError::UnknownFlow`] for an unconfigured flow, or
     /// [`ShardError::Port`] wrapping the shard's refusal.
     pub fn enqueue(&mut self, pkt: Packet) -> Result<(), ShardError> {
-        let (port, routed) = self.route(&pkt)?;
-        self.exec
-            .on(port, move |p| p.admit(routed))
+        let port = self.map.port_of(pkt.flow).ok_or(ShardError::UnknownFlow {
+            flow: pkt.flow.0,
+            flows: self.flows(),
+        })?;
+        let mut routed = pkt;
+        if let Some(&local) = self.local.get(pkt.flow.0 as usize) {
+            routed.flow = FlowId(local);
+        }
+        let shard = &mut self.shards[port];
+        self.tracer.emit(
+            port,
+            shard.cycles(),
+            EventKind::ShardHandoff,
+            u64::from(pkt.flow.0),
+            pkt.seq,
+        );
+        shard
+            .enqueue(routed)
             .map_err(|source| ShardError::Port { port, source })?;
+        self.handoffs.inc(port, 1);
         self.flow_arrivals[pkt.flow.0 as usize] += 1;
         self.peak = self.peak.max(self.len());
         Ok(())
-    }
-
-    /// Routes a batch of packets, bucketing them per shard first so each
-    /// sorter sees its arrivals back-to-back (the software analogue of
-    /// per-port ingress FIFOs), and hands each bucket to its port in one
-    /// call. Relative order *within* each shard — the order WFQ tags
-    /// care about — is exactly the batch order.
-    ///
-    /// Returns the number of packets accepted.
-    ///
-    /// # Errors
-    ///
-    /// All flow ids are validated up front, so an unknown flow rejects
-    /// the whole batch with nothing enqueued ([`BatchError::accepted`]
-    /// is 0). A shard refusal stops only that shard's bucket; every other
-    /// shard still admits its bucket up to its own first refusal. The
-    /// error's `accepted` counts every admitted packet, those stay
-    /// enqueued (the batch is not rolled back), and the reported error is
-    /// the lowest-numbered failing port's. The admitted packets are
-    /// therefore **not** necessarily a prefix of the batch. Both
-    /// executors admit exactly the same packets.
-    pub fn enqueue_batch(&mut self, pkts: &[Packet]) -> Result<usize, BatchError> {
-        let mut buckets: Vec<Vec<Packet>> = vec![Vec::new(); self.ports()];
-        for pkt in pkts {
-            let (port, routed) = self
-                .route(pkt)
-                .map_err(|error| BatchError { accepted: 0, error })?;
-            buckets[port].push(routed);
-        }
-        let calls = buckets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(port, bucket)| (port, move |p: &mut Port<B, P>| p.admit_all(bucket)));
-        let mut admitted = vec![0; self.ports()];
-        let mut first_error = None;
-        for (port, (accepted, error)) in self.exec.scatter(calls) {
-            admitted[port] = accepted;
-            if let (Some(source), None) = (error, &first_error) {
-                first_error = Some(ShardError::Port { port, source });
-            }
-        }
-        let total = admitted.iter().sum();
-        // Each shard admitted a prefix of its bucket, in batch order.
-        for pkt in pkts {
-            let left = &mut admitted[self.map.port_of(pkt.flow).expect("routed above")];
-            if *left > 0 {
-                *left -= 1;
-                self.flow_arrivals[pkt.flow.0 as usize] += 1;
-            }
-        }
-        self.peak = self.peak.max(self.len());
-        match first_error {
-            None => Ok(total),
-            Some(error) => Err(BatchError {
-                accepted: total,
-                error,
-            }),
-        }
     }
 
     /// Serves the next packet under work-conserving round-robin: starting
@@ -827,80 +725,24 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     ///
     /// Panics if `port` is out of range.
     pub fn dequeue_port_stamped(&mut self, port: usize) -> Option<(Packet, SojournStamp)> {
-        self.exec.on(port, |p| p.pop_one())
+        let shard = &mut self.shards[port];
+        let (mut pkt, stamp) = shard.dequeue_stamped()?;
+        pkt.flow = shard.global_flow(pkt.flow);
+        Some((pkt, stamp))
     }
 
-    /// Serves up to `per_port` packets from **every** port (concurrently
-    /// under [`Threads`]), then interleaves them in round-robin order:
-    /// each rotation from the cursor serves one packet from the next
-    /// port with any left — the batched work-conserving service path.
-    /// Returns `(port, packet)` pairs; empty only when every shard is
-    /// empty.
-    pub fn dequeue_round(&mut self, per_port: usize) -> Vec<(usize, Packet)> {
-        self.drain_round(per_port)
-            .into_iter()
-            .map(|(port, pkt, _)| (port, pkt))
-            .collect()
-    }
-
-    /// Dequeues everything in the exact order repeated
-    /// [`ShardedFrontend::dequeue`] calls would produce.
+    /// Dequeues everything, in the order repeated
+    /// [`ShardedScheduler::dequeue`] calls serve it.
     pub fn drain(&mut self) -> Vec<(usize, Packet)> {
-        self.dequeue_round(usize::MAX)
+        std::iter::from_fn(|| self.dequeue()).collect()
     }
 
-    /// Pops up to `max` packets from every backlogged port — an idle
-    /// port is not polled at all — and merges the per-port tag-order
-    /// runs in round-robin order, advancing the cursor exactly as
-    /// serving them one by one would have.
-    fn drain_round(&mut self, max: usize) -> Vec<(usize, Packet, SojournStamp)> {
-        let ports = self.ports();
-        let calls: Vec<_> = (0..ports)
-            .filter(|&port| self.port_len(port) > 0)
-            .map(|port| (port, move |p: &mut Port<B, P>| p.pop(max)))
-            .collect();
-        let mut runs = vec![Vec::new(); ports];
-        for (port, run) in self.exec.scatter(calls) {
-            runs[port] = run;
-        }
-        let total = runs.iter().map(Vec::len).sum();
-        let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
-        let mut out = Vec::with_capacity(total);
-        while out.len() < total {
-            for step in 0..ports {
-                let port = (self.cursor + step) % ports;
-                if let Some((pkt, stamp)) = runs[port].next() {
-                    out.push((port, pkt, stamp));
-                    self.cursor = (port + 1) % ports;
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Per-port and aggregated statistics (gathered from all workers
-    /// concurrently under [`Threads`]).
+    /// Per-port and aggregated statistics.
     pub fn stats(&self) -> ShardStats {
-        aggregate_stats(self.port_stats(), self.peak)
-    }
-
-    fn port_stats(&self) -> Vec<SchedulerStats> {
-        self.exec.every(|p| p.shard.stats())
-    }
-
-    /// Runs `call` on every port (concurrently under [`Threads`]);
-    /// results in port order.
-    fn each<R: Send + 'static>(
-        &mut self,
-        call: impl FnOnce(&mut Port<B, P>) -> R + Clone + Send + 'static,
-    ) -> Vec<R> {
-        let calls = (0..self.ports()).map(|port| (port, call.clone()));
-        self.exec
-            .scatter(calls)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
+        aggregate_stats(
+            self.shards.iter().map(HwScheduler::stats).collect(),
+            self.peak,
+        )
     }
 
     /// End-of-run fault accounting on every port (see
@@ -908,19 +750,18 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     /// detections and folds never-detected faults into its silent
     /// counter. Returns the `(injected, detected, repaired, silent)`
     /// ledger totals across ports, so `detected + silent == injected` is
-    /// verifiable on either executor. Idempotent; all zeros without a
-    /// fault campaign. Threaded workers also reconcile on shutdown, so
-    /// dropping the frontend without calling this never loses the
-    /// accounting.
+    /// verifiable frontend-wide. Idempotent; all zeros without a fault
+    /// campaign.
     pub fn reconcile_faults(&mut self) -> (u64, u64, u64, u64) {
-        self.each(|p| {
-            p.shard.reconcile_faults();
-            p.shard.fault_totals()
-        })
-        .into_iter()
-        .fold((0, 0, 0, 0), |acc, (i, d, r, s)| {
-            (acc.0 + i, acc.1 + d, acc.2 + r, acc.3 + s)
-        })
+        self.shards
+            .iter_mut()
+            .map(|shard| {
+                shard.reconcile_faults();
+                shard.fault_totals()
+            })
+            .fold((0, 0, 0, 0), |acc, (i, d, r, s)| {
+                (acc.0 + i, acc.1 + d, acc.2 + r, acc.3 + s)
+            })
     }
 
     /// Moves one flow's entire queued backlog — and its rank state —
@@ -959,12 +800,10 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
         self.map.begin_migration(flow, to);
         // Dynamic placement keeps global flow ids on every shard, so the
         // flow's id is the same on both ports.
-        let backlog = self.exec.on(from, move |p| p.shard.extract_flow(flow));
-        let packets = backlog.len();
-        if let Err((source, backlog)) = self.exec.on(to, move |p| p.install(flow, backlog)) {
-            let reinstalled = self.exec.on(from, move |p| p.install(flow, backlog));
+        let backlog = self.shards[from].extract_flow(flow);
+        if let Err(source) = self.shards[to].install_flow(flow, &backlog) {
             assert!(
-                reinstalled.is_ok(),
+                self.shards[from].install_flow(flow, &backlog).is_ok(),
                 "reinstalling into the slots just vacated cannot fail"
             );
             self.map.abort_migration();
@@ -973,7 +812,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
         self.map.commit_migration();
         self.migrations += 1;
         self.peak = self.peak.max(self.len());
-        Ok(packets)
+        Ok(backlog.len())
     }
 
     /// One rebalance round: feeds the [`Rebalancer`] each port's load
@@ -989,32 +828,28 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
     ///
     /// # Panics
     ///
-    /// Panics unless [`ShardedFrontend::with_rebalancer`] armed a
+    /// Panics unless [`ShardedScheduler::with_rebalancer`] armed a
     /// rebalancer (which implies [`Placement::Dynamic`]).
     pub fn maybe_rebalance(&mut self) -> Option<(FlowId, usize, usize)> {
-        assert!(
-            self.rebalancer.is_some(),
-            "no rebalancer armed; use with_rebalancer"
-        );
+        let rebalancer = self
+            .rebalancer
+            .as_mut()
+            .expect("no rebalancer armed; use with_rebalancer");
         let loads: Vec<ShardLoad> = self
-            .port_stats()
+            .shards
             .iter()
             .zip(&mut self.last_enqueued)
-            .enumerate()
-            .map(|(port, (stats, last))| {
-                let arrivals = stats.enqueued - *last;
-                *last = stats.enqueued;
+            .map(|(shard, last)| {
+                let enqueued = shard.stats().enqueued;
+                let arrivals = enqueued - *last;
+                *last = enqueued;
                 ShardLoad {
                     arrivals,
-                    backlog: self.exec.len(port) as u64,
+                    backlog: shard.len() as u64,
                 }
             })
             .collect();
-        let hint = self
-            .rebalancer
-            .as_mut()
-            .expect("checked above")
-            .observe(&loads)?;
+        let hint = rebalancer.observe(&loads)?;
         let flow = (0..self.flow_arrivals.len())
             .filter(|&f| self.map.port_of(FlowId(f as u32)) == Some(hint.from))
             .max_by_key(|&f| (self.flow_arrivals[f], std::cmp::Reverse(f)))?;
@@ -1023,17 +858,6 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> ShardedFrontend<B, P, X> 
             Ok(_) => Some((flow, hint.from, hint.to)),
             Err(_) => None,
         }
-    }
-}
-
-impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
-    /// Read access to one port's scheduler (for experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn shard(&self, port: usize) -> &HwScheduler<B, P> {
-        self.exec.shard(port)
     }
 }
 
@@ -1054,7 +878,7 @@ pub struct PortDeparture {
 /// Every port is one egress link: a refusal other than an unknown flow
 /// (buffer exhaustion, tag range) costs only the packet, and a rebalance
 /// round reports the port a migration moved a backlog onto.
-impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> Egress for ShardedFrontend<B, P, X> {
+impl<B: SortBackend, P: RankPolicy> Egress for ShardedScheduler<B, P> {
     type Error = ShardError;
     type Stamp = SojournStamp;
 
@@ -1082,7 +906,7 @@ impl<B: SortBackend, P: RankPolicy, X: Executor<B, P>> Egress for ShardedFronten
 
 /// Line-rate egress simulation of a sharded frontend: every output port
 /// is an independent link transmitting at **its own configured rate**
-/// ([`ShardedFrontend::port_rate`]), served back-to-back whenever its
+/// ([`ShardedScheduler::port_rate`]), served back-to-back whenever its
 /// shard is backlogged. With non-uniform rates, a slow port's packets
 /// take proportionally longer on the wire, so per-flow delay and
 /// fairness metrics computed from the departures are per-port-rate
@@ -1104,12 +928,12 @@ impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
     }
 
     /// Enables live rebalancing: every `arrivals` arrivals the run
-    /// executes one [`ShardedFrontend::maybe_rebalance`] round.
+    /// executes one [`ShardedScheduler::maybe_rebalance`] round.
     ///
     /// # Panics
     ///
     /// Panics if `arrivals` is zero, or (at run time) if the frontend
-    /// has no rebalancer armed ([`ShardedFrontend::with_rebalancer`]).
+    /// has no rebalancer armed ([`ShardedScheduler::with_rebalancer`]).
     pub fn with_rebalance_every(mut self, arrivals: usize) -> Self {
         assert!(arrivals > 0, "rebalance cadence must be positive");
         self.rebalance_every = Some(arrivals);
@@ -1158,7 +982,7 @@ impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
     }
 
     /// Mutable frontend access, for post-run bookkeeping such as
-    /// [`ShardedFrontend::reconcile_faults`].
+    /// [`ShardedScheduler::reconcile_faults`].
     pub fn frontend_mut(&mut self) -> &mut ShardedScheduler<B, P> {
         &mut self.egress
     }
@@ -1171,13 +995,13 @@ mod tests {
     use traffic::SizeDist;
 
     /// A WFQ-ranked frontend over explicit port rates and placement.
-    fn build<X: Executor<SortRetrieveCircuit, WfqRank>>(
+    fn build(
         fl: &[FlowSpec],
         rates: &[f64],
         config: SchedulerConfig,
         placement: Placement,
-    ) -> ShardedFrontend<SortRetrieveCircuit, WfqRank, X> {
-        ShardedFrontend::with_policy_port_rates_placement(
+    ) -> ShardedScheduler {
+        ShardedScheduler::with_policy_port_rates_placement(
             fl,
             rates,
             config,
@@ -1217,15 +1041,8 @@ mod tests {
 
     #[test]
     fn routing_matches_the_hash_and_restores_global_ids() {
-        routing_matches_the_hash_and_restores_global_ids_on::<Inline<_, _>>();
-        routing_matches_the_hash_and_restores_global_ids_on::<Threads<_, _>>();
-    }
-
-    fn routing_matches_the_hash_and_restores_global_ids_on<
-        X: Executor<SortRetrieveCircuit, WfqRank>,
-    >() {
         let fl = flows(16);
-        let mut fe = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 4, SchedulerConfig::default());
+        let mut fe = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
         assert_eq!(fe.ports(), 4);
         assert_eq!(fe.flows(), 16);
         for f in 0..16u32 {
@@ -1268,13 +1085,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_enqueue_counts_and_orders_within_shards() {
+    fn enqueue_counts_and_orders_within_shards() {
         let fl = flows(8);
         let mut fe = ShardedScheduler::new(&fl, 1e9, 2, SchedulerConfig::default());
-        let batch: Vec<Packet> = (0..32)
-            .map(|i| pkt(i, (i % 8) as u32, i as f64 * 1e-6, 500))
-            .collect();
-        assert_eq!(fe.enqueue_batch(&batch).unwrap(), 32);
+        for i in 0..32 {
+            fe.enqueue(pkt(i, (i % 8) as u32, i as f64 * 1e-6, 500))
+                .unwrap();
+        }
         assert_eq!(fe.len(), 32);
         // Per-flow order survives: drain one port and check each flow's
         // seqs ascend.
@@ -1284,44 +1101,6 @@ mod tests {
                 assert!(prev < p.seq, "flow {} reordered", p.flow.0);
             }
         }
-    }
-
-    #[test]
-    fn batch_error_reports_accepted_count() {
-        batch_error_reports_accepted_count_on::<Inline<_, _>>();
-        batch_error_reports_accepted_count_on::<Threads<_, _>>();
-    }
-
-    fn batch_error_reports_accepted_count_on<X: Executor<SortRetrieveCircuit, WfqRank>>() {
-        // Unknown flow mid-batch: validated up front, nothing enqueued.
-        let mut fe = build::<X>(
-            &flows(4),
-            &[1e9; 2],
-            SchedulerConfig::default(),
-            Placement::Hash,
-        );
-        let batch = [pkt(0, 0, 0.0, 140), pkt(1, 99, 0.0, 140)];
-        let err = fe.enqueue_batch(&batch).unwrap_err();
-        assert_eq!(err.accepted, 0);
-        assert!(matches!(
-            err.error,
-            ShardError::UnknownFlow { flow: 99, .. }
-        ));
-        assert_eq!(fe.len(), 0, "validation failure admits nothing");
-        // Shard refusal mid-batch: the accepted count survives in the error.
-        let small = SchedulerConfig {
-            capacity: 2,
-            ..SchedulerConfig::default()
-        };
-        let mut fe = build::<X>(&flows(4), &[1e9], small, Placement::Hash);
-        let batch: Vec<Packet> = (0..4).map(|i| pkt(i, 0, 0.0, 140)).collect();
-        let err = fe.enqueue_batch(&batch).unwrap_err();
-        assert_eq!(err.accepted, 2);
-        assert!(matches!(err.error, ShardError::Port { port: 0, .. }));
-        assert_eq!(fe.len(), 2, "admitted packets stay enqueued");
-        assert!(err.to_string().contains("after 2 packet(s)"));
-        use std::error::Error as _;
-        assert!(err.source().is_some());
     }
 
     #[test]
@@ -1353,15 +1132,11 @@ mod tests {
 
     #[test]
     fn stats_aggregate_sums_ports() {
-        stats_aggregate_sums_ports_on::<Inline<_, _>>();
-        stats_aggregate_sums_ports_on::<Threads<_, _>>();
-    }
-
-    fn stats_aggregate_sums_ports_on<X: Executor<SortRetrieveCircuit, WfqRank>>() {
         let fl = flows(16);
-        let mut fe = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 4, SchedulerConfig::default());
-        let batch: Vec<Packet> = (0..40).map(|i| pkt(i, (i % 16) as u32, 0.0, 500)).collect();
-        fe.enqueue_batch(&batch).unwrap();
+        let mut fe = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
+        for i in 0..40 {
+            fe.enqueue(pkt(i, (i % 16) as u32, 0.0, 500)).unwrap();
+        }
         let peak = fe.len();
         assert_eq!(fe.drain().len(), 40);
         let stats = fe.stats();
@@ -1380,13 +1155,8 @@ mod tests {
 
     #[test]
     fn per_port_rates_are_stored_and_validated() {
-        per_port_rates_are_stored_and_validated_on::<Inline<_, _>>();
-        per_port_rates_are_stored_and_validated_on::<Threads<_, _>>();
-    }
-
-    fn per_port_rates_are_stored_and_validated_on<X: Executor<SortRetrieveCircuit, WfqRank>>() {
         let fl = flows(16);
-        let fe = build::<X>(
+        let fe = build(
             &fl,
             &[4e9, 1e9],
             SchedulerConfig::default(),
@@ -1396,13 +1166,13 @@ mod tests {
         assert_eq!(fe.port_rate(0), 4e9);
         assert_eq!(fe.port_rate(1), 1e9);
         // The uniform constructor is the special case.
-        let uniform = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 2, SchedulerConfig::default());
+        let uniform = ShardedScheduler::new(&fl, 1e9, 2, SchedulerConfig::default());
         assert_eq!(uniform.port_rate(0), uniform.port_rate(1));
         // Invalid rates are rejected up front.
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let fl = fl.clone();
             let caught = std::panic::catch_unwind(move || {
-                build::<X>(
+                build(
                     &fl,
                     &[1e9, bad],
                     SchedulerConfig::default(),
@@ -1412,7 +1182,7 @@ mod tests {
             assert!(caught.is_err(), "rate {bad} accepted");
         }
         let caught = std::panic::catch_unwind(|| {
-            build::<X>(&flows(4), &[], SchedulerConfig::default(), Placement::Hash);
+            build(&flows(4), &[], SchedulerConfig::default(), Placement::Hash);
         });
         assert!(caught.is_err(), "empty rate vector accepted");
     }
@@ -1557,17 +1327,17 @@ mod tests {
     fn dynamic_placement_serves_like_hash_before_any_migration() {
         let fl = flows(8);
         let mut hash = ShardedScheduler::new(&fl, 1e9, 2, SchedulerConfig::default());
-        let mut dynamic = build::<Inline<_, _>>(
+        let mut dynamic = build(
             &fl,
             &[1e9; 2],
             SchedulerConfig::default(),
             Placement::Dynamic,
         );
-        let batch: Vec<Packet> = (0..48)
-            .map(|i| pkt(i, (i % 8) as u32, i as f64 * 1e-6, 500))
-            .collect();
-        assert_eq!(hash.enqueue_batch(&batch).unwrap(), 48);
-        assert_eq!(dynamic.enqueue_batch(&batch).unwrap(), 48);
+        for i in 0..48 {
+            let p = pkt(i, (i % 8) as u32, i as f64 * 1e-6, 500);
+            hash.enqueue(p).unwrap();
+            dynamic.enqueue(p).unwrap();
+        }
         loop {
             let a = hash.dequeue().map(|(port, p)| (port, p.flow, p.seq));
             let b = dynamic.dequeue().map(|(port, p)| (port, p.flow, p.seq));
@@ -1580,15 +1350,8 @@ mod tests {
 
     #[test]
     fn migrate_flow_moves_backlog_and_reroutes_later_enqueues() {
-        migrate_flow_moves_backlog_and_reroutes_later_enqueues_on::<Inline<_, _>>();
-        migrate_flow_moves_backlog_and_reroutes_later_enqueues_on::<Threads<_, _>>();
-    }
-
-    fn migrate_flow_moves_backlog_and_reroutes_later_enqueues_on<
-        X: Executor<SortRetrieveCircuit, WfqRank>,
-    >() {
         let fl = flows(8);
-        let mut fe = build::<X>(
+        let mut fe = build(
             &fl,
             &[1e9; 2],
             SchedulerConfig::default(),
@@ -1635,7 +1398,7 @@ mod tests {
             capacity: 4,
             ..SchedulerConfig::default()
         };
-        let mut fe = build::<Inline<_, _>>(&flows(8), &[1e9; 2], small, Placement::Dynamic);
+        let mut fe = build(&flows(8), &[1e9; 2], small, Placement::Dynamic);
         let flow = FlowId(0);
         let from = fe.port_of(flow).unwrap();
         let to = 1 - from;
@@ -1672,15 +1435,8 @@ mod tests {
 
     #[test]
     fn rebalancer_moves_the_hottest_flow_off_the_hot_port() {
-        rebalancer_moves_the_hottest_flow_off_the_hot_port_on::<Inline<_, _>>();
-        rebalancer_moves_the_hottest_flow_off_the_hot_port_on::<Threads<_, _>>();
-    }
-
-    fn rebalancer_moves_the_hottest_flow_off_the_hot_port_on<
-        X: Executor<SortRetrieveCircuit, WfqRank>,
-    >() {
         let fl = flows(8);
-        let mut fe = build::<X>(
+        let mut fe = build(
             &fl,
             &[1e9; 2],
             SchedulerConfig::default(),
@@ -1750,71 +1506,5 @@ mod tests {
             );
             assert!(d.departure.finish > d.departure.start);
         }
-    }
-
-    #[test]
-    fn dequeue_round_preserves_order_across_rounds() {
-        let fl = flows(24);
-        let batch: Vec<Packet> = (0..96)
-            .map(|i| pkt(i, (i % 24) as u32, i as f64 * 1e-6, 500))
-            .collect();
-        let mut seq = ShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        seq.enqueue_batch(&batch).unwrap();
-        let mut reference = Vec::new();
-        while let Some(served) = seq.dequeue() {
-            reference.push(served);
-        }
-
-        let mut par = ParallelShardedScheduler::new(&fl, 1e9, 4, SchedulerConfig::default());
-        par.enqueue_batch(&batch).unwrap();
-        let mut got = Vec::new();
-        loop {
-            let round = par.dequeue_round(5);
-            if round.is_empty() {
-                break;
-            }
-            got.extend(round);
-        }
-        // Each flow's packets come out in the same order as sequentially
-        // (cross-round the global cursor position can differ from the
-        // packet-at-a-time reference, but per-flow WFQ order cannot).
-        let per_flow = |served: &[(usize, Packet)]| {
-            let mut m: std::collections::HashMap<u32, Vec<u64>> = std::collections::HashMap::new();
-            for (_, p) in served {
-                m.entry(p.flow.0).or_default().push(p.seq);
-            }
-            m
-        };
-        assert_eq!(per_flow(&got), per_flow(&reference));
-        assert_eq!(got.len(), reference.len());
-    }
-
-    #[test]
-    fn stamped_service_matches_sequential_cycle_stamps() {
-        // Same batch through both frontends: each shard executes the
-        // identical enqueue/dequeue sequence, so the per-port stamped
-        // streams must be identical — the property that makes parallel
-        // latency attribution trustworthy.
-        fn runs<X: Executor<SortRetrieveCircuit, WfqRank>>() -> Vec<Vec<(u64, SojournStamp)>> {
-            let fl = flows(24);
-            let batch: Vec<Packet> = (0..96)
-                .map(|i| pkt(i, (i % 24) as u32, i as f64 * 1e-6, 500))
-                .collect();
-            let mut fe = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 4, SchedulerConfig::default());
-            fe.enqueue_batch(&batch).unwrap();
-            (0..4)
-                .map(|port| {
-                    std::iter::from_fn(|| fe.dequeue_port_stamped(port))
-                        .map(|(p, st)| (p.seq, st))
-                        .collect()
-                })
-                .collect()
-        }
-        let par = runs::<Threads<_, _>>();
-        assert!(par
-            .iter()
-            .flatten()
-            .all(|(_, st)| st.dequeued > st.enqueued));
-        assert_eq!(par, runs::<Inline<_, _>>());
     }
 }

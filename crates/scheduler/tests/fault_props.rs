@@ -14,9 +14,9 @@
 
 use proptest::prelude::*;
 
-use fairq::{AnyPolicy, RankPolicy, WfqRank};
+use fairq::{AnyPolicy, RankPolicy};
 use faultsim::{DetectionKind, FaultConfig, FaultPolicy, FaultSpec, ScrubOrder};
-use scheduler::{Executor, HwScheduler, Inline, SchedulerConfig, ShardedFrontend, Threads};
+use scheduler::{HwScheduler, SchedulerConfig, ShardedScheduler};
 use tagsort::{Geometry, SortRetrieveCircuit};
 use telemetry::Telemetry;
 use traffic::{FlowId, FlowSpec, Packet, SizeDist, Time};
@@ -207,33 +207,12 @@ fn buffer_fault_ledger_reconciles() {
     );
 }
 
-/// Both executors make the same calls on every shard, so they serve the
-/// same departures and write the same fault ledgers. A plan's op clock
-/// also ticks on *empty* dequeues: the program keeps the backlog short
-/// (three `dequeue()`s per four arrivals), so the round robin polls idle
-/// ports while plan entries are still coming due.
+/// The sharded frontend's fault ledgers reconcile across ports. A
+/// plan's op clock also ticks on *empty* dequeues: the program keeps the
+/// backlog short (three `dequeue()`s per four arrivals), so the round
+/// robin polls idle ports while plan entries are still coming due.
 #[test]
-fn parallel_frontend_reconciles_fault_ledgers_like_the_sequential_one() {
-    /// `(injected, detected, repaired, silent)`.
-    type Totals = (u64, u64, u64, u64);
-    fn run<X: Executor<SortRetrieveCircuit, WfqRank>>(
-        config: SchedulerConfig,
-        trace: &[Packet],
-    ) -> (Vec<(usize, Packet)>, Totals) {
-        let fl = flows(24);
-        let mut fe = ShardedFrontend::<_, _, X>::new(&fl, 1e9, 4, config);
-        let mut served = Vec::new();
-        for (i, p) in trace.iter().enumerate() {
-            fe.enqueue(*p).unwrap();
-            if i % 4 != 3 {
-                served.extend(fe.dequeue());
-            }
-        }
-        served.extend(std::iter::from_fn(|| fe.dequeue()));
-        let totals = fe.reconcile_faults();
-        assert_eq!(fe.reconcile_faults(), totals, "reconcile is idempotent");
-        (served, totals)
-    }
+fn sharded_frontend_reconciles_fault_ledgers_with_idle_port_polls() {
     let picks: Vec<u32> = (0..300u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
     let trace = stream(&picks, 24);
     for seed in 0..20u64 {
@@ -245,18 +224,19 @@ fn parallel_frontend_reconciles_fault_ledgers_like_the_sequential_one() {
             faults: Some(cfg),
             ..SchedulerConfig::default()
         };
-        let (seq_order, seq_totals) = run::<Inline<_, _>>(config, &trace);
-        let (par_order, par_totals) = run::<Threads<_, _>>(config, &trace);
-        assert_eq!(seq_order.len(), trace.len(), "seed {seed}: packets lost");
-        assert_eq!(
-            par_order, seq_order,
-            "seed {seed}/{component}: frontends must serve the same schedule"
-        );
-        assert_eq!(
-            par_totals, seq_totals,
-            "seed {seed}/{component}: ledger totals must agree"
-        );
-        let (injected, detected, repaired, silent) = par_totals;
+        let mut fe = ShardedScheduler::new(&flows(24), 1e9, 4, config);
+        let mut served = 0;
+        for (i, p) in trace.iter().enumerate() {
+            fe.enqueue(*p).unwrap();
+            if i % 4 != 3 {
+                served += usize::from(fe.dequeue().is_some());
+            }
+        }
+        served += fe.drain().len();
+        assert_eq!(served, trace.len(), "seed {seed}: packets lost");
+        let totals = fe.reconcile_faults();
+        assert_eq!(fe.reconcile_faults(), totals, "reconcile is idempotent");
+        let (injected, detected, repaired, silent) = totals;
         assert!(
             injected > 0,
             "seed {seed}/{component}: no faults materialized"
@@ -264,7 +244,7 @@ fn parallel_frontend_reconciles_fault_ledgers_like_the_sequential_one() {
         assert_eq!(
             detected + silent,
             injected,
-            "seed {seed}/{component}: the parallel ledger must reconcile"
+            "seed {seed}/{component}: the ledger must reconcile"
         );
         // Scrub-and-repair with a full-section budget repairs every
         // trie and translation fault it detects; parity detections on

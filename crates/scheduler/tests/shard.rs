@@ -56,7 +56,9 @@ fn dequeue_is_work_conserving_across_ports() {
     let ports = 4;
     let mut fe = ShardedScheduler::new(&fl, 1e9, ports, SchedulerConfig::default());
     let trace = generate(&fl, 0.1, 17);
-    fe.enqueue_batch(&trace).unwrap();
+    for p in &trace {
+        fe.enqueue(*p).unwrap();
+    }
     let mut since_served = vec![0usize; ports];
     let mut total = 0usize;
     while !fe.is_empty() {
@@ -97,7 +99,9 @@ fn aggregate_counts_match_the_single_scheduler_reference() {
 
     for ports in [1usize, 2, 4] {
         let mut fe = ShardedScheduler::new(&fl, 1e9, ports, SchedulerConfig::default());
-        fe.enqueue_batch(&trace).unwrap();
+        for p in &trace {
+            fe.enqueue(*p).unwrap();
+        }
         let mut seqs: Vec<u64> = Vec::new();
         let mut bytes = 0u64;
         while let Some((_, pkt)) = fe.dequeue() {
@@ -126,7 +130,9 @@ fn one_port_frontend_equals_the_single_scheduler() {
     let reference = single.sort_trace(&trace).unwrap();
 
     let mut fe = ShardedScheduler::new(&fl, 1e9, 1, SchedulerConfig::default());
-    fe.enqueue_batch(&trace).unwrap();
+    for p in &trace {
+        fe.enqueue(*p).unwrap();
+    }
     let sharded: Vec<Packet> = std::iter::from_fn(|| fe.dequeue().map(|(_, p)| p)).collect();
     assert_eq!(sharded, reference);
 }

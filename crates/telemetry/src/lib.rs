@@ -10,9 +10,9 @@
 //! * **[`Telemetry`]** — a metrics registry of named [`Counter`]s,
 //!   [`Gauge`]s, and log-bucketed [`Histogram`]s. Every metric keeps one
 //!   cache-line-padded atomic accumulator **per shard** with one writer,
-//!   so the thread-per-shard frontend records without contention or
-//!   locked instructions (each worker touches only its own cells, with
-//!   relaxed loads and stores); shards merge only at snapshot time.
+//!   so shards record without contention or locked instructions (each
+//!   writer touches only its own cells, with relaxed loads and stores);
+//!   shards merge only at snapshot time.
 //! * **[`Tracer`]** — a bounded, cycle-stamped event ring per shard
 //!   (enqueue, dequeue, drop, trie bulk-delete, virtual-clock wrap,
 //!   shard handoff). Disabled tracers carry no ring at all: [`Tracer::emit`]

@@ -34,8 +34,8 @@ use crate::trace::{Event, EventKind};
 /// [`record`](EventSink::record) is called once per event, at emit time,
 /// in emit order (time-ordered per shard; across shards, the order is
 /// the tracer's emit interleaving — deterministic for single-threaded
-/// drivers). Implementations must be `Send`: the thread-per-shard
-/// frontend emits from worker threads.
+/// drivers). Implementations must be `Send`: a shard may record on
+/// another thread than the one that attached the sink.
 pub trait EventSink: Send {
     /// Consumes one event.
     fn record(&mut self, event: &Event);

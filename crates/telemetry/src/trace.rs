@@ -3,10 +3,9 @@
 //! Every shard owns a bounded ring of [`Event`]s; when the ring is full
 //! the oldest event is evicted (and counted), so tracing a long run
 //! keeps the *last* `capacity` events per shard — the ones that explain
-//! the state the run ended in. Rings are per-shard to keep the
-//! thread-per-shard frontend contention-free: only shard `i`'s worker
-//! writes ring `i`, so the per-ring mutex is uncontended (the snapshot
-//! reader is the only other party).
+//! the state the run ended in. Rings are per-shard, and only shard `i`'s
+//! writer touches ring `i`, so the per-ring mutex is uncontended (the
+//! snapshot reader is the only other party).
 //!
 //! A disabled tracer ([`Tracer::disabled`], or capacity 0) holds no
 //! rings at all: [`Tracer::emit`] checks one `Option` and returns.
