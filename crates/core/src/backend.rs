@@ -35,16 +35,12 @@
 //! it. Cross-check property tests in the scheduler crate and the CI
 //! conformance matrix hold all backends to this contract.
 
-use faultsim::{FaultAttachError, FaultComponent, FaultTarget};
-use hwsim::ParityAlarm;
+use faultsim::{Detection, FaultAttachError, FaultComponent, FaultTarget, ScrubFinding};
 
-use crate::circuit::{
-    CircuitStats, CleanupPolicy, IntegrityEvent, SectionScrub, SortError, SortRetrieveCircuit,
-    TranslationScrub,
-};
+use crate::circuit::{CircuitStats, CleanupPolicy, SortError, SortRetrieveCircuit};
 use crate::geometry::Geometry;
 use crate::tag::{PacketRef, Tag};
-use crate::tagstore::{MemoryKind, StoreCorruption};
+use crate::tagstore::MemoryKind;
 
 /// Everything needed to construct a sort backend.
 ///
@@ -87,8 +83,10 @@ pub struct ResidentMemory {
 /// See the module-level docs above for the ordering/wrap contract and the
 /// cross-checking story. Methods with default bodies are the
 /// introspection hooks hardware-modeled backends override; software
-/// backends inherit the inert defaults (no integrity events, no
-/// addressable fault state).
+/// backends inherit the inert defaults (no detections, no addressable
+/// fault state). A backend reports faults in the ledger's own terms
+/// ([`Detection`], [`ScrubFinding`]): what a symptom in one of its
+/// memories means is its own business.
 pub trait SortBackend {
     /// Builds a fresh, empty backend from the spec.
     fn build(spec: &BackendSpec) -> Self
@@ -187,54 +185,19 @@ pub trait SortBackend {
         })
     }
 
-    /// Audits one top-level section against the backend's ground truth,
-    /// optionally repairing it. Backends without redundant occupancy
-    /// state report a trivially clean audit.
-    fn scrub_section(&mut self, section: u32, _repair: bool) -> SectionScrub {
-        SectionScrub {
-            section,
-            words_checked: 0,
-            mismatches: Vec::new(),
-            repaired_markers: 0,
-            repaired: false,
-        }
-    }
-
-    /// Audits one translation-table section against its running check
-    /// code, optionally repairing it (see
-    /// [`SortRetrieveCircuit::scrub_translation_section`]). Backends
-    /// without a translation table report a trivially clean audit.
-    fn scrub_translation(&mut self, section: u32, _repair: bool) -> TranslationScrub {
-        TranslationScrub {
-            section,
-            words_checked: 0,
-            crc_mismatch: false,
-            damaged_words: Vec::new(),
-            repaired_entries: 0,
-            repaired: false,
-        }
-    }
-
-    /// Drains the integrity violations logged in tolerant mode.
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
+    /// Drains the detections raised since the last drain (parity
+    /// alarms, structural checks on the service path), each attributed
+    /// to the component and word the backend blames.
+    fn take_detections(&mut self) -> Vec<Detection> {
         Vec::new()
     }
 
-    /// Drains structural corruptions observed in the tag storage.
-    fn take_store_corruptions(&mut self) -> Vec<StoreCorruption> {
-        Vec::new()
-    }
-
-    /// Drains parity alarms raised by the modeled SRAM.
-    fn take_parity_alarms(&mut self) -> Vec<ParityAlarm> {
-        Vec::new()
-    }
-
-    /// Flattened fault-word index of occupancy node `(level, index)`,
-    /// for reconciling integrity events against a fault ledger. Backends
-    /// without an addressable occupancy array map everything to word 0.
-    fn trie_fault_word_index(&self, _level: u32, _index: u32) -> usize {
-        0
+    /// Audits top-level section `section` of every memory with redundant
+    /// state against its ground truth, repairing when `repair` is set.
+    /// Returns the words checked and one finding per audited component;
+    /// backends without redundant state audit nothing.
+    fn scrub(&mut self, _section: u32, _repair: bool) -> (u64, Vec<ScrubFinding>) {
+        (0, Vec::new())
     }
 
     /// Whether the backend's off-chip state is paged; changes nothing.
@@ -368,28 +331,12 @@ impl SortBackend for SortRetrieveCircuit {
         Ok(self.fault_target_mut(component))
     }
 
-    fn scrub_section(&mut self, section: u32, repair: bool) -> SectionScrub {
-        self.scrub_section(section, repair)
+    fn take_detections(&mut self) -> Vec<Detection> {
+        self.take_detections()
     }
 
-    fn scrub_translation(&mut self, section: u32, repair: bool) -> TranslationScrub {
-        self.scrub_translation_section(section, repair)
-    }
-
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
-        self.take_integrity_events()
-    }
-
-    fn take_store_corruptions(&mut self) -> Vec<StoreCorruption> {
-        self.take_store_corruptions()
-    }
-
-    fn take_parity_alarms(&mut self) -> Vec<ParityAlarm> {
-        self.take_parity_alarms()
-    }
-
-    fn trie_fault_word_index(&self, level: u32, index: u32) -> usize {
-        self.trie_fault_word_index(level, index)
+    fn scrub(&mut self, section: u32, repair: bool) -> (u64, Vec<ScrubFinding>) {
+        self.scrub(section, repair)
     }
 
     fn set_paged(&mut self) -> bool {

@@ -3,42 +3,14 @@
 use std::error::Error;
 use std::fmt;
 
-use faultsim::{FaultComponent, FaultTarget};
-use hwsim::{AccessStats, Cycle, ParityAlarm, SramStats};
+use faultsim::{Detection, DetectionKind, FaultComponent, FaultTarget, ScrubFinding};
+use hwsim::{AccessStats, Cycle, SramStats};
 
 use crate::geometry::Geometry;
 use crate::tag::{PacketRef, Tag};
-use crate::tagstore::{LinkAddr, StoreCorruption, TagStore};
+use crate::tagstore::{LinkAddr, TagStore};
 use crate::translation::TranslationTable;
 use crate::trie::MultiBitTrie;
-
-/// A state-integrity violation observed on the datapath in tolerant mode.
-///
-/// Each variant is a symptom whose only healthy-operation cause is a
-/// corrupted word: the circuit's invariants rule them out otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntegrityEvent {
-    /// A trie descent was redirected into an empty node (see
-    /// [`crate::TrieDeadEnd`]).
-    TrieDeadEnd {
-        /// Level of the empty node.
-        level: u32,
-        /// Node index within that level.
-        index: u32,
-    },
-    /// The trie returned a marked value with no translation entry.
-    MissingTranslation {
-        /// The marked value whose entry was absent.
-        tag: Tag,
-    },
-    /// A translation entry pointed outside the tag store.
-    BadLinkAddr {
-        /// The value whose entry was invalid.
-        tag: Tag,
-        /// The out-of-range address it held.
-        addr: LinkAddr,
-    },
-}
 
 /// One trie node whose occupancy word disagreed with the translation
 /// table during a scrub pass.
@@ -261,10 +233,13 @@ pub struct SortRetrieveCircuit {
     ops: u64,
     recycled_sections: u64,
     recycled_markers: u64,
-    /// Tolerant mode: datapath invariant violations are logged as
-    /// [`IntegrityEvent`]s and degraded around instead of panicking.
+    /// Tolerant mode: datapath invariant violations are logged and
+    /// degraded around instead of panicking.
     tolerant: bool,
-    integrity_log: Vec<IntegrityEvent>,
+    /// The violations, as `(component, word)` of the state blamed:
+    /// a dead end on the empty trie node it reached, a missing or
+    /// out-of-range translation on the marked value's entry.
+    integrity_log: Vec<(FaultComponent, usize)>,
 }
 
 impl SortRetrieveCircuit {
@@ -530,9 +505,24 @@ impl SortRetrieveCircuit {
         self.store.set_tolerant(tolerant);
     }
 
-    /// Drains the integrity violations logged in tolerant mode.
-    pub fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
-        std::mem::take(&mut self.integrity_log)
+    /// Drains every detection since the last drain: the tag store's
+    /// (parity alarms, then sanitized link corruptions), then the
+    /// datapath violations logged in tolerant mode, stamped with the
+    /// cycle count at drain time.
+    pub fn take_detections(&mut self) -> Vec<Detection> {
+        let mut out = self.store.take_detections();
+        let cycle = self.cycles().value();
+        out.extend(
+            self.integrity_log
+                .drain(..)
+                .map(|(component, word)| Detection {
+                    component,
+                    word: Some(word),
+                    cycle,
+                    kind: DetectionKind::Structural,
+                }),
+        );
+        out
     }
 
     /// Resident/peak/total addressable state words across the three
@@ -550,16 +540,6 @@ impl SortRetrieveCircuit {
             peak_resident_words: (tr_peak + st_peak) as u64 + trie_words,
             total_words: (tr_total + st_total) as u64 + trie_words,
         }
-    }
-
-    /// Drains the structural corruptions the tag store observed.
-    pub fn take_store_corruptions(&mut self) -> Vec<StoreCorruption> {
-        self.store.take_corruptions()
-    }
-
-    /// Drains the parity alarms the tag-storage SRAM raised.
-    pub fn take_parity_alarms(&mut self) -> Vec<ParityAlarm> {
-        self.store.take_parity_alarms()
     }
 
     /// The fault-injection surface of one component, for a
@@ -581,11 +561,48 @@ impl SortRetrieveCircuit {
         }
     }
 
-    /// Flattened fault-word index of trie node `(level, index)` — maps
-    /// integrity events and scrub mismatches back onto the trie's
-    /// [`FaultTarget`] address space.
-    pub fn trie_fault_word_index(&self, level: u32, index: u32) -> usize {
-        self.trie.fault_word_index(level, index)
+    /// Audits one section of the translation table, then of the trie,
+    /// optionally repairing each, and reports in the fault ledger's
+    /// terms: the words checked, and one finding per audited component.
+    /// The table goes first: the trie audit treats it as ground truth,
+    /// so a repair must land before the trie section is rebuilt from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `section` is not below the branching factor.
+    pub fn scrub(&mut self, section: u32, repair: bool) -> (u64, Vec<ScrubFinding>) {
+        let table = self.scrub_translation_section(section, repair);
+        // A latched mismatch whose content healed (or a lazy-mode
+        // detect-only audit) names no entry: it claims by component.
+        let words = if table.crc_mismatch && table.damaged_words.is_empty() {
+            vec![None]
+        } else {
+            table.damaged_words.iter().map(|&w| Some(w)).collect()
+        };
+        let mut findings = vec![ScrubFinding {
+            component: FaultComponent::Translation,
+            words,
+            // Modeled repair cost: the audit reads plus one write per
+            // restored entry.
+            repaired: table.repaired.then_some((
+                table.words_checked + table.repaired_entries,
+                table.repaired_entries,
+            )),
+            cycle: self.cycles().value(),
+        }];
+        let trie = self.scrub_section(section, repair);
+        findings.push(ScrubFinding {
+            component: FaultComponent::Trie,
+            words: trie.mismatches.iter().map(|m| Some(m.flat)).collect(),
+            // Modeled repair cost: the audit reads plus one insertion
+            // pass per restored marker.
+            repaired: trie.repaired.then_some((
+                trie.words_checked + trie.repaired_markers * u64::from(self.geometry.levels()),
+                trie.repaired_markers,
+            )),
+            cycle: self.cycles().value(),
+        });
+        (table.words_checked + trie.words_checked, findings)
     }
 
     /// Audits one trie section against translation-table ground truth,
@@ -847,23 +864,16 @@ impl SortRetrieveCircuit {
         let value = match self.trie.closest_at_or_below_tolerant(tag) {
             Ok(v) => v?,
             Err(dead) => {
-                self.integrity_log.push(IntegrityEvent::TrieDeadEnd {
-                    level: dead.level,
-                    index: dead.index,
-                });
+                let word = self.trie.fault_word_index(dead.level, dead.index);
+                self.integrity_log.push((FaultComponent::Trie, word));
                 return None;
             }
         };
         match self.translation.get(value) {
             Some(addr) if (addr.0 as usize) < self.store.capacity() => Some(addr),
-            Some(addr) => {
+            _ => {
                 self.integrity_log
-                    .push(IntegrityEvent::BadLinkAddr { tag: value, addr });
-                None
-            }
-            None => {
-                self.integrity_log
-                    .push(IntegrityEvent::MissingTranslation { tag: value });
+                    .push((FaultComponent::Translation, value.value() as usize));
                 None
             }
         }
@@ -1173,7 +1183,7 @@ mod tests {
             c.insert(Tag(t), PacketRef(t)).unwrap();
         }
         // Flip 0x121's leaf marker off and a bogus 0x125 on.
-        let flat = c.trie_fault_word_index(2, 0x12);
+        let flat = c.trie.fault_word_index(2, 0x12);
         c.fault_target_mut(FaultComponent::Trie)
             .inject_fault(flat, (1 << 1) | (1 << 5));
         let scrub = c.scrub_section(1, true);
@@ -1211,21 +1221,23 @@ mod tests {
         c.set_tolerant(true);
         c.insert(Tag(0x123), PacketRef(1)).unwrap();
         // Clear the leaf word: upper levels now point at nothing.
-        let flat = c.trie_fault_word_index(2, 0x12);
+        let flat = c.trie.fault_word_index(2, 0x12);
         c.fault_target_mut(FaultComponent::Trie)
             .inject_fault(flat, 1 << 3);
         // The plain path would panic on the dead end; tolerant mode logs
         // it and falls back to a head insert.
         c.insert(Tag(0x200), PacketRef(2)).unwrap();
-        let events = c.take_integrity_events();
+        // Blamed on the emptied node, stamped with the cycle of the drain.
         assert_eq!(
-            events,
-            vec![IntegrityEvent::TrieDeadEnd {
-                level: 2,
-                index: 0x12
+            c.take_detections(),
+            vec![Detection {
+                component: FaultComponent::Trie,
+                word: Some(flat),
+                cycle: c.cycles().value(),
+                kind: DetectionKind::Structural,
             }]
         );
-        assert!(c.take_integrity_events().is_empty());
+        assert!(c.take_detections().is_empty());
         assert_eq!(c.pop_min().map(|(t, _)| t), Some(Tag(0x200)));
     }
 
@@ -1239,8 +1251,13 @@ mod tests {
             .inject_fault(0x40, 1 << 32);
         c.insert(Tag(0x50), PacketRef(2)).unwrap();
         assert_eq!(
-            c.take_integrity_events(),
-            vec![IntegrityEvent::MissingTranslation { tag: Tag(0x40) }]
+            c.take_detections(),
+            vec![Detection {
+                component: FaultComponent::Translation,
+                word: Some(0x40),
+                cycle: c.cycles().value(),
+                kind: DetectionKind::Structural,
+            }]
         );
     }
 

@@ -52,7 +52,6 @@ mod banking;
 mod circuit;
 mod geometry;
 mod heap;
-mod paged;
 mod pipeline;
 mod tag;
 mod tagstore;
@@ -62,14 +61,13 @@ mod trie;
 pub use backend::{BackendSpec, ResidentMemory, SortBackend};
 pub use banking::BankModel;
 pub use circuit::{
-    CircuitStats, CleanupPolicy, IntegrityEvent, SectionScrub, SortError, SortRetrieveCircuit,
-    TranslationScrub, TrieMismatch, PAPER_CLOCK_HZ, PAPER_MEAN_PACKET_BYTES,
+    CircuitStats, CleanupPolicy, SectionScrub, SortError, SortRetrieveCircuit, TranslationScrub,
+    TrieMismatch, PAPER_CLOCK_HZ, PAPER_MEAN_PACKET_BYTES,
 };
 pub use geometry::Geometry;
 pub use heap::HeapSorter;
-pub use paged::{PagedTranslationTable, PAGE_ENTRIES};
 pub use pipeline::{Issue, PipelineStats, PipelinedSortBackend, PipelinedSorter};
 pub use tag::{PacketRef, Tag, PACKET_SLOT_BITS};
-pub use tagstore::{LinkAddr, MemoryKind, StoreCorruption, StoreFullError, StoreLayout, TagStore};
+pub use tagstore::{LinkAddr, MemoryKind, StoreFullError, StoreLayout, TagStore};
 pub use translation::TranslationTable;
 pub use trie::{IterMarked, MultiBitTrie, SearchTrace, TrieDeadEnd};

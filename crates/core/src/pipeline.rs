@@ -27,16 +27,14 @@
 
 use std::collections::VecDeque;
 
-use faultsim::{FaultAttachError, FaultComponent, FaultTarget};
-use hwsim::{Clock, Cycle, ParityAlarm, PortArbiter};
+use faultsim::{Detection, FaultAttachError, FaultComponent, FaultTarget, ScrubFinding};
+use hwsim::{Clock, Cycle, PortArbiter};
 
 use crate::backend::{BackendSpec, ResidentMemory, SortBackend};
-use crate::circuit::{
-    CircuitStats, IntegrityEvent, SectionScrub, SortError, SortRetrieveCircuit, TranslationScrub,
-};
+use crate::circuit::{CircuitStats, SortError, SortRetrieveCircuit};
 use crate::geometry::Geometry;
 use crate::tag::{PacketRef, Tag};
-use crate::tagstore::{MemoryKind, StoreCorruption};
+use crate::tagstore::MemoryKind;
 
 /// Timing receipt for one pipelined operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -533,28 +531,12 @@ impl SortBackend for PipelinedSortBackend {
         Ok(self.circuit.fault_target_mut(component))
     }
 
-    fn scrub_section(&mut self, section: u32, repair: bool) -> SectionScrub {
-        self.circuit.scrub_section(section, repair)
+    fn take_detections(&mut self) -> Vec<Detection> {
+        self.circuit.take_detections()
     }
 
-    fn scrub_translation(&mut self, section: u32, repair: bool) -> TranslationScrub {
-        self.circuit.scrub_translation_section(section, repair)
-    }
-
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
-        self.circuit.take_integrity_events()
-    }
-
-    fn take_store_corruptions(&mut self) -> Vec<StoreCorruption> {
-        self.circuit.take_store_corruptions()
-    }
-
-    fn take_parity_alarms(&mut self) -> Vec<ParityAlarm> {
-        self.circuit.take_parity_alarms()
-    }
-
-    fn trie_fault_word_index(&self, level: u32, index: u32) -> usize {
-        self.circuit.trie_fault_word_index(level, index)
+    fn scrub(&mut self, section: u32, repair: bool) -> (u64, Vec<ScrubFinding>) {
+        self.circuit.scrub(section, repair)
     }
 
     fn set_paged(&mut self) -> bool {

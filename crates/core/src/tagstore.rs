@@ -26,23 +26,11 @@
 use std::error::Error;
 use std::fmt;
 
-use faultsim::FaultTarget;
-use hwsim::{Clock, Cycle, ParityAlarm, PortKind, Sram, SramConfig, SramStats};
+use faultsim::{Detection, DetectionKind, FaultComponent, FaultTarget};
+use hwsim::{Clock, Cycle, PortKind, Sram, SramConfig, SramStats};
 
 use crate::geometry::Geometry;
 use crate::tag::{PacketRef, Tag};
-
-/// A structurally invalid link observed while reading the store in
-/// tolerant mode: the word at `addr` carried a next-pointer outside the
-/// configured capacity. The pointer is treated as NIL (the list is
-/// truncated there) instead of faulting the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreCorruption {
-    /// Address of the link word holding the bad pointer.
-    pub addr: u32,
-    /// Cycle of the read that observed it.
-    pub cycle: Cycle,
-}
 
 /// Physical address of a link in the tag storage memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -275,7 +263,9 @@ pub struct TagStore {
     /// faulting, and the sort-order debug assertions (which injected
     /// faults can legitimately violate) are relaxed.
     tolerant: bool,
-    corruptions: Vec<StoreCorruption>,
+    /// Structural corruptions seen in tolerant mode, each a
+    /// [`DetectionKind::Structural`] detection of the link word at fault.
+    corruptions: Vec<Detection>,
 }
 
 impl TagStore {
@@ -394,7 +384,10 @@ impl TagStore {
         self.sram.take_trace()
     }
 
-    /// Enables or disables tolerant mode (see [`StoreCorruption`]).
+    /// Enables or disables tolerant mode: a link word whose next-pointer
+    /// is out of range, or a chain that outruns the occupancy counter,
+    /// truncates the list and is logged as a detection instead of
+    /// faulting the simulation.
     pub fn set_tolerant(&mut self, tolerant: bool) {
         self.tolerant = tolerant;
     }
@@ -408,14 +401,32 @@ impl TagStore {
         self.sram.resident_words()
     }
 
-    /// Drains the structural corruptions observed in tolerant mode.
-    pub fn take_corruptions(&mut self) -> Vec<StoreCorruption> {
-        std::mem::take(&mut self.corruptions)
+    /// Drains the store's detections: the parity alarms the SRAM raised
+    /// on reads, then the structural corruptions seen in tolerant mode.
+    pub fn take_detections(&mut self) -> Vec<Detection> {
+        let mut out: Vec<Detection> = self
+            .sram
+            .take_parity_alarms()
+            .into_iter()
+            .map(|alarm| Detection {
+                component: FaultComponent::TagStore,
+                word: Some(alarm.addr),
+                cycle: alarm.cycle.value(),
+                kind: DetectionKind::Parity,
+            })
+            .collect();
+        out.append(&mut self.corruptions);
+        out
     }
 
-    /// Drains the parity alarms the underlying SRAM raised on reads.
-    pub fn take_parity_alarms(&mut self) -> Vec<ParityAlarm> {
-        self.sram.take_parity_alarms()
+    /// Logs a structural corruption of the link word at `addr`.
+    fn note_corruption(&mut self, addr: LinkAddr, cycle: Cycle) {
+        self.corruptions.push(Detection {
+            component: FaultComponent::TagStore,
+            word: Some(addr.0 as usize),
+            cycle: cycle.value(),
+            kind: DetectionKind::Structural,
+        });
     }
 
     /// The smallest tag and its packet reference, from the head register
@@ -554,10 +565,7 @@ impl TagStore {
                 "tag store head live with zero occupancy (corrupted link chain)"
             );
             self.head = None;
-            self.corruptions.push(StoreCorruption {
-                addr: addr.0,
-                cycle: base,
-            });
+            self.note_corruption(addr, base);
             return None;
         }
         // Read slot 0: refill the head register from the successor link.
@@ -596,10 +604,7 @@ impl TagStore {
                 self.tolerant,
                 "tag store tail walk exceeded occupancy (corrupted link chain)"
             );
-            self.corruptions.push(StoreCorruption {
-                addr: tail_addr.0,
-                cycle: base,
-            });
+            self.note_corruption(tail_addr, base);
         }
         let pred = match prev {
             None => {
@@ -792,10 +797,7 @@ impl TagStore {
                     // A flipped pointer bit escaped the address range:
                     // truncate the list here rather than chase it.
                     link.next = None;
-                    self.corruptions.push(StoreCorruption {
-                        addr: addr.0,
-                        cycle: base + offset,
-                    });
+                    self.note_corruption(addr, base + offset);
                 }
             }
         }
@@ -1110,16 +1112,29 @@ mod tests {
         // the NIL code 15 (an odd flip count, so parity trips too).
         let ptr_shift = s.layout.tag_bits() + s.layout.payload_bits();
         s.inject_fault(a20.0 as usize, 0b1011 << ptr_shift);
+        // Popping 10 refills the head register with 20's word in read slot 0.
+        let read_at = s.cycles().value() + s.schedule[0].1;
         assert_eq!(s.pop_min().map(|(t, _, _)| t), Some(Tag(10)));
         // The read of 20's word sanitizes the pointer: list ends there.
         assert_eq!(s.pop_min().map(|(t, _, _)| t), Some(Tag(20)));
         assert_eq!(s.pop_min(), None);
-        let c = s.take_corruptions();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].addr, a20.0);
-        assert!(s.take_corruptions().is_empty());
+        let found = s.take_detections();
+        let structural: Vec<&Detection> = found
+            .iter()
+            .filter(|d| d.kind == DetectionKind::Structural)
+            .collect();
+        assert_eq!(
+            structural,
+            [&Detection {
+                component: FaultComponent::TagStore,
+                word: Some(a20.0 as usize),
+                cycle: read_at,
+                kind: DetectionKind::Structural,
+            }]
+        );
         // The two damaged-word reads also tripped parity.
-        assert!(!s.take_parity_alarms().is_empty());
+        assert!(found.iter().any(|d| d.kind == DetectionKind::Parity));
+        assert!(s.take_detections().is_empty());
     }
 
     #[test]

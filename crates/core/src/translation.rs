@@ -9,14 +9,13 @@
 //!
 //! The table has one entry per representable tag value, 2^24 at the
 //! campaign soak's 6×4 geometry. Its entries live in a
-//! [`PagedTranslationTable`] from construction, so only pages that hold
-//! a live tag take host memory, and a section recycle frees them again.
+//! [`PagedArray`] from construction, so only pages that hold a live tag
+//! take host memory, and a section recycle frees them again.
 
 use faultsim::FaultTarget;
-use hwsim::AccessStats;
+use hwsim::{AccessStats, PagedArray};
 
 use crate::geometry::Geometry;
-use crate::paged::PagedTranslationTable;
 use crate::tag::Tag;
 use crate::tagstore::LinkAddr;
 
@@ -45,7 +44,7 @@ fn entry_digest(index: usize, slot: Option<LinkAddr>) -> u64 {
 ///
 /// The table has exactly `B^L` entries (paper: "for each possible tag
 /// value that the tree can store, there must be a corresponding entry").
-/// They are held in a [`PagedTranslationTable`], so host memory follows
+/// They are held in a [`PagedArray`], so host memory follows
 /// the live-tag window rather than the tag space: a 2^24-entry table
 /// costs a 64 KiB page directory until tags arrive.
 ///
@@ -64,7 +63,7 @@ fn entry_digest(index: usize, slot: Option<LinkAddr>) -> u64 {
 #[derive(Debug, Clone)]
 pub struct TranslationTable {
     geometry: Geometry,
-    slots: PagedTranslationTable,
+    slots: PagedArray<Option<LinkAddr>>,
     stats: AccessStats,
     /// Running per-section check codes (one per top-level section),
     /// updated on every datapath write. [`FaultTarget::inject_fault`]
@@ -80,7 +79,7 @@ impl TranslationTable {
     pub fn new(geometry: Geometry) -> Self {
         Self {
             geometry,
-            slots: PagedTranslationTable::new(geometry.translation_entries() as usize),
+            slots: PagedArray::new(geometry.translation_entries() as usize),
             stats: AccessStats::new(),
             section_crcs: vec![0; geometry.branching() as usize],
         }
@@ -88,8 +87,7 @@ impl TranslationTable {
 
     /// `(resident, peak_resident, total)` entry counts.
     pub fn resident_entries(&self) -> (usize, usize, usize) {
-        let s = &self.slots;
-        (s.resident_entries(), s.peak_resident_entries(), s.entries())
+        self.slots.residency()
     }
 
     /// Number of entries (the paper's `N_T = B^L`).
@@ -277,7 +275,8 @@ impl FaultTarget for TranslationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paged::PAGE_ENTRIES;
+
+    const PAGE_ENTRIES: usize = PagedArray::<Option<LinkAddr>>::PAGE;
 
     #[test]
     fn sized_by_geometry() {

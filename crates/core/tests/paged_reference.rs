@@ -2,17 +2,22 @@
 //! models.
 //!
 //! The translation table keeps one entry per representable tag value in
-//! a [`PagedTranslationTable`], which materializes pages on first write
-//! and frees them when a range clear covers them. Its contract is that
-//! of a `vec![None; entries]`, with residency as the only visible
+//! a [`PagedArray`], which materializes pages on first write and frees
+//! them when a range clear covers them. Its contract is that of a
+//! `vec![None; entries]`, with residency as the only visible
 //! difference. Random op programs drive the paged store and a plain
 //! `Vec<Option<LinkAddr>>` side by side, and every observation must
 //! match: reads, peeks, fault-injection return values, and the resident
 //! page count of a page-granular model.
 
 use faultsim::FaultTarget;
+use hwsim::PagedArray;
 use proptest::prelude::*;
-use tagsort::{Geometry, LinkAddr, PagedTranslationTable, Tag, TranslationTable, PAGE_ENTRIES};
+use tagsort::{Geometry, LinkAddr, Tag, TranslationTable};
+
+/// The store behind the translation table.
+type PagedTranslationTable = PagedArray<Option<LinkAddr>>;
+const PAGE_ENTRIES: usize = PagedTranslationTable::PAGE;
 
 /// Three full pages and a short tail page.
 const ENTRIES: usize = 3 * PAGE_ENTRIES + 100;
@@ -85,7 +90,7 @@ fn table_program() -> impl Strategy<Value = Vec<(u8, u32, u32, u64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `PagedTranslationTable` is `vec![None; entries]` with residency.
+    /// The paged store is `vec![None; entries]` with residency.
     #[test]
     fn paged_store_matches_a_plain_vector(program in store_program()) {
         let mut paged = PagedTranslationTable::new(ENTRIES);
@@ -111,10 +116,9 @@ proptest! {
                 }
                 _ => prop_assert_eq!(paged.get(index), model[index]),
             }
-            prop_assert_eq!(
-                (paged.resident_entries(), paged.peak_resident_entries()),
-                pages.entries(ENTRIES)
-            );
+            let (resident, peak, total) = paged.residency();
+            prop_assert_eq!((resident, peak), pages.entries(ENTRIES));
+            prop_assert_eq!(total, ENTRIES);
         }
         prop_assert_eq!(paged.entries(), ENTRIES);
         for (i, want) in model.iter().enumerate() {

@@ -24,9 +24,9 @@
 //!   [`FaultComponent::Trie`]); there is no translation table or
 //!   external SRAM to corrupt, so those components are rejected with a
 //!   structured [`FaultAttachError`]. In tolerant mode, corrupted
-//!   occupancy words degrade to logged [`IntegrityEvent`]s and
+//!   occupancy words degrade to logged [`Detection`]s and
 //!   self-healing searches instead of panics, and
-//!   [`FfsSorter::scrub_section`] audits occupancy words against the
+//!   [`FfsSorter::scrub`] audits occupancy words against the
 //!   buckets' ground truth exactly as the circuit's scrubber audits the
 //!   trie against the translation table.
 //!
@@ -46,11 +46,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use faultsim::{FaultAttachError, FaultComponent, FaultTarget};
+use faultsim::{
+    Detection, DetectionKind, FaultAttachError, FaultComponent, FaultTarget, ScrubFinding,
+};
 use hwsim::{AccessStats, SramStats};
 use tagsort::{
-    BackendSpec, CircuitStats, CleanupPolicy, Geometry, IntegrityEvent, PacketRef, SectionScrub,
-    SortBackend, SortError, Tag, TrieMismatch,
+    BackendSpec, CircuitStats, CleanupPolicy, Geometry, PacketRef, SortBackend, SortError, Tag,
 };
 
 /// Sentinel for "no node" in bucket heads/tails and node links.
@@ -137,7 +138,11 @@ pub struct FfsSorter {
     recycled_sections: u64,
     recycled_markers: u64,
     tolerant: bool,
-    integrity_log: Vec<IntegrityEvent>,
+    /// Violations seen in tolerant mode, as `(component, word)` blamed:
+    /// a set bit over an empty bucket on the tag's translation entry
+    /// (the circuit's missing-translation symptom), a dead end on the
+    /// empty word it reached.
+    integrity_log: Vec<(FaultComponent, usize)>,
     occ_stats: AccessStats,
     bucket_stats: AccessStats,
     sram: SramStats,
@@ -368,9 +373,7 @@ impl FfsSorter {
                         self.tolerant,
                         "occupancy bit set for empty bucket {tag} (corrupted state?)"
                     );
-                    self.integrity_log.push(IntegrityEvent::MissingTranslation {
-                        tag: Tag(tag as u32),
-                    });
+                    self.integrity_log.push((FaultComponent::Translation, tag));
                     Self::clear_bit(&mut self.occ, tag);
                 }
                 Descent::DeadEnd { level, index } => {
@@ -380,8 +383,9 @@ impl FfsSorter {
                         self.tolerant,
                         "occupancy dead end at level {level} word {index} (corrupted state?)"
                     );
+                    let word = self.flat_offsets[(level as usize).min(self.depth() - 1)];
                     self.integrity_log
-                        .push(IntegrityEvent::TrieDeadEnd { level, index });
+                        .push((FaultComponent::Trie, word + index as usize));
                     if level == 0 {
                         // Hidden occupancy: heal from ground truth by
                         // re-marking the true minimum's path.
@@ -639,7 +643,7 @@ impl SortBackend for FfsSorter {
         }
     }
 
-    fn scrub_section(&mut self, section: u32, repair: bool) -> SectionScrub {
+    fn scrub(&mut self, section: u32, repair: bool) -> (u64, Vec<ScrubFinding>) {
         assert!(
             section < self.geometry.sections(),
             "section {section} out of range"
@@ -701,16 +705,8 @@ impl SortBackend for FfsSorter {
         for (level, (wlo, words)) in expected.iter().enumerate() {
             for (k, &want) in words.iter().enumerate() {
                 words_checked += 1;
-                let index = wlo + k;
-                let found = self.occ[level][index];
-                if found != want {
-                    mismatches.push(TrieMismatch {
-                        level: level as u32,
-                        index: index as u32,
-                        flat: self.flat_offsets[level] + index,
-                        expected: want,
-                        found,
-                    });
+                if self.occ[level][wlo + k] != want {
+                    mismatches.push(Some(self.flat_offsets[level] + wlo + k));
                 }
             }
         }
@@ -732,22 +728,33 @@ impl SortBackend for FfsSorter {
             }
             debug_assert_eq!(repaired_markers, live_markers);
         }
-        SectionScrub {
-            section,
-            words_checked,
-            mismatches,
-            repaired_markers,
-            repaired: run_repair,
-        }
+        // One memory to audit. Modeled repair cost, as the circuit's: the
+        // audit reads plus one trie insertion pass per restored marker.
+        let finding = ScrubFinding {
+            component: FaultComponent::Trie,
+            words: mismatches,
+            repaired: run_repair.then_some((
+                words_checked + repaired_markers * u64::from(self.geometry.levels()),
+                repaired_markers,
+            )),
+            cycle: self.cycles,
+        };
+        (words_checked, vec![finding])
     }
 
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
-        std::mem::take(&mut self.integrity_log)
-    }
-
-    fn trie_fault_word_index(&self, level: u32, index: u32) -> usize {
-        let level = (level as usize).min(self.depth() - 1);
-        self.flat_offsets[level] + index as usize
+    /// Drains the violations logged in tolerant mode, stamped with the
+    /// cycle count at drain time. There is no parity-checked memory.
+    fn take_detections(&mut self) -> Vec<Detection> {
+        let cycle = self.cycles;
+        self.integrity_log
+            .drain(..)
+            .map(|(component, word)| Detection {
+                component,
+                word: Some(word),
+                cycle,
+                kind: DetectionKind::Structural,
+            })
+            .collect()
     }
 }
 
@@ -774,6 +781,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tagsort::{HeapSorter, MemoryKind, SortRetrieveCircuit};
+
+    fn structural(component: FaultComponent, word: usize, cycle: u64) -> Detection {
+        Detection {
+            component,
+            word: Some(word),
+            cycle,
+            kind: DetectionKind::Structural,
+        }
+    }
 
     fn spec(cleanup: CleanupPolicy) -> BackendSpec {
         BackendSpec {
@@ -931,10 +947,9 @@ mod tests {
         // The pop detects the lie, logs it, heals, and serves the real
         // minimum.
         assert_eq!(s.pop_min(), Some((Tag(3), PacketRef(1))));
-        let events = s.take_integrity_events();
         assert_eq!(
-            events,
-            vec![IntegrityEvent::MissingTranslation { tag: Tag(0) }]
+            s.take_detections(),
+            vec![structural(FaultComponent::Translation, 0, s.cycles)]
         );
     }
 
@@ -950,10 +965,11 @@ mod tests {
             target.inject_fault(0, 1);
         }
         assert_eq!(s.pop_min(), Some((Tag(100), PacketRef(1))));
-        let events = s.take_integrity_events();
+        // Blamed on the empty leaf word 0 it reached (flat word 1), not
+        // on the root word whose bit lied.
         assert_eq!(
-            events,
-            vec![IntegrityEvent::TrieDeadEnd { level: 1, index: 0 }]
+            s.take_detections(),
+            vec![structural(FaultComponent::Trie, 1, s.cycles)]
         );
     }
 
@@ -970,13 +986,11 @@ mod tests {
             target.inject_fault(0, root);
         }
         assert_eq!(s.pop_min(), Some((Tag(100), PacketRef(1))));
-        let events = s.take_integrity_events();
-        assert!(
-            matches!(
-                events[0],
-                IntegrityEvent::TrieDeadEnd { level: 0, index: 0 }
-            ),
-            "expected a root dead end, got {events:?}"
+        let found = s.take_detections();
+        assert_eq!(
+            found[0],
+            structural(FaultComponent::Trie, 0, s.cycles),
+            "expected a root dead end, got {found:?}"
         );
     }
 
@@ -987,21 +1001,27 @@ mod tests {
             s.insert(Tag(t), PacketRef(t)).unwrap();
         }
         // Clean scrub first.
-        let clean = s.scrub_section(0, false);
-        assert!(clean.mismatches.is_empty());
-        assert!(clean.words_checked > 0);
+        let (checked, clean) = s.scrub(0, false);
+        assert!(checked > 0);
+        let cycle = s.cycles; // audits charge no storage cycles
+        let finding = |words, repaired| ScrubFinding {
+            component: FaultComponent::Trie,
+            words,
+            repaired,
+            cycle,
+        };
+        assert_eq!(clean, vec![finding(vec![], None)]);
         // Corrupt leaf word 0 (tags 0..64, section 0 spans tags 0..256).
         {
             let target = s.fault_target_mut(FaultComponent::Trie).unwrap();
             target.inject_fault(1, 0b1000);
         }
-        let audit = s.scrub_section(0, true);
-        assert_eq!(audit.mismatches.len(), 1);
-        assert_eq!(audit.mismatches[0].flat, 1);
-        assert!(audit.repaired);
-        assert_eq!(audit.repaired_markers, 2, "tags 5 and 6 live in section 0");
+        let (checked, audit) = s.scrub(0, true);
+        // Tags 5 and 6 live in section 0: two markers restored, each
+        // priced at one pass over the three trie levels.
+        assert_eq!(audit, vec![finding(vec![Some(1)], Some((checked + 6, 2)))]);
         // Post-repair the section audits clean and service is intact.
-        assert!(s.scrub_section(0, false).mismatches.is_empty());
+        assert_eq!(s.scrub(0, false).1, vec![finding(vec![], None)]);
         assert_eq!(
             drain(&mut s),
             vec![(5, 5), (6, 6), (300, 300)],

@@ -26,7 +26,9 @@
 //!
 //! The crate is deliberately free of scheduler knowledge: it produces
 //! plans and keeps books. Detection and repair live with the structures
-//! themselves (`tagsort`, `hwsim`) and the scheduler that drives them.
+//! themselves (`tagsort`, `hwsim`), which report in this crate's terms
+//! — a [`Detection`] per symptom, a [`ScrubFinding`] per audit — so the
+//! scheduler that drives them only claims records against the ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -490,6 +492,37 @@ impl DetectionKind {
     }
 }
 
+/// One detection, in the ledger's terms: which component was found
+/// damaged, at which word when the check knows it, when, and how. Sort
+/// backends report every detection as one of these, and
+/// [`FaultLedger::claim`] matches it against the injected faults.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Detection {
+    /// Component the damage was found in.
+    pub component: FaultComponent,
+    /// Damaged word within the component's [`FaultTarget`] space;
+    /// `None` when the check knows what broke but not where.
+    pub word: Option<usize>,
+    /// Cycle of the detection.
+    pub cycle: u64,
+    /// The mechanism that detected it.
+    pub kind: DetectionKind,
+}
+
+/// What a scrub audit of one section found in one component.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScrubFinding {
+    /// The audited component.
+    pub component: FaultComponent,
+    /// Damaged words, each one scrub detection; `None` claims by
+    /// component alone (the audit saw damage but not where).
+    pub words: Vec<Option<usize>>,
+    /// `(cost in cycles, entries restored)` when a repair pass ran.
+    pub repaired: Option<(u64, u64)>,
+    /// Cycle the audit of this component finished at.
+    pub cycle: u64,
+}
+
 /// The full life of one injected fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRecord {
@@ -595,20 +628,14 @@ impl FaultLedger {
     /// often know what broke but not where). Returns the claimed record's
     /// index, or `None` if the detection matches no outstanding fault
     /// (a re-detection, or damage outside the modeled plan).
-    pub fn claim(
-        &mut self,
-        component: FaultComponent,
-        word: Option<usize>,
-        cycle: u64,
-        kind: DetectionKind,
-    ) -> Option<usize> {
+    pub fn claim(&mut self, d: Detection) -> Option<usize> {
         let idx = self.records.iter().position(|r| {
-            r.component == component
+            r.component == d.component
                 && r.detected_cycle.is_none()
-                && word.is_none_or(|w| r.word == w)
+                && d.word.is_none_or(|w| r.word == w)
         })?;
-        self.records[idx].detected_cycle = Some(cycle);
-        self.records[idx].detected_by = Some(kind);
+        self.records[idx].detected_cycle = Some(d.cycle);
+        self.records[idx].detected_by = Some(d.kind);
         Some(idx)
     }
 
@@ -809,19 +836,30 @@ mod tests {
         l.push(record(FaultComponent::Trie, 5));
         l.push(record(FaultComponent::Trie, 5));
         l.push(record(FaultComponent::TagStore, 9));
+        let at = |component, word, cycle, kind| Detection {
+            component,
+            word,
+            cycle,
+            kind,
+        };
         // Exact-word claim takes the first undetected match only.
-        let a = l.claim(FaultComponent::Trie, Some(5), 40, DetectionKind::Scrub);
+        let a = l.claim(at(FaultComponent::Trie, Some(5), 40, DetectionKind::Scrub));
         assert_eq!(a, Some(0));
-        let b = l.claim(FaultComponent::Trie, Some(5), 44, DetectionKind::Scrub);
+        let b = l.claim(at(FaultComponent::Trie, Some(5), 44, DetectionKind::Scrub));
         assert_eq!(b, Some(1));
         // Third claim on the same word finds nothing outstanding.
         assert_eq!(
-            l.claim(FaultComponent::Trie, Some(5), 48, DetectionKind::Scrub),
+            l.claim(at(FaultComponent::Trie, Some(5), 48, DetectionKind::Scrub)),
             None
         );
         // Any-word claim picks up the tag-store record.
         assert_eq!(
-            l.claim(FaultComponent::TagStore, None, 50, DetectionKind::Parity),
+            l.claim(at(
+                FaultComponent::TagStore,
+                None,
+                50,
+                DetectionKind::Parity
+            )),
             Some(2)
         );
         assert_eq!(l.injected(), 3);

@@ -41,6 +41,7 @@
 mod arbiter;
 mod clock;
 pub mod netlist;
+mod paged;
 mod register;
 mod sram;
 mod stats;
@@ -49,6 +50,7 @@ mod verilog;
 pub use arbiter::PortArbiter;
 pub use clock::{Clock, Cycle};
 pub use netlist::{GateView, Netlist, Signal, Word};
+pub use paged::PagedArray;
 pub use register::Register;
 pub use sram::{ParityAlarm, PortKind, Sram, SramConfig, SramError, SramEvent, SramStats};
 pub use stats::AccessStats;

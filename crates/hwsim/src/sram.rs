@@ -6,7 +6,7 @@
 //! port may carry at most one access per clock cycle, and a second access
 //! in the same cycle is a simulation error, not a silently absorbed one.
 //!
-//! The word array is allocated lazily in pages of 4096 words: a page
+//! The word array is a [`PagedArray`] of 4096-word pages: a page
 //! materializes on its first non-zero write, and an unwritten word reads
 //! as zero. A memory configured at paper scale therefore costs host
 //! memory in proportion to the words it holds, and
@@ -18,6 +18,7 @@ use std::fmt;
 use faultsim::FaultTarget;
 
 use crate::clock::Cycle;
+use crate::paged::PagedArray;
 
 /// One recorded memory access (tracing must be enabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,52 +245,6 @@ impl SramStats {
     }
 }
 
-/// Words per lazily-allocated page of an [`Sram`]'s word array.
-const PAGE_WORDS: usize = 4096;
-
-/// The word array behind an [`Sram`]: page-granular and lazy, so a
-/// never-written page reads as zero and materializes on the first
-/// non-zero write. Host-resident memory therefore tracks the words
-/// actually used, not the configured word count.
-#[derive(Debug, Clone)]
-struct Words {
-    pages: Vec<Option<Box<[u64]>>>,
-    resident: usize,
-    peak: usize,
-}
-
-impl Words {
-    fn new(words: usize) -> Self {
-        Self {
-            pages: vec![None; words.div_ceil(PAGE_WORDS)],
-            resident: 0,
-            peak: 0,
-        }
-    }
-
-    fn get(&self, addr: usize) -> u64 {
-        match &self.pages[addr / PAGE_WORDS] {
-            Some(page) => page[addr % PAGE_WORDS],
-            None => 0,
-        }
-    }
-
-    fn set(&mut self, addr: usize, value: u64) {
-        let slot = &mut self.pages[addr / PAGE_WORDS];
-        match slot {
-            Some(page) => page[addr % PAGE_WORDS] = value,
-            None if value == 0 => {} // already reads as zero
-            None => {
-                let mut page = vec![0u64; PAGE_WORDS].into_boxed_slice();
-                page[addr % PAGE_WORDS] = value;
-                *slot = Some(page);
-                self.resident += 1;
-                self.peak = self.peak.max(self.resident);
-            }
-        }
-    }
-}
-
 /// A cycle-accurate word-addressed static RAM.
 ///
 /// Reads are modelled as same-cycle (the surrounding FSM accounts for
@@ -316,7 +271,7 @@ impl Words {
 #[derive(Debug, Clone)]
 pub struct Sram {
     config: SramConfig,
-    data: Words,
+    data: PagedArray<u64>,
     /// One parity bit per word, packed 64 per entry. Writes refresh it;
     /// [`Sram::corrupt`] deliberately does not, which is what makes a
     /// corrupted word detectable on the next port read.
@@ -351,7 +306,7 @@ impl Sram {
         let ports = config.ports().len();
         Self {
             config,
-            data: Words::new(words),
+            data: PagedArray::new(words),
             parity: vec![0; words.div_ceil(64)],
             alarmed: vec![0; words.div_ceil(64)],
             alarms: Vec::new(),
@@ -365,12 +320,7 @@ impl Sram {
     /// `(resident, peak_resident, total)` word counts: resident pages
     /// times the page size, capped at the configured word count.
     pub fn resident_words(&self) -> (usize, usize, usize) {
-        let total = self.config.words();
-        (
-            (self.data.resident * PAGE_WORDS).min(total),
-            (self.data.peak * PAGE_WORDS).min(total),
-            total,
-        )
+        self.data.residency()
     }
 
     /// Enables event tracing: every subsequent access is recorded and
@@ -592,6 +542,8 @@ impl FaultTarget for Sram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PAGE_WORDS: usize = PagedArray::<u64>::PAGE;
     use crate::Clock;
 
     #[test]

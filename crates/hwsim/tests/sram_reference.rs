@@ -8,11 +8,11 @@
 //! all observe the same words, and residency must follow the pages that
 //! hold a non-zero word.
 
-use hwsim::{Clock, Sram, SramConfig};
+use hwsim::{Clock, PagedArray, Sram, SramConfig};
 use proptest::prelude::*;
 
-/// The page size the `Sram` docs state.
-const PAGE: usize = 4096;
+/// The page size of the word array behind an `Sram`.
+const PAGE: usize = PagedArray::<u64>::PAGE;
 /// Two full pages and a short tail page.
 const WORDS: usize = 2 * PAGE + 50;
 const WIDTH: u32 = 16;

@@ -5,13 +5,13 @@ use std::fmt;
 
 use fairq::{RankPolicy, VirtualTime, WfqRank};
 use faultsim::{
-    DetectionKind, FaultAttachError, FaultComponent, FaultConfig, FaultLedger, FaultPlan,
-    FaultPolicy, FaultRecord, FaultTarget, ScrubOrder,
+    Detection, DetectionKind, FaultAttachError, FaultComponent, FaultConfig, FaultLedger,
+    FaultPlan, FaultPolicy, FaultRecord, FaultTarget, ScrubFinding, ScrubOrder,
 };
 use statesync::{Checkpoint, CheckpointBuilder, VClockXlat};
 use tagsort::{
-    BackendSpec, CircuitStats, CleanupPolicy, Geometry, IntegrityEvent, MemoryKind, PacketRef,
-    ResidentMemory, SortBackend, SortError, SortRetrieveCircuit, Tag,
+    BackendSpec, CircuitStats, CleanupPolicy, Geometry, MemoryKind, PacketRef, ResidentMemory,
+    SortBackend, SortError, SortRetrieveCircuit, Tag,
 };
 use telemetry::{Counter, EventKind, Gauge, GaugeMerge, Histogram, Snapshot, Telemetry, Tracer};
 use traffic::{FlowId, FlowSpec, Packet, Time};
@@ -418,18 +418,13 @@ impl FaultState {
     /// matching undetected fault (counting it and stamping its latency)
     /// or emits an unattributed `FaultDetect` event. Returns the claimed
     /// record index. Panics under [`FaultPolicy::FailFast`].
-    fn note_detection(
-        &mut self,
-        instr: &Instruments,
-        component: FaultComponent,
-        word: Option<usize>,
-        cycle: u64,
-        kind: DetectionKind,
-    ) -> Option<usize> {
-        let claimed = self.ledger.claim(component, word, cycle, kind);
+    fn note_detection(&mut self, instr: &Instruments, d: Detection) -> Option<usize> {
+        let claimed = self.ledger.claim(d);
         if let Some(idx) = claimed {
             instr.faults_detected.inc(instr.shard, 1);
-            let latency = cycle.saturating_sub(self.ledger.records()[idx].injected_cycle);
+            let latency = d
+                .cycle
+                .saturating_sub(self.ledger.records()[idx].injected_cycle);
             instr.fault_detect_latency.observe(instr.shard, latency);
         }
         // An unclaimed detection — a re-detection of an already-claimed
@@ -437,43 +432,54 @@ impl FaultState {
         // counted.
         instr.tracer.emit(
             instr.shard,
-            cycle,
+            d.cycle,
             EventKind::FaultDetect,
             claimed.map_or(u64::MAX, |idx| idx as u64),
-            word.map_or(u64::MAX, |w| w as u64),
+            d.word.map_or(u64::MAX, |w| w as u64),
         );
         if self.policy == FaultPolicy::FailFast {
             panic!(
                 "{} fault detected in {} (fail-fast policy)",
-                kind.name(),
-                component.name()
+                d.kind.name(),
+                d.component.name()
             );
         }
         claimed
     }
 
-    /// Claims one scrub audit's damaged `words` in `component` against
-    /// the ledger. When the audit repaired (`repaired` is `Some((cost,
-    /// restored))`), each claimed fault is marked repaired, and the
-    /// repair is priced at `cost` cycles and traced with its `restored`
-    /// count.
-    fn claim_scrub(
-        &mut self,
-        instr: &Instruments,
-        component: FaultComponent,
-        words: &[Option<usize>],
-        section: u32,
-        repaired: Option<(u64, u64)>,
-        cycle: u64,
-    ) {
-        for &word in words {
-            let claimed = self.note_detection(instr, component, word, cycle, DetectionKind::Scrub);
-            if let (Some(idx), Some(_)) = (claimed, repaired) {
+    /// Claims buffer descriptor parity alarms on `slots`, seen at `cycle`.
+    fn note_buffer_alarms(&mut self, instr: &Instruments, slots: &[u32], cycle: u64) {
+        for &slot in slots {
+            let d = Detection {
+                component: FaultComponent::Buffer,
+                word: Some(slot as usize),
+                cycle,
+                kind: DetectionKind::Parity,
+            };
+            self.note_detection(instr, d);
+        }
+    }
+
+    /// Claims one scrub finding of section `section` against the ledger.
+    /// When the audit repaired (`repaired` is `Some((cost, restored))`),
+    /// each claimed fault is marked repaired, and the repair is priced
+    /// at `cost` cycles and traced with its `restored` count.
+    fn claim_scrub(&mut self, instr: &Instruments, f: ScrubFinding, section: u32) {
+        let cycle = f.cycle;
+        for word in f.words {
+            let d = Detection {
+                component: f.component,
+                word,
+                cycle,
+                kind: DetectionKind::Scrub,
+            };
+            let claimed = self.note_detection(instr, d);
+            if let (Some(idx), Some(_)) = (claimed, f.repaired) {
                 self.ledger.mark_repaired(idx, cycle);
                 instr.faults_repaired.inc(instr.shard, 1);
             }
         }
-        if let Some((cost, restored)) = repaired {
+        if let Some((cost, restored)) = f.repaired {
             instr.fault_repair_cost.observe(instr.shard, cost);
             instr.tracer.emit(
                 instr.shard,
@@ -799,56 +805,19 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         }
     }
 
-    /// Claims any detections the circuit raised since the last sweep —
-    /// SRAM parity alarms, sanitized link corruptions, and service-path
-    /// integrity events — against the fault ledger.
+    /// Claims any detections raised since the last sweep — the sorter's,
+    /// then the buffer's parity alarms raised outside the service loop
+    /// (the push-out eviction also releases slots) — against the fault
+    /// ledger.
     fn fault_sweep(&mut self) {
         let Some(fs) = self.faults.as_mut() else {
             return;
         };
-        for alarm in self.sorter.take_parity_alarms() {
-            fs.note_detection(
-                &self.instr,
-                FaultComponent::TagStore,
-                Some(alarm.addr),
-                alarm.cycle.value(),
-                DetectionKind::Parity,
-            );
+        for d in self.sorter.take_detections() {
+            fs.note_detection(&self.instr, d);
         }
-        for c in self.sorter.take_store_corruptions() {
-            fs.note_detection(
-                &self.instr,
-                FaultComponent::TagStore,
-                Some(c.addr as usize),
-                c.cycle.value(),
-                DetectionKind::Structural,
-            );
-        }
-        let now = self.sorter.cycles();
-        // Buffer parity alarms raised outside the service loop (the
-        // push-out eviction also releases slots).
-        for slot in self.buffer.take_fault_alarms() {
-            fs.note_detection(
-                &self.instr,
-                FaultComponent::Buffer,
-                Some(slot as usize),
-                now,
-                DetectionKind::Parity,
-            );
-        }
-        for ev in self.sorter.take_integrity_events() {
-            let (component, word) = match ev {
-                IntegrityEvent::TrieDeadEnd { level, index } => (
-                    FaultComponent::Trie,
-                    Some(self.sorter.trie_fault_word_index(level, index)),
-                ),
-                IntegrityEvent::MissingTranslation { tag }
-                | IntegrityEvent::BadLinkAddr { tag, .. } => {
-                    (FaultComponent::Translation, Some(tag.value() as usize))
-                }
-            };
-            fs.note_detection(&self.instr, component, word, now, DetectionKind::Structural);
-        }
+        let alarms = self.buffer.take_fault_alarms();
+        fs.note_buffer_alarms(&self.instr, &alarms, self.sorter.cycles());
     }
 
     /// Runs one fault round: materializes every plan entry due at the
@@ -933,60 +902,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             }
         }
         for section in chosen {
-            // Audit the translation table first: the trie scrub below
-            // treats it as ground truth, so a repair must land before
-            // the trie section is rebuilt from it.
-            let tscrub = self.sorter.scrub_translation(section, repair);
-            self.instr
-                .scrub_words_checked
-                .inc(self.instr.shard, tscrub.words_checked);
-            if tscrub.crc_mismatch {
-                // Attribute per damaged entry when ground truth named
-                // them; a latched mismatch whose content healed (or
-                // lazy-mode detect-only) claims by component alone.
-                let words: Vec<Option<usize>> = if tscrub.damaged_words.is_empty() {
-                    vec![None]
-                } else {
-                    tscrub.damaged_words.iter().map(|&w| Some(w)).collect()
-                };
-                // Modeled repair cost: the audit reads plus one write
-                // per restored entry.
-                let repaired = tscrub.repaired.then_some((
-                    tscrub.words_checked + tscrub.repaired_entries,
-                    tscrub.repaired_entries,
-                ));
-                let cycle = self.sorter.cycles();
-                fs.claim_scrub(
-                    &self.instr,
-                    FaultComponent::Translation,
-                    &words,
-                    section,
-                    repaired,
-                    cycle,
-                );
-            }
-            let scrub = self.sorter.scrub_section(section, repair);
+            let (words_checked, findings) = self.sorter.scrub(section, repair);
             self.instr.scrub_sections_audited.inc(self.instr.shard, 1);
             self.instr
                 .scrub_words_checked
-                .inc(self.instr.shard, scrub.words_checked);
-            let words: Vec<Option<usize>> = scrub.mismatches.iter().map(|m| Some(m.flat)).collect();
-            // Modeled repair cost: the audit reads plus one insertion
-            // pass per restored marker.
-            let repaired = scrub.repaired.then_some((
-                scrub.words_checked
-                    + scrub.repaired_markers * u64::from(self.sorter.geometry().levels()),
-                scrub.repaired_markers,
-            ));
-            let cycle = self.sorter.cycles();
-            fs.claim_scrub(
-                &self.instr,
-                FaultComponent::Trie,
-                &words,
-                section,
-                repaired,
-                cycle,
-            );
+                .inc(self.instr.shard, words_checked);
+            for finding in findings {
+                fs.claim_scrub(&self.instr, finding, section);
+            }
         }
     }
 
@@ -1000,13 +923,13 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             .faults
             .as_mut()
             .expect("sorter and buffer agree on occupancy");
-        fs.note_detection(
-            &self.instr,
-            FaultComponent::TagStore,
-            None,
+        let d = Detection {
+            component: FaultComponent::TagStore,
+            word: None,
             cycle,
-            DetectionKind::Structural,
-        );
+            kind: DetectionKind::Structural,
+        };
+        fs.note_detection(&self.instr, d);
     }
 
     /// Accepts a packet: computes its rank (the WFQ finishing tag under
@@ -1311,15 +1234,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             if !alarms.is_empty() {
                 let cycle = self.sorter.cycles();
                 let fs = self.faults.as_mut().expect("a fault campaign is active");
-                for &alarm_slot in &alarms {
-                    fs.note_detection(
-                        &self.instr,
-                        FaultComponent::Buffer,
-                        Some(alarm_slot as usize),
-                        cycle,
-                        DetectionKind::Parity,
-                    );
-                }
+                fs.note_buffer_alarms(&self.instr, &alarms, cycle);
                 if alarms.contains(&slot.index()) {
                     self.uncount(sb.section);
                     self.note_drop(pkt.flow.0);

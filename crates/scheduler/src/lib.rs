@@ -56,6 +56,6 @@ pub use hwsched::{
 };
 pub use quantize::{QuantizeOutcome, TagQuantizer, WrapPolicy};
 pub use shard::{
-    shard_of, PortDeparture, ShardError, ShardMap, ShardStats, ShardedLinkSim, ShardedScheduler,
+    shard_of, PortDeparture, ShardError, ShardStats, ShardedLinkSim, ShardedScheduler,
 };
 pub use statesync::{Placement, RebalanceHint, Rebalancer, RebalancerConfig, ShardLoad};

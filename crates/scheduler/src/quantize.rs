@@ -73,8 +73,6 @@ pub struct TagQuantizer {
     policy: WrapPolicy,
     /// Virtual time corresponding to tick 0 of the current numbering.
     base: f64,
-    /// Highest tick handed out since the last rebase.
-    max_tick: u64,
     /// Ticks per top-level section.
     section_ticks: u64,
     /// Last section that was prepared (recycled) for allocation.
@@ -108,7 +106,6 @@ impl TagQuantizer {
             scale,
             policy,
             base: 0.0,
-            max_tick: 0,
             section_ticks,
             prepared_through: geometry.tag_space() - 1,
             clamped: 0,
@@ -188,7 +185,6 @@ impl TagQuantizer {
                 "live tag window ({window} ticks) leaves no recycling slack"
             );
         }
-        self.max_tick = self.max_tick.max(tick);
         // Recycle any sections this tick newly enters. No lookahead: a
         // section is cleared exactly when its first wrapped tick is
         // allocated, at which point the window bound above guarantees the
@@ -213,19 +209,18 @@ impl TagQuantizer {
     /// empty so tick numbering (and float precision) restarts cleanly.
     pub fn rebase(&mut self, at: VirtualTime) {
         self.base = at.value();
-        self.max_tick = 0;
         self.prepared_through = self.geometry.tag_space() - 1;
     }
 
-    /// The quantizer's mutable state as checkpoint words (base, tick
-    /// high-water mark, section preparation cursor, clamp count).
+    /// The quantizer's mutable state as checkpoint words (base, a
+    /// reserved word, section preparation cursor, clamp count).
     /// Configuration — geometry, scale, policy — is not included: a
     /// restore rebuilds the quantizer identically configured and then
     /// loads these words.
     pub fn state_words(&self) -> Vec<u64> {
         vec![
             self.base.to_bits(),
-            self.max_tick,
+            0, // reserved, so the four-word layout is unchanged
             self.prepared_through,
             self.clamped,
         ]
@@ -239,7 +234,7 @@ impl TagQuantizer {
     pub fn load_state_words(&mut self, words: &[u64]) {
         assert_eq!(words.len(), 4, "quantizer state is four words");
         self.base = f64::from_bits(words[0]);
-        self.max_tick = words[1];
+        // words[1] is reserved (a tick high-water mark nothing read).
         self.prepared_through = words[2];
         self.clamped = words[3];
     }

@@ -10,8 +10,9 @@
 //! [`ShardedScheduler`] instantiates one independent [`HwScheduler`] per
 //! output port and routes arriving packets by **flow affinity**:
 //! [`shard_of`] is a pure hash of the flow id, so a flow's packets always
-//! meet the same shard, in order. Under [`Placement::Dynamic`] the live
-//! [`ShardMap`] starts from that hash and follows flows as they migrate.
+//! meet the same shard, in order. Under [`Placement::Dynamic`] the
+//! frontend's ownership table starts from that hash and follows flows as
+//! they migrate.
 //! On the service side, [`ShardedScheduler::dequeue`] drives a
 //! work-conserving round-robin across ports — it never reports an idle
 //! frontend while any shard holds a packet.
@@ -115,120 +116,6 @@ pub fn shard_of(flow: FlowId, ports: usize) -> usize {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     (z % ports as u64) as usize
-}
-
-/// The live flow → port ownership table — one source of truth for every
-/// routing decision, including enqueues that race an in-flight
-/// migration.
-///
-/// Under [`Placement::Hash`] the table is exactly [`shard_of`] and never
-/// changes. Under [`Placement::Dynamic`] it starts as [`shard_of`] and
-/// is rewritten as flows migrate between ports.
-#[derive(Debug, Clone)]
-pub struct ShardMap {
-    ports: usize,
-    placement: Placement,
-    /// Global flow id → owning port.
-    owner: Vec<u32>,
-    /// A migration the frontend has begun but not yet committed:
-    /// `(flow, from, to)`. Enqueues landing in this window route to the
-    /// **new** owner — the frontend sends the install ahead of any
-    /// later arrival, so FIFO delivery keeps per-flow order intact.
-    in_flight: Option<(u32, u32, u32)>,
-}
-
-impl ShardMap {
-    /// Builds the initial map: every flow owned by its [`shard_of`]
-    /// port, regardless of placement mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ports` is zero.
-    pub fn new(flows: usize, ports: usize, placement: Placement) -> Self {
-        assert!(ports > 0, "at least one port required");
-        Self {
-            ports,
-            placement,
-            owner: (0..flows)
-                .map(|f| shard_of(FlowId(f as u32), ports) as u32)
-                .collect(),
-            in_flight: None,
-        }
-    }
-
-    /// The placement mode the map was built with.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// Number of output ports.
-    pub fn ports(&self) -> usize {
-        self.ports
-    }
-
-    /// Number of configured flows.
-    pub fn flows(&self) -> usize {
-        self.owner.len()
-    }
-
-    /// The port currently owning `flow`, or `None` for an unknown flow.
-    /// A flow whose migration is in flight already answers with its
-    /// **destination** port.
-    pub fn port_of(&self, flow: FlowId) -> Option<usize> {
-        if let Some((f, _, to)) = self.in_flight {
-            if f == flow.0 {
-                return Some(to as usize);
-            }
-        }
-        self.owner.get(flow.0 as usize).map(|&p| p as usize)
-    }
-
-    /// Opens a migration window: subsequent [`ShardMap::port_of`] calls
-    /// for `flow` answer `to` while the backlog is still moving. Returns
-    /// the current owner.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`Placement::Hash`] (the hash map is immutable), if
-    /// another migration is already in flight, or if `flow`/`to` are out
-    /// of range.
-    pub fn begin_migration(&mut self, flow: FlowId, to: usize) -> usize {
-        assert_eq!(
-            self.placement,
-            Placement::Dynamic,
-            "flow migration requires Placement::Dynamic"
-        );
-        assert!(self.in_flight.is_none(), "a migration is already in flight");
-        assert!(
-            to < self.ports,
-            "port {to} out of range ({} ports)",
-            self.ports
-        );
-        let from = self.owner[flow.0 as usize];
-        self.in_flight = Some((flow.0, from, to as u32));
-        from as usize
-    }
-
-    /// Commits the in-flight migration: the destination becomes the
-    /// durable owner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no migration is in flight.
-    pub fn commit_migration(&mut self) {
-        let (flow, _, to) = self.in_flight.take().expect("no migration in flight");
-        self.owner[flow as usize] = to;
-    }
-
-    /// Abandons the in-flight migration (destination refused the
-    /// backlog); ownership stays with the source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no migration is in flight.
-    pub fn abort_migration(&mut self) {
-        assert!(self.in_flight.take().is_some(), "no migration in flight");
-    }
 }
 
 /// Errors from the sharded frontend.
@@ -392,8 +279,11 @@ pub struct ShardedScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy 
     /// Dynamic placement keeps global ids on every port and leaves this
     /// empty. Each shard holds the inverse map.
     local: Vec<u32>,
-    /// Live flow → port ownership (mutated by migrations).
-    map: ShardMap,
+    /// Global flow id → owning port: [`shard_of`] at construction, then
+    /// rewritten by every completed migration.
+    owner: Vec<u32>,
+    /// How flows are placed on ports.
+    placement: Placement,
     /// Per-flow admitted-packet counts (global ids) — the rebalancer's
     /// signal for *which* flow to move off a hot port.
     flow_arrivals: Vec<u64>,
@@ -498,7 +388,9 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             );
         }
         let ports = port_rates_bps.len();
-        let map = ShardMap::new(flows.len(), ports, placement);
+        let owner: Vec<u32> = (0..flows.len())
+            .map(|f| shard_of(FlowId(f as u32), ports) as u32)
+            .collect();
         let build = |port: usize, fl: &[FlowSpec]| {
             let mut cfg = config;
             cfg.faults = cfg.faults.map(|f| f.with_seed_offset(port as u64));
@@ -511,7 +403,7 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
                 let mut subsets: Vec<Vec<FlowSpec>> = vec![Vec::new(); ports];
                 let mut global: Vec<Vec<u32>> = vec![Vec::new(); ports];
                 for f in flows {
-                    let port = map.port_of(f.id).expect("configured flow");
+                    let port = owner[f.id.0 as usize] as usize;
                     let mut renumbered = *f;
                     renumbered.id = FlowId(subsets[port].len() as u32);
                     local.push(renumbered.id.0);
@@ -542,7 +434,8 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             tracer: Tracer::disabled(),
             rates: port_rates_bps.to_vec(),
             local,
-            map,
+            owner,
+            placement,
             flow_arrivals: vec![0; flows.len()],
             last_enqueued: vec![0; ports],
             rebalancer: None,
@@ -561,7 +454,7 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     /// Panics unless the frontend was built with [`Placement::Dynamic`].
     pub fn with_rebalancer(mut self, cfg: RebalancerConfig) -> Self {
         assert_eq!(
-            self.map.placement(),
+            self.placement,
             Placement::Dynamic,
             "rebalancing requires Placement::Dynamic"
         );
@@ -607,7 +500,7 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
 
     /// Number of configured flows (across all ports).
     pub fn flows(&self) -> usize {
-        self.map.flows()
+        self.owner.len()
     }
 
     /// Total queued packets across all ports.
@@ -642,12 +535,12 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     /// unknown flow id. Under [`Placement::Dynamic`] this answer tracks
     /// migrations.
     pub fn port_of(&self, flow: FlowId) -> Option<usize> {
-        self.map.port_of(flow)
+        self.owner.get(flow.0 as usize).map(|&p| p as usize)
     }
 
     /// The placement mode the frontend was built with.
     pub fn placement(&self) -> Placement {
-        self.map.placement()
+        self.placement
     }
 
     /// Completed flow migrations (see
@@ -656,17 +549,15 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         self.migrations
     }
 
-    /// Routes one packet (global flow id) to its shard. The port comes
-    /// from the live [`ShardMap`], so packets racing an in-flight
-    /// migration go to the flow's **new** owner — whose install precedes
-    /// them — rather than being dropped or stranded.
+    /// Routes one packet (global flow id) to its shard: the flow's
+    /// current owner, which a completed migration has already moved.
     ///
     /// # Errors
     ///
     /// [`ShardError::UnknownFlow`] for an unconfigured flow, or
     /// [`ShardError::Port`] wrapping the shard's refusal.
     pub fn enqueue(&mut self, pkt: Packet) -> Result<(), ShardError> {
-        let port = self.map.port_of(pkt.flow).ok_or(ShardError::UnknownFlow {
+        let port = self.port_of(pkt.flow).ok_or(ShardError::UnknownFlow {
             flow: pkt.flow.0,
             flows: self.flows(),
         })?;
@@ -768,10 +659,10 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     /// from its current port to `to`, preserving per-flow packet order
     /// and translating finishing tags into the destination's virtual
     /// clock (see [`HwScheduler::extract_flow`] /
-    /// [`HwScheduler::install_flow`]). The [`ShardMap`] routes the flow
-    /// to `to` from the moment the migration begins, so later enqueues
-    /// land behind the installed backlog. Returns the number of packets
-    /// moved (0 if the flow already lives on `to`).
+    /// [`HwScheduler::install_flow`]). Ownership moves to `to` once the
+    /// backlog is installed there, so later enqueues land behind it.
+    /// Returns the number of packets moved (0 if the flow already lives
+    /// on `to`).
     ///
     /// # Errors
     ///
@@ -790,14 +681,18 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             "port {to} out of range ({} ports)",
             self.ports()
         );
-        let from = self.map.port_of(flow).ok_or(ShardError::UnknownFlow {
+        let from = self.port_of(flow).ok_or(ShardError::UnknownFlow {
             flow: flow.0,
             flows: self.flows(),
         })?;
         if from == to {
             return Ok(0);
         }
-        self.map.begin_migration(flow, to);
+        assert_eq!(
+            self.placement,
+            Placement::Dynamic,
+            "flow migration requires Placement::Dynamic"
+        );
         // Dynamic placement keeps global flow ids on every shard, so the
         // flow's id is the same on both ports.
         let backlog = self.shards[from].extract_flow(flow);
@@ -806,10 +701,9 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
                 self.shards[from].install_flow(flow, &backlog).is_ok(),
                 "reinstalling into the slots just vacated cannot fail"
             );
-            self.map.abort_migration();
             return Err(ShardError::Port { port: to, source });
         }
-        self.map.commit_migration();
+        self.owner[flow.0 as usize] = to as u32;
         self.migrations += 1;
         self.peak = self.peak.max(self.len());
         Ok(backlog.len())
@@ -851,7 +745,7 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             .collect();
         let hint = rebalancer.observe(&loads)?;
         let flow = (0..self.flow_arrivals.len())
-            .filter(|&f| self.map.port_of(FlowId(f as u32)) == Some(hint.from))
+            .filter(|&f| self.owner[f] as usize == hint.from)
             .max_by_key(|&f| (self.flow_arrivals[f], std::cmp::Reverse(f)))?;
         let flow = FlowId(flow as u32);
         match self.migrate_flow(flow, hint.to) {
@@ -884,7 +778,7 @@ impl<B: SortBackend, P: RankPolicy> Egress for ShardedScheduler<B, P> {
 
     fn admit(&mut self, pkt: Packet) -> Admit<ShardError> {
         match self.enqueue(pkt) {
-            Ok(()) => Admit::Queued(self.map.port_of(pkt.flow).expect("routed")),
+            Ok(()) => Admit::Queued(self.port_of(pkt.flow).expect("routed")),
             Err(
                 e @ ShardError::Port {
                     port,
@@ -1295,32 +1189,30 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_routes_in_flight_migrations_to_the_new_owner() {
-        let mut map = ShardMap::new(8, 2, Placement::Dynamic);
-        for f in 0..8u32 {
-            assert_eq!(map.port_of(FlowId(f)), Some(shard_of(FlowId(f), 2)));
-        }
-        let flow = FlowId(3);
-        let from = map.port_of(flow).unwrap();
-        let to = 1 - from;
-        assert_eq!(map.begin_migration(flow, to), from);
-        assert_eq!(
-            map.port_of(flow),
-            Some(to),
-            "an in-flight migration already routes to the new owner"
+    fn ownership_starts_at_the_hash_and_only_dynamic_placement_migrates() {
+        let fl = flows(8);
+        let dynamic = build(
+            &fl,
+            &[1e9; 2],
+            SchedulerConfig::default(),
+            Placement::Dynamic,
         );
-        map.abort_migration();
-        assert_eq!(map.port_of(flow), Some(from), "abort keeps the source");
-        map.begin_migration(flow, to);
-        map.commit_migration();
-        assert_eq!(map.port_of(flow), Some(to));
-        assert_eq!(map.port_of(FlowId(99)), None);
-        // The hash map is immutable.
-        let mut hash = ShardMap::new(4, 2, Placement::Hash);
+        for f in 0..8u32 {
+            assert_eq!(dynamic.port_of(FlowId(f)), Some(shard_of(FlowId(f), 2)));
+        }
+        assert_eq!(dynamic.port_of(FlowId(99)), None);
+        // Hash placement never moves a flow.
+        let mut hash = ShardedScheduler::new(&fl, 1e9, 2, SchedulerConfig::default());
+        let to = 1 - hash.port_of(FlowId(0)).unwrap();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            hash.begin_migration(FlowId(0), 1)
+            hash.migrate_flow(FlowId(0), to)
         }));
-        assert!(caught.is_err(), "hash placement accepted a migration");
+        let msg = caught.expect_err("hash placement accepted a migration");
+        let msg = msg.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            msg.contains("flow migration requires Placement::Dynamic"),
+            "{msg}"
+        );
     }
 
     #[test]

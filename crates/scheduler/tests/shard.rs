@@ -3,7 +3,7 @@
 //! against the single-scheduler reference.
 
 use scheduler::{shard_of, HwScheduler, SchedulerConfig, ShardedLinkSim, ShardedScheduler};
-use traffic::{generate, generate_multiport, profiles, FlowId, FlowSpec, Packet, PortSpec, Time};
+use traffic::{generate, profiles, FlowId, FlowSpec, Packet, Time};
 
 fn mixed_flows(n: usize) -> Vec<FlowSpec> {
     (0..n)
@@ -137,22 +137,23 @@ fn one_port_frontend_equals_the_single_scheduler() {
     assert_eq!(sharded, reference);
 }
 
-/// The per-port link simulation serves the multi-port workload end to
-/// end: every generated packet departs, per-flow order holds, and each
-/// port's transmissions never overlap.
+/// The per-port link simulation serves a mixed two-population workload
+/// end to end: every generated packet departs, per-flow order holds, and
+/// each port's transmissions never overlap.
 #[test]
 fn link_sim_runs_a_multiport_workload() {
-    let ports_spec = vec![
-        PortSpec::new(1e7, profiles::diverse_mix(6, 700_000.0)),
-        PortSpec::new(1e7, profiles::voip(5)),
-    ];
-    let mp = generate_multiport(&ports_spec, 0.2, 19);
-    // Route by affinity over the global flow set (the frontend's own
-    // partition, independent of the generator's port labels).
-    let fe = ShardedScheduler::new(&mp.flows, 1e7, 2, SchedulerConfig::default());
+    // Two populations renumbered into one dense id space; the frontend
+    // routes them by its own flow-affinity partition.
+    let mut fl = profiles::diverse_mix(6, 700_000.0);
+    fl.extend(profiles::voip(5));
+    for (i, f) in fl.iter_mut().enumerate() {
+        f.id = FlowId(i as u32);
+    }
+    let trace = generate(&fl, 0.2, 19);
+    let fe = ShardedScheduler::new(&fl, 1e7, 2, SchedulerConfig::default());
     let mut sim = ShardedLinkSim::new(fe);
-    let deps = sim.run(&mp.merged).unwrap();
-    assert_eq!(deps.len(), mp.merged.len());
+    let deps = sim.run(&trace).unwrap();
+    assert_eq!(deps.len(), trace.len());
 
     for port in 0..2 {
         let mut last_finish = Time::ZERO;

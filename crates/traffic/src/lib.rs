@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod gen;
-pub mod multiport;
 mod packet;
 pub mod profiles;
 pub mod rng;
@@ -52,7 +51,6 @@ pub mod trace;
 mod zipf;
 
 pub use gen::{generate, generate_flow};
-pub use multiport::{generate_multiport, rate_weighted_ports, MultiPortTrace, PortSpec};
 pub use packet::{FlowId, Packet, Time};
 pub use scale::{ChurnSpec, ScaleConfig, ScaleWorkload};
 pub use shaping::TokenBucket;
