@@ -53,9 +53,14 @@ use crate::virtual_time::{GpsVirtualClock, StateError, VirtualTime};
 /// [`RankPolicy::for_link`] derives the live per-link instance.
 pub trait RankPolicy: std::fmt::Debug + Clone {
     /// Builds the live policy instance for a link: `flows` are the
-    /// link's flows (dense ids starting at 0) and `link_rate_bps` its
-    /// rate. Reads only this prototype's configuration, never its
-    /// per-flow state.
+    /// link's flows and `link_rate_bps` its rate. Reads only this
+    /// prototype's configuration, never its per-flow state.
+    ///
+    /// This pass is the only one a scheduler build makes over its flow
+    /// table, so it validates the table: it must panic with "flow ids
+    /// must be dense and unique" unless the ids cover
+    /// `0..flows.len()` exactly once, in any order — also a policy
+    /// that reads nothing else from the table.
     fn for_link(&self, flows: &[FlowSpec], link_rate_bps: f64) -> Self;
 
     /// Computes the rank of an arriving packet, updating per-flow
@@ -133,22 +138,57 @@ pub trait RankPolicy: std::fmt::Debug + Clone {
     fn adopt_flow(&mut self, _flow: FlowId, _finish: VirtualTime) {}
 }
 
-/// Builds the dense per-flow weight vector of `flows`.
+/// The per-flow vector of `flows` in id order: `value(spec)` at each
+/// spec's id. Ids are tracked apart from the values, so no value can
+/// hide a repeated id.
+///
+/// # Panics
+///
+/// Panics if flow ids are not dense and unique (or `value` panics).
+pub(crate) fn dense_by_id<T: Copy + Default>(
+    flows: &[FlowSpec],
+    value: impl Fn(&FlowSpec) -> T,
+) -> Vec<T> {
+    let mut values = vec![T::default(); flows.len()];
+    let mut seen = vec![0u64; flows.len().div_ceil(64)];
+    for f in flows {
+        let idx = f.id.0 as usize;
+        let bit = 1 << (idx % 64);
+        assert!(
+            idx < flows.len() && seen[idx / 64] & bit == 0,
+            "flow ids must be dense and unique"
+        );
+        seen[idx / 64] |= bit;
+        values[idx] = value(f);
+    }
+    values
+}
+
+/// Refuses a flow table whose ids are not dense and unique — the check
+/// every [`RankPolicy::for_link`] makes, here for policies that read
+/// nothing else from the table.
 ///
 /// # Panics
 ///
 /// Panics if flow ids are not dense and unique.
+pub(crate) fn check_dense(flows: &[FlowSpec]) {
+    dense_by_id(flows, |_| ());
+}
+
+/// Builds the dense per-flow weight vector of `flows`.
+///
+/// # Panics
+///
+/// Panics if flow ids are not dense and unique, or a weight is not
+/// positive and finite.
 pub(crate) fn dense_weights(flows: &[FlowSpec]) -> Vec<f64> {
-    let mut weights = vec![0.0; flows.len()];
-    for f in flows {
-        let idx = f.id.0 as usize;
+    dense_by_id(flows, |f| {
         assert!(
-            idx < flows.len() && weights[idx] == 0.0,
-            "flow ids must be dense and unique"
+            f.weight > 0.0 && f.weight.is_finite(),
+            "weights must be positive and finite"
         );
-        weights[idx] = f.weight;
-    }
-    weights
+        f.weight
+    })
 }
 
 /// Decodes the `[scalar, n, n per-flow floats]` image that STFQ and the
@@ -324,7 +364,8 @@ impl RankPolicy for StfqRank {
 pub struct SrptRank;
 
 impl RankPolicy for SrptRank {
-    fn for_link(&self, _flows: &[FlowSpec], _link_rate_bps: f64) -> Self {
+    fn for_link(&self, flows: &[FlowSpec], _link_rate_bps: f64) -> Self {
+        check_dense(flows);
         Self
     }
 
@@ -362,7 +403,8 @@ pub struct FifoPlusRank {
 }
 
 impl RankPolicy for FifoPlusRank {
-    fn for_link(&self, _flows: &[FlowSpec], _link_rate_bps: f64) -> Self {
+    fn for_link(&self, flows: &[FlowSpec], _link_rate_bps: f64) -> Self {
+        check_dense(flows);
         Self::default()
     }
 
@@ -469,19 +511,13 @@ pub struct LeakyBucketRank {
 
 impl RankPolicy for LeakyBucketRank {
     fn for_link(&self, flows: &[FlowSpec], _link_rate_bps: f64) -> Self {
-        let mut rates = vec![0.0; flows.len()];
-        for f in flows {
-            let idx = f.id.0 as usize;
-            assert!(
-                idx < flows.len() && rates[idx] == 0.0,
-                "flow ids must be dense and unique"
-            );
+        let rates = dense_by_id(flows, |f| {
             assert!(
                 f.rate_bps > 0.0 && f.rate_bps.is_finite(),
                 "leaky-bucket shaping needs a positive contracted rate"
             );
-            rates[idx] = f.rate_bps;
-        }
+            f.rate_bps
+        });
         Self {
             eta: vec![0.0; rates.len()],
             rates,
@@ -603,11 +639,9 @@ impl HierarchicalWfqRank {
 impl RankPolicy for HierarchicalWfqRank {
     fn for_link(&self, flows: &[FlowSpec], link_rate_bps: f64) -> Self {
         let classes = self.classes.min(flows.len()).max(1);
-        // Each class clock is built straight from the specs, at the link
-        // rate until the class shares are known.
-        let mut clocks: Vec<GpsVirtualClock> = (0..classes)
-            .map(|c| GpsVirtualClock::for_class(flows, classes, c, link_rate_bps))
-            .collect();
+        // The class clocks are built in one pass over the specs, at the
+        // link rate until the class shares are known.
+        let mut clocks = GpsVirtualClock::for_classes(flows, classes, link_rate_bps);
         // Both sums run in flow-id order, so every rate (and V) is
         // bit-identical to summing a dense weight vector.
         let total: f64 = (0..flows.len())
@@ -1056,6 +1090,69 @@ mod tests {
                 want.value().to_bits(),
                 "packet {i}"
             );
+        }
+    }
+
+    /// Specs in any id order build the same clocks. The shuffled table
+    /// keeps its first five specs in order, so the build appends records
+    /// and then claims the rest in place.
+    #[test]
+    fn shuffled_and_ordered_tables_build_the_same_clocks() {
+        let weights: Vec<f64> = (0..23).map(|i| [1.0, 1.0, 2.5, 0.3, 7.0][i % 5]).collect();
+        let ordered = flows(&weights);
+        let mut shuffled = ordered.clone();
+        shuffled[5..].reverse();
+        shuffled.swap(7, 20);
+        let tables = [&ordered, &shuffled];
+        let mut clocks = tables.map(|t| GpsVirtualClock::for_flows(t, 1e6));
+        let mut hwfq = tables.map(|t| HierarchicalWfqRank::with_classes(3).for_link(t, 1e6));
+        let bits = |(s, f): (VirtualTime, VirtualTime)| (s.value().to_bits(), f.value().to_bits());
+        for i in 0..120u32 {
+            let p = pkt((i * 5) % 23, f64::from(i) * 2e-5, 64 + 53 * i);
+            let [a, b] = &mut clocks;
+            let tags =
+                |c: &mut GpsVirtualClock| bits(c.on_arrival(p.flow, p.size_bits(), p.arrival));
+            assert_eq!(tags(a), tags(b), "clock, packet {i}");
+            assert_eq!(a.state_words(), b.state_words(), "clock, packet {i}");
+            let [a, b] = &mut hwfq;
+            assert_eq!(a.rank(&p), b.rank(&p), "hwfq, packet {i}");
+            assert_eq!(a.state_words(), b.state_words(), "hwfq, packet {i}");
+        }
+    }
+
+    fn panic_message(build: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(build).expect_err("table accepted");
+        err.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    /// The weight vector tracks seen ids apart from the weights, so a
+    /// zero weight (the old "not yet seen" marker) hides no repeated id,
+    /// and a weight that is not positive and finite is refused itself.
+    #[test]
+    fn a_zero_weight_cannot_hide_a_repeated_id() {
+        let spec = |id, weight| FlowSpec {
+            weight,
+            ..FlowSpec::new(FlowId(id), 1.0, 1e6)
+        };
+        let cases = [
+            (vec![spec(0, 1.0), spec(0, 0.0)], "dense and unique"),
+            (vec![spec(0, 0.0), spec(0, 1.0)], "positive and finite"),
+            (vec![spec(0, 1.0), spec(1, -2.0)], "positive and finite"),
+            (vec![spec(0, f64::NAN), spec(1, 1.0)], "positive and finite"),
+            (
+                vec![spec(1, f64::INFINITY), spec(0, 1.0)],
+                "positive and finite",
+            ),
+        ];
+        for (table, want) in cases {
+            for policy in [AnyPolicy::by_name("stfq"), AnyPolicy::by_name("prio")] {
+                let policy = policy.expect("a listed name");
+                let msg = panic_message(|| drop(policy.for_link(&table, 1e6)));
+                assert!(msg.contains(want), "{} on {table:?}: {msg}", policy.name());
+            }
         }
     }
 

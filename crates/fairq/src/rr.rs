@@ -9,6 +9,7 @@ use std::collections::VecDeque;
 
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
+use crate::rank::dense_by_id;
 use crate::scheduler::Scheduler;
 
 /// Weighted round robin \[2\]: flow *i* sends `nᵢ` packets per round, with
@@ -35,15 +36,7 @@ impl Wrr {
     /// Panics if flow ids are not dense indices.
     pub fn new(flows: &[FlowSpec]) -> Self {
         let n = flows.len();
-        let mut rate = vec![0.0f64; n];
-        for f in flows {
-            let idx = f.id.0 as usize;
-            assert!(
-                idx < n && rate[idx] == 0.0,
-                "flow ids must be dense and unique"
-            );
-            rate[idx] = f.weight / f.sizes.mean_bytes();
-        }
+        let rate = dense_by_id(flows, |f| f.weight / f.sizes.mean_bytes());
         let min_rate = rate.iter().cloned().fold(f64::INFINITY, f64::min);
         let per_round: Vec<u32> = rate
             .iter()
@@ -137,15 +130,7 @@ impl Drr {
     pub fn new(flows: &[FlowSpec], base_quantum_bytes: f64) -> Self {
         assert!(base_quantum_bytes > 0.0, "quantum must be positive");
         let n = flows.len();
-        let mut quantum = vec![0.0; n];
-        for f in flows {
-            let idx = f.id.0 as usize;
-            assert!(
-                idx < n && quantum[idx] == 0.0,
-                "flow ids must be dense and unique"
-            );
-            quantum[idx] = f.weight * base_quantum_bytes;
-        }
+        let quantum = dense_by_id(flows, |f| f.weight * base_quantum_bytes);
         Self {
             queues: vec![VecDeque::new(); n],
             deficit: vec![0.0; n],
@@ -404,5 +389,20 @@ mod tests {
     #[should_panic(expected = "priority flow")]
     fn mdrr_requires_valid_priority() {
         let _ = Mdrr::new(&specs(&[1.0]), 1500.0, FlowId(7));
+    }
+
+    /// A zero weight, whose rate and quantum are zero, hides no
+    /// repeated id.
+    #[test]
+    fn a_zero_weight_cannot_hide_a_repeated_id() {
+        let mut table = specs(&[1.0, 1.0]);
+        table[0].weight = 0.0;
+        table[1].id = FlowId(0);
+        let builds: [fn(&[FlowSpec]); 2] = [|t| drop(Wrr::new(t)), |t| drop(Drr::new(t, 1500.0))];
+        for build in builds {
+            let err = std::panic::catch_unwind(|| build(&table)).expect_err("table accepted");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("dense and unique"), "{msg}");
+        }
     }
 }

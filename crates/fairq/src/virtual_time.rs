@@ -172,12 +172,92 @@ struct FlowRec {
 
 const _: () = assert!(std::mem::size_of::<FlowRec>() == 16);
 
+impl FlowRec {
+    /// A flow of weight class `class` with no history.
+    fn idle(class: u32) -> Self {
+        Self {
+            last_finish: 0.0,
+            pos: IDLE,
+            class,
+        }
+    }
+}
+
 /// `FlowRec::pos` of a flow outside the busy heap.
 const IDLE: u32 = u32::MAX;
 
-/// `FlowRec::class` of a flow whose weight is not yet known (during
-/// construction only).
+/// `FlowRec::class` of a flow whose weight is not yet known (while
+/// [`Records`] are built out of id order).
 const UNSET: u32 = u32::MAX;
+
+/// One clock's flow records while they are built.
+///
+/// Specs in id order append records, so the common table is streamed
+/// once and each record written once. The first spec out of id order
+/// fills the remaining records as [`UNSET`], and from then on each spec
+/// claims its record in place.
+struct Records {
+    flows: Vec<FlowRec>,
+    /// The clock's flow count.
+    members: usize,
+    /// The distinct weights, in order of first use.
+    weights: Vec<f64>,
+    index: HashMap<u64, u32>,
+    /// The weight of the last claim (NaN before the first), and its
+    /// class: an equal weight is already checked and interned.
+    last: (f64, u32),
+}
+
+impl Records {
+    fn with_members(members: usize) -> Self {
+        Self {
+            flows: Vec::with_capacity(members),
+            members,
+            weights: Vec::new(),
+            index: HashMap::new(),
+            last: (f64::NAN, UNSET),
+        }
+    }
+
+    /// Gives local flow `local` (below `members`) the weight `weight`.
+    #[inline]
+    fn claim(&mut self, local: usize, weight: f64) {
+        if weight != self.last.0 {
+            self.intern(weight);
+        }
+        if local == self.flows.len() {
+            self.flows.push(FlowRec::idle(self.last.1));
+        } else {
+            self.claim_in_place(local);
+        }
+    }
+
+    /// Checks a weight unlike the last one and makes it the last.
+    #[cold]
+    fn intern(&mut self, weight: f64) {
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "weights must be positive and finite"
+        );
+        let class = *self.index.entry(weight.to_bits()).or_insert_with(|| {
+            self.weights.push(weight);
+            (self.weights.len() - 1) as u32
+        });
+        self.last = (weight, class);
+    }
+
+    /// Claims the record of a spec out of id order.
+    #[cold]
+    fn claim_in_place(&mut self, local: usize) {
+        self.flows.resize(self.members, FlowRec::idle(UNSET));
+        let slot = self
+            .flows
+            .get_mut(local)
+            .filter(|slot| slot.class == UNSET)
+            .expect("flow ids must be dense and unique");
+        slot.class = self.last.1;
+    }
+}
 
 /// Children per busy-heap node: a full group of four 16-byte entries
 /// spans 64 bytes, and the heap is half as deep as a binary one.
@@ -215,7 +295,8 @@ impl GpsVirtualClock {
     /// Panics if `weights` is empty or holds `u32::MAX` flows or more,
     /// any weight is non-positive, or the rate is non-positive.
     pub fn new(weights: &[f64], rate_bps: f64) -> Self {
-        Self::build(weights.len(), weights.iter().copied().enumerate(), rate_bps)
+        let flows = weights.iter().copied().enumerate();
+        Self::build(weights.len(), 1, flows, rate_bps).remove(0)
     }
 
     /// Creates a clock for `flows` on a link of `rate_bps`, taking each
@@ -227,74 +308,66 @@ impl GpsVirtualClock {
     /// Panics if flow ids are not dense and unique, and as
     /// [`GpsVirtualClock::new`] does.
     pub fn for_flows(flows: &[FlowSpec], rate_bps: f64) -> Self {
-        let weights = flows.iter().map(|f| (f.id.0 as usize, f.weight));
-        Self::build(flows.len(), weights, rate_bps)
+        Self::for_classes(flows, 1, rate_bps).remove(0)
     }
 
-    /// Creates the clock of one class of `flows`: the flows whose id is
-    /// `class` modulo `classes`, flow `f` under the local id
-    /// `f / classes`, each weight taken from its spec.
+    /// Creates one clock per class of `flows` in one pass over the
+    /// specs: flow `f` joins clock `f % classes` under the local id
+    /// `f / classes`, with the weight from its spec. Every clock runs
+    /// at `rate`.
     ///
     /// # Panics
     ///
-    /// As [`GpsVirtualClock::for_flows`].
-    pub(crate) fn for_class(flows: &[FlowSpec], classes: usize, class: usize, rate: f64) -> Self {
-        let members = flows.iter().filter(|f| f.id.0 as usize % classes == class);
-        let weights = members.map(|f| (f.id.0 as usize / classes, f.weight));
-        Self::build((flows.len() + classes - 1 - class) / classes, weights, rate)
+    /// As [`GpsVirtualClock::for_flows`], and if `classes` is zero or
+    /// exceeds the flow count.
+    pub(crate) fn for_classes(flows: &[FlowSpec], classes: usize, rate: f64) -> Vec<Self> {
+        let weights = flows.iter().map(|f| (f.id.0 as usize, f.weight));
+        Self::build(flows.len(), classes, weights, rate)
     }
 
-    /// Builds the records from `(flow, weight)` pairs that must name each
-    /// of `0..n` once, interning the weights. A weight equal to the one
-    /// before it reuses that class without a lookup, so a table of equal
-    /// weights is never hashed past its first flow.
-    fn build(n: usize, weights: impl Iterator<Item = (usize, f64)>, rate_bps: f64) -> Self {
+    /// Builds the clocks of [`GpsVirtualClock::for_classes`] from exactly
+    /// `n` `(flow, weight)` pairs, which must name each of `0..n` once:
+    /// with `n` pairs and `n` records, each pair claiming a distinct
+    /// record covers them all.
+    fn build(
+        n: usize,
+        classes: usize,
+        weights: impl Iterator<Item = (usize, f64)>,
+        rate_bps: f64,
+    ) -> Vec<Self> {
         assert!(n > 0, "at least one flow required");
         assert!(n < IDLE as usize, "flow ids must fit below u32::MAX");
+        assert!((1..=n).contains(&classes), "1..=flows classes required");
         assert!(
             rate_bps > 0.0 && rate_bps.is_finite(),
             "rate must be positive and finite"
         );
-        let unset = FlowRec {
-            last_finish: 0.0,
-            pos: IDLE,
-            class: UNSET,
-        };
-        let mut flows = vec![unset; n];
-        let mut classes: Vec<f64> = Vec::new();
-        let mut index: HashMap<u64, u32> = HashMap::new();
-        let mut class = UNSET;
-        let mut named = 0;
-        for (idx, weight) in weights {
-            named += 1;
-            let rec = flows
-                .get_mut(idx)
-                .filter(|rec| rec.class == UNSET)
-                .expect("flow ids must be dense and unique");
-            assert!(
-                weight > 0.0 && weight.is_finite(),
-                "weights must be positive and finite"
-            );
-            if classes.get(class as usize) != Some(&weight) {
-                class = *index.entry(weight.to_bits()).or_insert_with(|| {
-                    classes.push(weight);
-                    (classes.len() - 1) as u32
-                });
-            }
-            rec.class = class;
+        let mut clocks: Vec<Records> = (0..classes)
+            .map(|c| Records::with_members((n + classes - 1 - c) / classes))
+            .collect();
+        for (id, weight) in weights {
+            assert!(id < n, "flow ids must be dense and unique");
+            let (class, local) = if classes == 1 {
+                (0, id)
+            } else {
+                (id % classes, id / classes)
+            };
+            clocks[class].claim(local, weight);
         }
-        assert_eq!(named, n, "flow ids must be dense and unique");
-        Self {
-            flows,
-            weights: classes,
-            heap: Vec::new(),
-            rate_bps,
-            v: 0.0,
-            t_last: 0.0,
-            sum_phi_busy: 0.0,
-            breakpoints: vec![(0.0, 0.0)],
-            record_segments: false,
-        }
+        clocks
+            .into_iter()
+            .map(|r| Self {
+                flows: r.flows,
+                weights: r.weights,
+                heap: Vec::new(),
+                rate_bps,
+                v: 0.0,
+                t_last: 0.0,
+                sum_phi_busy: 0.0,
+                breakpoints: vec![(0.0, 0.0)],
+                record_segments: false,
+            })
+            .collect()
     }
 
     /// Enables segment recording for virtual→real inversion (used by the

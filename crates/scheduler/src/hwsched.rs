@@ -577,6 +577,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// Creates a scheduler ranking with `prototype`, specialized to
     /// this link's flow set via [`RankPolicy::for_link`] (the prototype
     /// itself is untouched — pass a configured-but-unbound policy).
+    /// That call is the build's one pass over `flows`, and the policy
+    /// is what refuses a table whose ids are not dense and unique.
     ///
     /// # Panics
     ///
@@ -591,15 +593,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         config: SchedulerConfig,
         prototype: &P,
     ) -> Self {
-        let mut seen = vec![false; flows.len()];
-        for f in flows {
-            let idx = f.id.0 as usize;
-            assert!(
-                idx < flows.len() && !seen[idx],
-                "flow ids must be dense and unique"
-            );
-            seen[idx] = true;
-        }
+        // The policy's pass is the build's one read of the flow table,
+        // and it refuses ids that are not dense and unique.
         let policy = prototype.for_link(flows, link_rate_bps);
         assert!(
             policy.monotone() || config.cleanup == CleanupPolicy::Eager,
@@ -2121,6 +2116,45 @@ mod tests {
             },
             &SrptRank,
         );
+    }
+
+    /// The rank policy's pass is the build's only check of the flow
+    /// table: every in-tree policy refuses a repeated id and a gap.
+    #[test]
+    fn every_policy_refuses_ids_that_are_not_dense_and_unique() {
+        use fairq::AnyPolicy;
+        let config = SchedulerConfig {
+            cleanup: CleanupPolicy::Eager,
+            ..SchedulerConfig::default()
+        };
+        let table = |ids: &[u32]| -> Vec<FlowSpec> {
+            ids.iter()
+                .map(|&id| FlowSpec::new(FlowId(id), 1.0, 1e6))
+                .collect()
+        };
+        for name in AnyPolicy::NAMES {
+            let policy = AnyPolicy::by_name(name).expect("a listed name");
+            let build = |flows: &[FlowSpec]| {
+                HwScheduler::<SortRetrieveCircuit, AnyPolicy>::with_backend_and_policy(
+                    flows, 1e9, config, &policy,
+                )
+            };
+            assert_eq!(build(&table(&[2, 0, 1])).policy().name(), name);
+            for ids in [&[0, 1, 1][..], &[0, 1, 3], &[1, 2, 1]] {
+                let Err(err) = std::panic::catch_unwind(|| drop(build(&table(ids)))) else {
+                    panic!("{name} accepted ids {ids:?}");
+                };
+                let msg = err
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("flow ids must be dense and unique"),
+                    "{name} with ids {ids:?}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -159,7 +159,10 @@ impl TagQuantizer {
             "virtual time ran backwards past the quantizer base"
         );
         let space = self.geometry.tag_space();
-        let mut tick = ((finish.value() - self.base) / self.scale).floor() as u64;
+        // `as u64` truncates and saturates, so it equals `.floor() as
+        // u64` on every f64 (a negative or NaN tick is 0 either way)
+        // without the software `floor` of the baseline x86-64 target.
+        let mut tick = ((finish.value() - self.base) / self.scale) as u64;
         let mut clamped = false;
         if self.policy == WrapPolicy::Saturate {
             // Modular reduction is monotone only within one lap, so every
@@ -198,7 +201,8 @@ impl TagQuantizer {
             self.prepared_through = next_section_base + self.section_ticks - 1;
         }
         QuantizeOutcome {
-            tag: Tag((tick % space) as u32),
+            // The tag space is a power of two: the mask is `tick % space`.
+            tag: Tag((tick & (space - 1)) as u32),
             tick,
             recycle,
             clamped,
@@ -349,6 +353,57 @@ mod tests {
         assert_eq!(out.tick, 12);
         assert!(!out.clamped);
         assert!(out.recycle.is_empty());
+    }
+
+    /// The truncating cast and the mask the quantizer uses agree with
+    /// `floor` and `%` on every edge of the tick range.
+    #[test]
+    fn truncation_and_mask_match_floor_and_modulo() {
+        let space = Geometry::paper().tag_space();
+        let below_one = 1.0f64.next_down();
+        let edges = [
+            0.0,
+            -0.0,
+            1.0,
+            2.0,
+            4095.0,
+            4096.0,
+            below_one,
+            4095.0 + below_one,
+            4096.0f64.next_down(),
+            -1e-10,
+            -below_one,
+            -1.0,
+            -1e300,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            2f64.powi(64).next_down(),
+            2f64.powi(64),
+            2f64.powi(65),
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            let tick = x as u64;
+            assert_eq!(tick, x.floor() as u64, "{x:e}");
+            assert_eq!(tick & (space - 1), tick % space, "{x:e}");
+        }
+        // Through the quantizer: at base 0 and scale 1, every finish that
+        // is not before the base gets tick floor(finish), clamped to the
+        // top of lap 0, and tag == tick.
+        for x in edges.into_iter().filter(|&x| x >= -1e-9) {
+            let mut q = quant();
+            let out = q.quantize(VirtualTime(x), None);
+            let want = (x.floor() as u64).min(space - 1);
+            assert_eq!(
+                (out.tick, u64::from(out.tag.value())),
+                (want, want),
+                "{x:e}"
+            );
+        }
     }
 
     #[test]

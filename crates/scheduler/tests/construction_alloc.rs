@@ -5,8 +5,11 @@
 //!   records and nothing of the same size beside them: at 2^20 flows
 //!   and a 2^18-packet buffer, 16 MiB of 16-byte GPS flow records and
 //!   12 MiB of 48-byte slot records, plus a 4-byte free-list entry per
-//!   slot and the fastpath sorter's arrays. A second per-slot sideband
-//!   array would add 8 MiB more.
+//!   slot (1 MiB) and the fastpath sorter's arrays (under 0.1 MiB):
+//!   31.06 MiB in all. The bound leaves under 0.2 MiB above that, so
+//!   a second per-slot sideband array (8 MiB) fails it, and so does a
+//!   transient per-flow byte such as the 1 MiB `seen` flag vector the
+//!   build once kept beside the rank policy's own check of the ids.
 //! - The inline sharded frontend's per-packet path allocates nothing:
 //!   each enqueue and dequeue is a direct call on its port. The setup
 //!   follows the `sharded_overload` benchmark workload (FFS sorter,
@@ -95,7 +98,7 @@ fn building_a_million_flow_scheduler_peaks_at_its_records() {
     let sched = HwScheduler::<FfsSorter, WfqRank>::with_backend(&flows, LINK_BPS, config);
     let peak = PEAK.load(Ordering::Relaxed) - before;
     assert!(
-        peak < 33 * MIB,
+        peak < 31 * MIB + MIB / 4,
         "HwScheduler construction peaked at {:.1} MiB for {FLOWS} flows and {CAPACITY} slots",
         peak as f64 / MIB as f64
     );
