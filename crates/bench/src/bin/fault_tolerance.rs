@@ -132,11 +132,10 @@ fn main() {
         trace.len(),
         sections,
     );
-    let tel_full = Telemetry::new(1);
-    let (served_full, hw_full) = run(&fl, &trace, Some(full_cfg), &tel_full);
+    let (served_full, hw_full) = run(&fl, &trace, Some(full_cfg), &Telemetry::new(1));
     let agreement = f64::from(served_full == reference);
     let (inj_full, det_full, rep_full, silent_full) = hw_full.fault_totals();
-    let snap_full = tel_full.snapshot();
+    let snap_full = hw_full.telemetry_snapshot();
     let repair_cost_mean = snap_full
         .value("fault_repair_cost_cycles_mean")
         .unwrap_or(0.0);
@@ -149,11 +148,10 @@ fn main() {
     // Detect-and-count over every component: detection latency and the
     // ledger identity.
     let det_cfg = fault_cfg(ANY_SPEC, FaultPolicy::DetectAndCount, trace.len(), 1);
-    let tel_det = Telemetry::new(1);
-    let (_, hw_det) = run(&fl, &trace, Some(det_cfg), &tel_det);
+    let (_, hw_det) = run(&fl, &trace, Some(det_cfg), &Telemetry::new(1));
     let (inj_det, det_det, _, silent_det) = hw_det.fault_totals();
     let reconciled = f64::from(det_det + silent_det == inj_det);
-    let snap_det = tel_det.snapshot();
+    let snap_det = hw_det.telemetry_snapshot();
     let p50 = snap_det
         .value("fault_detect_latency_cycles_p50")
         .unwrap_or(0.0);

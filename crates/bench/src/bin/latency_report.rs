@@ -133,10 +133,11 @@ fn join_vs_direct(fl: &[FlowSpec], trace: &[Packet]) -> f64 {
     hw.attach_telemetry(&tel, 0);
     let mut sim = HwLinkSim::new(RATE, hw).with_latency();
     sim.run(trace).expect("seeded trace fits the buffers");
+    let events = sim.scheduler_mut().drain_events();
     let direct = sim.latency().expect("latency attribution is on");
 
     let mut joiner = EventJoiner::new();
-    for event in tel.tracer().drain(0) {
+    for event in events {
         joiner.observe(&event);
     }
     if joiner.unmatched() > 0 || joiner.in_flight() > 0 {
@@ -161,13 +162,14 @@ fn join_vs_direct_sharded(fl: &[FlowSpec], trace: &[Packet]) -> f64 {
     fe.attach_telemetry(&tel);
     let mut sim = ShardedLinkSim::new(fe).with_latency();
     sim.run(trace).expect("seeded trace fits the buffers");
+    let events: Vec<_> = (0..PORTS)
+        .flat_map(|port| sim.frontend_mut().drain_events(port))
+        .collect();
     let direct = sim.latency().expect("latency attribution is on");
 
     let mut joiner = EventJoiner::new();
-    for port in 0..PORTS {
-        for event in tel.tracer().drain(port) {
-            joiner.observe(&event);
-        }
+    for event in events {
+        joiner.observe(&event);
     }
     if joiner.unmatched() > 0 || joiner.in_flight() > 0 {
         return 0.0;

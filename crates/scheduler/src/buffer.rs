@@ -28,7 +28,7 @@ impl BufferStats {
     /// Routes these counters into a telemetry snapshot under `prefix`
     /// (keys `{prefix}_occupied`, `_peak`, `_stored`, `_rejected`), so
     /// buffer figures travel in the same deterministic export as the
-    /// registry metrics.
+    /// scheduler's telemetry.
     pub fn export(&self, prefix: &str, snap: &mut telemetry::Snapshot) {
         snap.put(&format!("{prefix}_occupied"), self.occupied as f64);
         snap.put(&format!("{prefix}_peak"), self.peak as f64);

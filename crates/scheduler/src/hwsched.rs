@@ -13,7 +13,7 @@ use tagsort::{
     BackendSpec, CircuitStats, CleanupPolicy, Geometry, MemoryKind, PacketRef, ResidentMemory,
     SortBackend, SortError, SortRetrieveCircuit, Tag,
 };
-use telemetry::{Counter, EventKind, Gauge, GaugeMerge, Histogram, Snapshot, Telemetry, Tracer};
+use telemetry::{Event, EventKind, EventRing, GaugeMerge, Histogram, Snapshot, Telemetry};
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
 use crate::buffer::{BufferStats, PacketBuffer, Sideband};
@@ -255,7 +255,7 @@ pub struct SchedulerStats {
 impl SchedulerStats {
     /// Routes every figure into a telemetry snapshot under `prefix`,
     /// so the legacy `AccessStats`/`BufferStats` numbers travel in the
-    /// same deterministic export as the registry metrics.
+    /// same deterministic export as the telemetry view.
     pub fn export(&self, prefix: &str, snap: &mut Snapshot) {
         snap.put(&format!("{prefix}_enqueued"), self.enqueued as f64);
         snap.put(&format!("{prefix}_dequeued"), self.dequeued as f64);
@@ -302,72 +302,27 @@ impl SchedulerStats {
     }
 }
 
-/// The scheduler's handles into a telemetry registry. Disabled handles
-/// (the default) record nothing: every hook below is one branch on an
-/// `Option` and a return.
-///
-/// Metric names are shared across schedulers attached to the same
-/// registry — each scheduler records on its own shard's cells, so the
-/// snapshot shows both per-port columns and merged totals. A clone
-/// shares these cells (see [`HwScheduler::attach_telemetry`]).
+/// What attached telemetry records beyond the scheduler's own counts:
+/// four histograms and, when the run traces, this shard's event ring.
+/// A clone copies both; its ring writes the same sink.
 #[derive(Debug, Clone)]
 struct Instruments {
-    shard: usize,
-    enqueued: Counter,
-    dequeued: Counter,
-    dropped: Counter,
-    clamped: Counter,
-    inversions: Counter,
-    pushed_out: Counter,
-    migrated_in: Counter,
-    migrated_out: Counter,
-    recycled_sections: Counter,
-    recycled_markers: Counter,
-    depth: Gauge,
-    depth_peak: Gauge,
     sort_cycles: Histogram,
     occupancy: Histogram,
-    faults_injected: Counter,
-    faults_rejected: Counter,
-    faults_detected: Counter,
-    faults_repaired: Counter,
-    silent_corruptions: Counter,
-    scrub_sections_audited: Counter,
-    scrub_words_checked: Counter,
     fault_detect_latency: Histogram,
     fault_repair_cost: Histogram,
-    tracer: Tracer,
+    ring: Option<EventRing>,
 }
 
-impl Instruments {
-    fn attach(tel: &Telemetry, shard: usize) -> Self {
-        Self {
-            shard,
-            enqueued: tel.counter("sched_enqueued"),
-            dequeued: tel.counter("sched_dequeued"),
-            dropped: tel.counter("sched_dropped"),
-            clamped: tel.counter("sched_clamped"),
-            inversions: tel.counter("sched_inversions"),
-            pushed_out: tel.counter("sched_pushed_out"),
-            migrated_in: tel.counter("sched_migrated_in"),
-            migrated_out: tel.counter("sched_migrated_out"),
-            recycled_sections: tel.counter("trie_recycled_sections"),
-            recycled_markers: tel.counter("trie_recycled_markers"),
-            depth: tel.gauge("queue_depth", GaugeMerge::Sum),
-            depth_peak: tel.gauge("queue_depth_peak", GaugeMerge::Max),
-            sort_cycles: tel.histogram("tag_sort_latency_cycles"),
-            occupancy: tel.histogram("buffer_occupancy_pkts"),
-            faults_injected: tel.counter("faults_injected"),
-            faults_rejected: tel.counter("faults_rejected"),
-            faults_detected: tel.counter("faults_detected"),
-            faults_repaired: tel.counter("faults_repaired"),
-            silent_corruptions: tel.counter("silent_corruptions"),
-            scrub_sections_audited: tel.counter("scrub_sections_audited"),
-            scrub_words_checked: tel.counter("scrub_words_checked"),
-            fault_detect_latency: tel.histogram("fault_detect_latency_cycles"),
-            fault_repair_cost: tel.histogram("fault_repair_cost_cycles"),
-            tracer: tel.tracer(),
-        }
+/// A scheduler's telemetry: `None` until attached, so every record
+/// site is one branch.
+type Instr = Option<Box<Instruments>>;
+
+/// Records one event on the attached ring, if the run traces.
+#[inline]
+fn emit(instr: &mut Instr, cycle: u64, kind: EventKind, a: u64, b: u64) {
+    if let Some(ring) = instr.as_mut().and_then(|i| i.ring.as_mut()) {
+        ring.emit(cycle, kind, a, b);
     }
 }
 
@@ -410,6 +365,9 @@ struct FaultState {
     rejected: Vec<(u64, FaultAttachError)>,
     /// Operation counter (enqueues + dequeues) the plan is keyed on.
     op: u64,
+    /// Sections the scrubber has audited, and the words it checked.
+    scrubbed_sections: u64,
+    scrubbed_words: u64,
     reconciled: bool,
 }
 
@@ -418,20 +376,19 @@ impl FaultState {
     /// matching undetected fault (counting it and stamping its latency)
     /// or emits an unattributed `FaultDetect` event. Returns the claimed
     /// record index. Panics under [`FaultPolicy::FailFast`].
-    fn note_detection(&mut self, instr: &Instruments, d: Detection) -> Option<usize> {
+    fn note_detection(&mut self, instr: &mut Instr, d: Detection) -> Option<usize> {
         let claimed = self.ledger.claim(d);
-        if let Some(idx) = claimed {
-            instr.faults_detected.inc(instr.shard, 1);
+        if let (Some(idx), Some(i)) = (claimed, instr.as_mut()) {
             let latency = d
                 .cycle
                 .saturating_sub(self.ledger.records()[idx].injected_cycle);
-            instr.fault_detect_latency.observe(instr.shard, latency);
+            i.fault_detect_latency.observe(latency);
         }
         // An unclaimed detection — a re-detection of an already-claimed
         // fault, or damage outside the modeled plan — is traced, not
         // counted.
-        instr.tracer.emit(
-            instr.shard,
+        emit(
+            instr,
             d.cycle,
             EventKind::FaultDetect,
             claimed.map_or(u64::MAX, |idx| idx as u64),
@@ -448,7 +405,7 @@ impl FaultState {
     }
 
     /// Claims buffer descriptor parity alarms on `slots`, seen at `cycle`.
-    fn note_buffer_alarms(&mut self, instr: &Instruments, slots: &[u32], cycle: u64) {
+    fn note_buffer_alarms(&mut self, instr: &mut Instr, slots: &[u32], cycle: u64) {
         for &slot in slots {
             let d = Detection {
                 component: FaultComponent::Buffer,
@@ -464,7 +421,7 @@ impl FaultState {
     /// When the audit repaired (`repaired` is `Some((cost, restored))`),
     /// each claimed fault is marked repaired, and the repair is priced
     /// at `cost` cycles and traced with its `restored` count.
-    fn claim_scrub(&mut self, instr: &Instruments, f: ScrubFinding, section: u32) {
+    fn claim_scrub(&mut self, instr: &mut Instr, f: ScrubFinding, section: u32) {
         let cycle = f.cycle;
         for word in f.words {
             let d = Detection {
@@ -476,13 +433,14 @@ impl FaultState {
             let claimed = self.note_detection(instr, d);
             if let (Some(idx), Some(_)) = (claimed, f.repaired) {
                 self.ledger.mark_repaired(idx, cycle);
-                instr.faults_repaired.inc(instr.shard, 1);
             }
         }
         if let Some((cost, restored)) = f.repaired {
-            instr.fault_repair_cost.observe(instr.shard, cost);
-            instr.tracer.emit(
-                instr.shard,
+            if let Some(i) = instr.as_mut() {
+                i.fault_repair_cost.observe(cost);
+            }
+            emit(
+                instr,
                 cycle,
                 EventKind::Repair,
                 u64::from(section),
@@ -533,12 +491,17 @@ pub struct HwScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = Wfq
     pushed_out: u64,
     migrated_in: u64,
     migrated_out: u64,
+    /// Packets refused or evicted (tail drops, push-out victims, and
+    /// packets dropped for corrupted metadata).
+    dropped: u64,
+    /// High-water mark of the queue depth, read after every admission.
+    depth_peak: usize,
     /// Shard-local → global flow id map for trace events (identity when
     /// empty; set by the sharded frontend so joined event streams keep
     /// globally meaningful flow ids).
     global_flows: Vec<u32>,
     faults: Option<FaultState>,
-    instr: Instruments,
+    instr: Instr,
 }
 
 impl HwScheduler {
@@ -621,6 +584,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 ledger: FaultLedger::new(),
                 rejected: Vec::new(),
                 op: 0,
+                scrubbed_sections: 0,
+                scrubbed_words: 0,
                 reconciled: false,
             }
         });
@@ -645,9 +610,11 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             pushed_out: 0,
             migrated_in: 0,
             migrated_out: 0,
+            dropped: 0,
+            depth_peak: 0,
             global_flows: Vec::new(),
             faults,
-            instr: Instruments::attach(&Telemetry::disabled(), 0),
+            instr: None,
         }
     }
 
@@ -677,33 +644,107 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         u64::from(self.global_flow(FlowId(flow)).0)
     }
 
-    /// Connects this scheduler to a telemetry registry, recording as
-    /// `shard` (pass 0 for a standalone scheduler). Must be called
-    /// before the run being measured; attaching a second time rebinds
-    /// the handles (same registry ⇒ same storage).
-    ///
-    /// The scheduler becomes the one writer of `shard`'s cells, and
-    /// records with plain loads and stores rather than atomic
-    /// read-modify-writes. Only one scheduler may record on a shard at a
-    /// time: a clone of this scheduler shares its cells, so the two must
-    /// not run concurrently, and neither may a second scheduler attached
-    /// as the same `shard`. Either would silently lose counts; debug
-    /// builds panic instead. Moving the scheduler to another thread (a
-    /// channel handoff, a join) is fine.
+    /// Connects this scheduler to `tel`, recording as `shard` (pass 0
+    /// for a standalone scheduler): from now on it keeps the
+    /// telemetry-only histograms and, when `tel` traces, `shard`'s event
+    /// ring, which writes `tel`'s sink. Attaching again starts them
+    /// afresh; attaching [`Telemetry::disabled`] detaches. The counts in
+    /// [`HwScheduler::telemetry_snapshot`] are the scheduler's own, kept
+    /// whether or not telemetry is attached.
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is outside the registry's shard count (enabled
+    /// Panics if `shard` is outside `tel`'s shard count (enabled
     /// telemetry only).
     pub fn attach_telemetry(&mut self, tel: &Telemetry, shard: usize) {
-        if tel.is_enabled() {
+        self.instr = tel.is_enabled().then(|| {
             assert!(
                 shard < tel.shards(),
-                "shard {shard} outside registry ({} shards)",
+                "shard {shard} outside telemetry ({} shards)",
                 tel.shards()
             );
+            Box::new(Instruments {
+                sort_cycles: Histogram::new(),
+                occupancy: Histogram::new(),
+                fault_detect_latency: Histogram::new(),
+                fault_repair_cost: Histogram::new(),
+                ring: tel.ring(shard),
+            })
+        });
+    }
+
+    /// This scheduler's telemetry as one shard: a view over its own
+    /// counts — [`HwScheduler::stats`], the dropped packets, the fault
+    /// ledger and scrub totals, the queue depth and its high-water mark
+    /// — plus the attached histograms and event ring. Empty (over zero
+    /// shards) while no telemetry is attached.
+    pub fn telemetry_snapshot(&self) -> Snapshot {
+        let Some(instr) = &self.instr else {
+            return Snapshot::empty(0);
+        };
+        let stats = self.stats();
+        let (injected, detected, repaired, silent) = self.fault_totals();
+        let fs = self.faults.as_ref();
+        // Never-detected faults count as silent once reconciled.
+        let silent = fs.filter(|f| f.reconciled).map_or(0, |_| silent);
+        let counters = [
+            ("sched_enqueued", stats.enqueued),
+            ("sched_dequeued", stats.dequeued),
+            ("sched_dropped", self.dropped),
+            ("sched_clamped", stats.clamped),
+            ("sched_inversions", stats.inversions),
+            ("sched_pushed_out", stats.pushed_out),
+            ("sched_migrated_in", stats.migrated_in),
+            ("sched_migrated_out", stats.migrated_out),
+            ("trie_recycled_sections", stats.circuit.recycled_sections),
+            ("trie_recycled_markers", stats.circuit.recycled_markers),
+            ("faults_injected", injected),
+            ("faults_rejected", self.fault_rejections().len() as u64),
+            ("faults_detected", detected),
+            ("faults_repaired", repaired),
+            ("silent_corruptions", silent),
+            (
+                "scrub_sections_audited",
+                fs.map_or(0, |f| f.scrubbed_sections),
+            ),
+            ("scrub_words_checked", fs.map_or(0, |f| f.scrubbed_words)),
+        ];
+        let mut snap = Snapshot::empty(1);
+        for (name, value) in counters {
+            snap.add_counter(name.into(), vec![value]);
         }
-        self.instr = Instruments::attach(tel, shard);
+        let depth = self.len();
+        snap.add_gauge("queue_depth".into(), GaugeMerge::Sum, vec![depth as u64]);
+        let peak = self.depth_peak.max(depth) as u64;
+        snap.add_gauge("queue_depth_peak".into(), GaugeMerge::Max, vec![peak]);
+        for (name, h) in [
+            ("tag_sort_latency_cycles", &instr.sort_cycles),
+            ("buffer_occupancy_pkts", &instr.occupancy),
+            ("fault_detect_latency_cycles", &instr.fault_detect_latency),
+            ("fault_repair_cost_cycles", &instr.fault_repair_cost),
+        ] {
+            snap.add_histogram(h.snapshot(name));
+        }
+        if let Some(ring) = &instr.ring {
+            ring.collect_into(&mut snap);
+        }
+        snap
+    }
+
+    /// Removes and returns the events buffered on this scheduler's ring,
+    /// oldest first (empty unless attached telemetry traces).
+    pub fn drain_events(&mut self) -> Vec<Event> {
+        self.instr
+            .as_mut()
+            .and_then(|i| i.ring.as_mut())
+            .map_or_else(Vec::new, EventRing::drain)
+    }
+
+    /// Records one event stamped with the current cycle count, if the
+    /// attached telemetry traces.
+    #[inline]
+    pub(crate) fn emit_now(&mut self, kind: EventKind, a: u64, b: u64) {
+        emit(&mut self.instr, self.sorter.cycles(), kind, a, b);
     }
 
     /// Number of queued packets.
@@ -786,17 +827,13 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     }
 
     /// End-of-run fault accounting: sweeps any outstanding detections,
-    /// then folds every never-detected fault into the
-    /// `silent_corruptions` counter. Idempotent; a no-op without a
+    /// after which the telemetry snapshot counts every never-detected
+    /// fault as a `silent_corruptions`. Idempotent; a no-op without a
     /// fault campaign.
     pub fn reconcile_faults(&mut self) {
         self.fault_sweep();
         if let Some(fs) = self.faults.as_mut() {
-            if !fs.reconciled {
-                fs.reconciled = true;
-                let silent = fs.ledger.silent();
-                self.instr.silent_corruptions.inc(self.instr.shard, silent);
-            }
+            fs.reconciled = true;
         }
     }
 
@@ -809,10 +846,10 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             return;
         };
         for d in self.sorter.take_detections() {
-            fs.note_detection(&self.instr, d);
+            fs.note_detection(&mut self.instr, d);
         }
         let alarms = self.buffer.take_fault_alarms();
-        fs.note_buffer_alarms(&self.instr, &alarms, self.sorter.cycles());
+        fs.note_buffer_alarms(&mut self.instr, &alarms, self.sorter.cycles());
     }
 
     /// Runs one fault round: materializes every plan entry due at the
@@ -847,9 +884,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                             detected_by: None,
                             repaired_cycle: None,
                         });
-                        self.instr.faults_injected.inc(self.instr.shard, 1);
-                        self.instr.tracer.emit(
-                            self.instr.shard,
+                        emit(
+                            &mut self.instr,
                             cycle,
                             EventKind::FaultInject,
                             idx as u64,
@@ -862,9 +898,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                     // component (e.g. the heap oracle): the plan entry
                     // is recorded as rejected, not silently dropped.
                     fs.rejected.push((pf.op, e));
-                    self.instr.faults_rejected.inc(self.instr.shard, 1);
-                    self.instr.tracer.emit(
-                        self.instr.shard,
+                    emit(
+                        &mut self.instr,
                         cycle,
                         EventKind::FaultInject,
                         u64::MAX,
@@ -898,12 +933,10 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         }
         for section in chosen {
             let (words_checked, findings) = self.sorter.scrub(section, repair);
-            self.instr.scrub_sections_audited.inc(self.instr.shard, 1);
-            self.instr
-                .scrub_words_checked
-                .inc(self.instr.shard, words_checked);
+            fs.scrubbed_sections += 1;
+            fs.scrubbed_words += words_checked;
             for finding in findings {
-                fs.claim_scrub(&self.instr, finding, section);
+                fs.claim_scrub(&mut self.instr, finding, section);
             }
         }
     }
@@ -924,7 +957,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             cycle,
             kind: DetectionKind::Structural,
         };
-        fs.note_detection(&self.instr, d);
+        fs.note_detection(&mut self.instr, d);
     }
 
     /// Accepts a packet: computes its rank (the WFQ finishing tag under
@@ -992,10 +1025,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         // and Wrap's recycle guard below reads the section counts.
         let out = self.quantizer.quantize(finish, None);
         if out.clamped || !out.recycle.is_empty() {
-            self.instr.clamped.inc(self.instr.shard, out.clamped as u64);
-            self.instr.tracer.emit(
-                self.instr.shard,
-                self.sorter.cycles(),
+            self.emit_now(
                 EventKind::VclockWrap,
                 out.clamped as u64,
                 out.recycle.len() as u64,
@@ -1007,17 +1037,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 counts.assert_recyclable(*section);
             }
             let removed = self.sorter.recycle_section(*section);
-            self.instr.recycled_sections.inc(self.instr.shard, 1);
-            self.instr
-                .recycled_markers
-                .inc(self.instr.shard, removed as u64);
-            self.instr.tracer.emit(
-                self.instr.shard,
-                self.sorter.cycles(),
-                EventKind::TrieBulkDelete,
-                *section as u64,
-                removed as u64,
-            );
+            self.emit_now(EventKind::TrieBulkDelete, *section as u64, removed as u64);
         }
         if arrival {
             if let AdmissionPolicy::Wred {
@@ -1059,9 +1079,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             }
             return Err(e.into());
         }
-        self.instr
-            .sort_cycles
-            .observe(self.instr.shard, self.sorter.cycles() - cycles_before);
         let enq_cycle = self.sorter.cycles();
         if let Some(counts) = self.wrap_counts.as_mut() {
             counts.admit(out.tick);
@@ -1069,20 +1086,19 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         let section = self.sorter.geometry().section_of(out.tag) as u8;
         self.buffer
             .set_sideband(slot.index(), finish, enq_cycle, section);
+        self.depth_peak = self.depth_peak.max(self.sorter.len());
+        if let Some(i) = self.instr.as_mut() {
+            i.sort_cycles.observe(enq_cycle - cycles_before);
+            i.occupancy.observe(self.buffer.stats().occupied as u64);
+        }
         if arrival {
             self.enqueued += 1;
-            self.instr.enqueued.inc(self.instr.shard, 1);
-        }
-        self.note_depth();
-        self.instr
-            .occupancy
-            .observe(self.instr.shard, self.buffer.stats().occupied as u64);
-        if arrival {
-            self.instr.tracer.emit(
-                self.instr.shard,
+            let flow = self.event_flow(pkt.flow.0);
+            emit(
+                &mut self.instr,
                 enq_cycle,
                 EventKind::Enqueue,
-                self.event_flow(pkt.flow.0),
+                flow,
                 pkt.seq,
             );
         }
@@ -1147,7 +1163,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         };
         self.uncount(sb.section);
         self.pushed_out += 1;
-        self.instr.pushed_out.inc(self.instr.shard, 1);
         self.note_drop(victim.flow.0);
         Some(())
     }
@@ -1163,23 +1178,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         }
     }
 
-    /// Records a refused packet (counter + trace event).
-    fn note_drop(&self, flow: u32) {
-        self.instr.dropped.inc(self.instr.shard, 1);
-        self.instr.tracer.emit(
-            self.instr.shard,
-            self.sorter.cycles(),
+    /// Records a refused packet (count + trace event).
+    fn note_drop(&mut self, flow: u32) {
+        self.dropped += 1;
+        self.emit_now(
             EventKind::Drop,
             self.event_flow(flow),
             self.buffer.capacity() as u64,
         );
-    }
-
-    /// Refreshes the queue-depth gauge and its high-water mark.
-    fn note_depth(&self) {
-        let depth = self.sorter.len() as u64;
-        self.instr.depth.set(self.instr.shard, depth);
-        self.instr.depth_peak.record_max(self.instr.shard, depth);
     }
 
     /// Serves the packet with the smallest finishing tag.
@@ -1229,7 +1235,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             if !alarms.is_empty() {
                 let cycle = self.sorter.cycles();
                 let fs = self.faults.as_mut().expect("a fault campaign is active");
-                fs.note_buffer_alarms(&self.instr, &alarms, cycle);
+                fs.note_buffer_alarms(&mut self.instr, &alarms, cycle);
                 if alarms.contains(&slot.index()) {
                     self.uncount(sb.section);
                     self.note_drop(pkt.flow.0);
@@ -1246,9 +1252,9 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     fn pop_min_timed(&mut self) -> Option<(Tag, PacketRef)> {
         let cycles_before = self.sorter.cycles();
         let popped = self.sorter.pop_min()?;
-        self.instr
-            .sort_cycles
-            .observe(self.instr.shard, self.sorter.cycles() - cycles_before);
+        if let Some(i) = self.instr.as_mut() {
+            i.sort_cycles.observe(self.sorter.cycles() - cycles_before);
+        }
         Some(popped)
     }
 
@@ -1264,18 +1270,16 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         if let Some(counts) = self.wrap_counts.as_mut() {
             if counts.retire(sb.section) {
                 self.inversions += 1;
-                self.instr.inversions.inc(self.instr.shard, 1);
             }
         }
         self.dequeued += 1;
-        self.instr.dequeued.inc(self.instr.shard, 1);
-        self.note_depth();
         let deq_cycle = self.sorter.cycles();
-        self.instr.tracer.emit(
-            self.instr.shard,
+        let flow = self.event_flow(pkt.flow.0);
+        emit(
+            &mut self.instr,
             deq_cycle,
             EventKind::Dequeue,
-            self.event_flow(pkt.flow.0),
+            flow,
             pkt.seq,
         );
         (
@@ -1587,13 +1591,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             });
         }
         self.migrated_out += entries.len() as u64;
-        self.instr
-            .migrated_out
-            .inc(self.instr.shard, entries.len() as u64);
-        self.note_depth();
-        self.instr.tracer.emit(
-            self.instr.shard,
-            self.sorter.cycles(),
+        self.emit_now(
             EventKind::MigrateOut,
             self.event_flow(flow.0),
             entries.len() as u64,
@@ -1645,12 +1643,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             self.note_section_write(tag);
         }
         self.migrated_in += mf.entries.len() as u64;
-        self.instr
-            .migrated_in
-            .inc(self.instr.shard, mf.entries.len() as u64);
-        self.instr.tracer.emit(
-            self.instr.shard,
-            self.sorter.cycles(),
+        self.emit_now(
             EventKind::MigrateIn,
             self.event_flow(flow.0),
             mf.entries.len() as u64,

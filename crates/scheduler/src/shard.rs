@@ -91,7 +91,7 @@ use std::fmt;
 use fairq::{Admit, Departure, Egress, RankPolicy, WfqRank};
 use statesync::{Placement, Rebalancer, RebalancerConfig, ShardLoad};
 use tagsort::{CircuitStats, SortBackend, SortRetrieveCircuit};
-use telemetry::{Counter, EventKind, Snapshot, Telemetry, Tracer};
+use telemetry::{Event, EventKind, Snapshot, Telemetry};
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
 use crate::egress::EgressSim;
@@ -269,15 +269,12 @@ fn aggregate_stats(per_port: Vec<SchedulerStats>, peak: usize) -> ShardStats {
 pub struct ShardedScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = WfqRank> {
     /// Each port's scheduler, indexed by port.
     shards: Vec<HwScheduler<B, P>>,
-    /// Packets handed to each port (disabled until telemetry attaches).
-    handoffs: Counter,
-    /// Event tracer (disabled until telemetry attaches).
-    tracer: Tracer,
     /// Each port's egress link rate, bits per second.
     rates: Vec<f64>,
-    /// Global flow id → the flow's id on its port, under hash placement.
-    /// Dynamic placement keeps global ids on every port and leaves this
-    /// empty. Each shard holds the inverse map.
+    /// Global flow id → the flow's id on its port, under hash placement:
+    /// each port numbers its flows in global id order. Dynamic placement
+    /// keeps global ids on every port and leaves this empty. Each shard
+    /// holds the inverse map.
     local: Vec<u32>,
     /// Global flow id → owning port: [`shard_of`] at construction, then
     /// rewritten by every completed migration.
@@ -352,7 +349,8 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     /// # Panics
     ///
     /// Panics if `port_rates_bps` is empty, any rate is not positive and
-    /// finite, flow ids are not dense, or hash placement leaves some
+    /// finite, flow ids are not dense and unique (each port's rank
+    /// policy refuses such a table), or hash placement leaves some
     /// port without any flow (use more flows or fewer ports — an unused
     /// port has no traffic to schedule). Dynamic placement also requires
     /// `config.cleanup == CleanupPolicy::Eager` (flow extraction walks
@@ -370,13 +368,6 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             assert!(
                 r > 0.0 && r.is_finite(),
                 "port {port}: rate must be positive and finite, got {r}"
-            );
-        }
-        for (i, f) in flows.iter().enumerate() {
-            assert_eq!(
-                f.id.0 as usize, i,
-                "flow ids must be dense (flow {} at index {i})",
-                f.id.0
             );
         }
         if placement == Placement::Dynamic {
@@ -400,18 +391,36 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         let shards = match placement {
             Placement::Dynamic => (0..ports).map(|port| build(port, flows)).collect(),
             Placement::Hash => {
-                let mut subsets: Vec<Vec<FlowSpec>> = vec![Vec::new(); ports];
+                // Each port numbers its flows in global id order, so the
+                // split does not depend on the table's order.
                 let mut global: Vec<Vec<u32>> = vec![Vec::new(); ports];
+                local = owner
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &port)| {
+                        let ids = &mut global[port as usize];
+                        ids.push(id as u32);
+                        ids.len() as u32 - 1
+                    })
+                    .collect();
+                let mut subsets: Vec<Vec<FlowSpec>> = global
+                    .iter()
+                    .map(|ids| Vec::with_capacity(ids.len()))
+                    .collect();
                 for f in flows {
-                    let port = owner[f.id.0 as usize] as usize;
-                    let mut renumbered = *f;
-                    renumbered.id = FlowId(subsets[port].len() as u32);
-                    local.push(renumbered.id.0);
-                    global[port].push(f.id.0);
-                    subsets[port].push(renumbered);
+                    // An id outside the table reaches port 0 as it is,
+                    // where the policy refuses it as not dense.
+                    let (port, id) = match owner.get(f.id.0 as usize) {
+                        Some(&port) => (port as usize, local[f.id.0 as usize]),
+                        None => (0, f.id.0),
+                    };
+                    subsets[port].push(FlowSpec {
+                        id: FlowId(id),
+                        ..*f
+                    });
                 }
                 subsets
-                    .iter()
+                    .into_iter()
                     .zip(global)
                     .enumerate()
                     .map(|(port, (fl, ids))| {
@@ -421,7 +430,7 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
                              ({} flows over {ports} ports); use more flows or fewer ports",
                             flows.len()
                         );
-                        let mut shard = build(port, fl);
+                        let mut shard = build(port, &fl);
                         shard.set_global_flow_ids(ids);
                         shard
                     })
@@ -430,8 +439,6 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         };
         Self {
             shards,
-            handoffs: Counter::disabled(),
-            tracer: Tracer::disabled(),
             rates: port_rates_bps.to_vec(),
             local,
             owner,
@@ -462,26 +469,53 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         self
     }
 
-    /// Connects the frontend — and every port's scheduler, each as its
-    /// own shard — to a telemetry registry. The registry's shard count
-    /// must equal the port count.
+    /// Connects every port's scheduler to `tel`, each as its own shard
+    /// (see [`HwScheduler::attach_telemetry`]). The telemetry's shard
+    /// count must equal the port count.
     ///
     /// # Panics
     ///
-    /// Panics if the registry is enabled with a different shard count.
+    /// Panics if `tel` is enabled with a different shard count.
     pub fn attach_telemetry(&mut self, tel: &Telemetry) {
         if tel.is_enabled() {
             assert_eq!(
                 tel.shards(),
                 self.ports(),
-                "registry shard count must match port count"
+                "telemetry shard count must match port count"
             );
         }
         for (port, shard) in self.shards.iter_mut().enumerate() {
             shard.attach_telemetry(tel, port);
         }
-        self.handoffs = tel.counter("shard_handoffs");
-        self.tracer = tel.tracer();
+    }
+
+    /// The frontend's telemetry: every port's
+    /// [`HwScheduler::telemetry_snapshot`] joined into per-port columns
+    /// (events merged in time order), plus `shard_handoffs`, the packets
+    /// each port admitted. Empty (over zero shards) while no telemetry
+    /// is attached.
+    pub fn telemetry_snapshot(&self) -> Snapshot {
+        let mut snap = Snapshot::join(
+            self.shards
+                .iter()
+                .map(HwScheduler::telemetry_snapshot)
+                .collect(),
+        );
+        if snap.shards() > 0 {
+            let handoffs = self.shards.iter().map(|s| s.stats().enqueued).collect();
+            snap.add_counter("shard_handoffs".into(), handoffs);
+        }
+        snap
+    }
+
+    /// Removes and returns the events buffered on one port's ring,
+    /// oldest first (see [`HwScheduler::drain_events`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    pub fn drain_events(&mut self, port: usize) -> Vec<Event> {
+        self.shards[port].drain_events()
     }
 
     /// Number of output ports.
@@ -566,17 +600,10 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             routed.flow = FlowId(local);
         }
         let shard = &mut self.shards[port];
-        self.tracer.emit(
-            port,
-            shard.cycles(),
-            EventKind::ShardHandoff,
-            u64::from(pkt.flow.0),
-            pkt.seq,
-        );
+        shard.emit_now(EventKind::ShardHandoff, u64::from(pkt.flow.0), pkt.seq);
         shard
             .enqueue(routed)
             .map_err(|source| ShardError::Port { port, source })?;
-        self.handoffs.inc(port, 1);
         self.flow_arrivals[pkt.flow.0 as usize] += 1;
         self.peak = self.peak.max(self.len());
         Ok(())
@@ -638,8 +665,8 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
 
     /// End-of-run fault accounting on every port (see
     /// [`HwScheduler::reconcile_faults`]): each shard sweeps outstanding
-    /// detections and folds never-detected faults into its silent
-    /// counter. Returns the `(injected, detected, repaired, silent)`
+    /// detections, after which its snapshot counts never-detected faults
+    /// as silent. Returns the `(injected, detected, repaired, silent)`
     /// ledger totals across ports, so `detected + silent == injected` is
     /// verifiable frontend-wide. Idempotent; all zeros without a fault
     /// campaign.
@@ -1238,6 +1265,44 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn a_shuffled_dense_table_serves_like_the_sorted_one() {
+        let fl = flows(16);
+        // The same dense ids in another order.
+        let mut shuffled = fl.clone();
+        shuffled.reverse();
+        shuffled.rotate_left(5);
+        for placement in [Placement::Hash, Placement::Dynamic] {
+            let serve = |table: &[FlowSpec]| {
+                let rates = [1e9, 4e8, 2e9];
+                let mut fe = build(table, &rates, SchedulerConfig::default(), placement);
+                for i in 0..96u64 {
+                    let flow = ((i * 7) % 16) as u32;
+                    let bytes = 64 + (i as u32 * 37) % 1400;
+                    fe.enqueue(pkt(i, flow, i as f64 * 1e-6, bytes)).unwrap();
+                }
+                if placement == Placement::Dynamic {
+                    let to = (fe.port_of(FlowId(3)).unwrap() + 1) % rates.len();
+                    fe.migrate_flow(FlowId(3), to).unwrap();
+                }
+                let served = fe.drain();
+                served
+                    .into_iter()
+                    .map(|(port, p)| (port, p.flow, p.seq))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(serve(&shuffled), serve(&fl), "{placement:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flow ids must be dense and unique")]
+    fn hash_placement_leaves_an_id_past_the_table_to_the_policy() {
+        let mut fl = flows(8);
+        fl[3].id = FlowId(8);
+        build(&fl, &[1e9; 2], SchedulerConfig::default(), Placement::Hash);
     }
 
     #[test]

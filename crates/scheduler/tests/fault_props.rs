@@ -144,7 +144,7 @@ proptest! {
         prop_assert_eq!(detected + silent, injected);
 
         // The exported snapshot must agree with the ledger.
-        let snap = tel.snapshot();
+        let snap = sched.telemetry_snapshot();
         prop_assert_eq!(snap.value("faults_injected_total"), Some(injected as f64));
         prop_assert_eq!(
             snap.value("faults_detected_total").unwrap()

@@ -3,14 +3,17 @@
 //! change what the scheduler does — only what it reports. Instrumented
 //! and uninstrumented runs over the same trace must produce identical
 //! dequeue sequences, and the instrumented run's counters must agree
-//! with the packets that actually moved. And a repeated run records the
-//! same snapshot: recording is deterministic.
+//! with the packets that actually moved. A repeated run records the
+//! same snapshot: recording is deterministic. And the counters are the
+//! scheduler's own, so a restored scheduler reports its whole history.
 
 use proptest::prelude::*;
 
-use fairq::{RankPolicy, StfqRank};
+use fairq::{RankPolicy, StfqRank, WfqRank};
 use fastpath::FfsSorter;
-use scheduler::{AdmissionPolicy, Placement, RebalancerConfig, SchedulerConfig, ShardedScheduler};
+use scheduler::{
+    AdmissionPolicy, HwScheduler, Placement, RebalancerConfig, SchedulerConfig, ShardedScheduler,
+};
 use telemetry::{Snapshot, Telemetry};
 use traffic::{FlowId, FlowSpec, Packet, ScaleConfig, ScaleWorkload, SizeDist, Time};
 
@@ -75,7 +78,7 @@ proptest! {
         prop_assert_eq!(&observed, &reference, "telemetry changed the schedule");
 
         // The counters must agree with what actually happened.
-        let snap = tel.snapshot();
+        let snap = wired.telemetry_snapshot();
         let n = trace.len() as f64;
         prop_assert_eq!(snap.value("sched_enqueued_total"), Some(n));
         prop_assert_eq!(snap.value("sched_dequeued_total"), Some(n));
@@ -86,7 +89,7 @@ proptest! {
 
 /// A `sharded_overload`-shaped run: 4 ports, STFQ
 /// ranks, push-out admission into small buffers, dynamic placement with
-/// a rebalance round every 1024 arrivals, counters telemetry on. Ten
+/// a rebalance round every 1024 arrivals, telemetry on. Ten
 /// packets leave for every thirteen that arrive (1.3x load). Returns the
 /// departures and the telemetry snapshot.
 fn overload_run(seed: u64) -> (Vec<(usize, Packet)>, Snapshot) {
@@ -134,7 +137,7 @@ fn overload_run(seed: u64) -> (Vec<(usize, Packet)>, Snapshot) {
         }
     }
     served.extend(fe.drain());
-    (served, tel.snapshot())
+    (served, fe.telemetry_snapshot())
 }
 
 /// The overload run is deterministic and its counters agree with what
@@ -153,4 +156,47 @@ fn overload_run_records_deterministically() {
         assert!(value("sched_migrated_out_total") > 0.0, "seed {seed}");
         assert_eq!(value("sched_dequeued_total"), served.len() as f64);
     }
+}
+
+/// The snapshot is a view over the scheduler's own counts, so telemetry
+/// attached after a restore reports the restored totals, exactly as
+/// `stats()` and its `export` do — not only what happened since attach.
+#[test]
+fn a_restored_scheduler_reports_its_whole_history() {
+    let fl = flows(8);
+    let config = SchedulerConfig {
+        capacity: 16,
+        admission: AdmissionPolicy::PushOut,
+        ..SchedulerConfig::default()
+    };
+    let mut original = HwScheduler::new(&fl, 1e9, config);
+    let trace = stream(&(0..64u32).map(|i| i * 7919).collect::<Vec<_>>(), 8);
+    for (i, p) in trace.iter().enumerate() {
+        let _ = original.enqueue(*p); // push-out refusals are part of the load
+        if i % 3 == 0 {
+            original.dequeue();
+        }
+    }
+    let moved = original.extract_flow(FlowId(2));
+    original.install_flow(FlowId(2), &moved).unwrap();
+    let ckpt = original.checkpoint();
+    let mut restored: HwScheduler =
+        HwScheduler::restore(&fl, 1e9, config, &WfqRank::default(), &ckpt).unwrap();
+    restored.attach_telemetry(&Telemetry::new(1), 0);
+    let stats = restored.stats();
+    assert!(stats.pushed_out > 0 && stats.migrated_in > 0, "{stats:?}");
+    let mut snap = restored.telemetry_snapshot();
+    stats.export("hw", &mut snap);
+    for (key, value) in [
+        ("enqueued", stats.enqueued),
+        ("dequeued", stats.dequeued),
+        ("pushed_out", stats.pushed_out),
+        ("migrated_in", stats.migrated_in),
+        ("migrated_out", stats.migrated_out),
+    ] {
+        let total = snap.value(&format!("sched_{key}_total"));
+        assert_eq!(total, Some(value as f64), "sched_{key}_total");
+        assert_eq!(total, snap.value(&format!("hw_{key}")), "hw_{key}");
+    }
+    assert_eq!(snap.value("queue_depth"), Some(restored.len() as f64));
 }

@@ -29,60 +29,18 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::histogram::{bucket_of, BUCKETS};
+use crate::histogram::Histogram;
 use crate::sink::EventSink;
 use crate::snapshot::{HistogramSnapshot, Snapshot};
 use crate::trace::{Event, EventKind};
 
-/// Plain (non-atomic) accumulator over the shared log-bucket geometry.
-#[derive(Debug, Clone)]
-struct Acc {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Acc {
-    fn new() -> Self {
-        Self {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    fn observe(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    fn snapshot(&self, name: String) -> HistogramSnapshot {
-        HistogramSnapshot::from_buckets(name, self.buckets.clone(), self.sum, self.max)
-    }
-}
-
 /// One flow's attribution histograms.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FlowAcc {
-    sojourn_cycles: Acc,
-    wait_ns: Acc,
-    service_ns: Acc,
-    sojourn_ns: Acc,
-}
-
-impl FlowAcc {
-    fn new() -> Self {
-        Self {
-            sojourn_cycles: Acc::new(),
-            wait_ns: Acc::new(),
-            service_ns: Acc::new(),
-            sojourn_ns: Acc::new(),
-        }
-    }
+    sojourn_cycles: Histogram,
+    wait_ns: Histogram,
+    service_ns: Histogram,
+    sojourn_ns: Histogram,
 }
 
 /// Converts non-negative simulated seconds to whole nanoseconds.
@@ -118,7 +76,7 @@ impl LatencyTracker {
     pub fn record(&mut self, flow: u32, sojourn_cycles: u64, wait_s: f64, service_s: f64) {
         let wait_ns = secs_to_ns(wait_s);
         let service_ns = secs_to_ns(service_s);
-        let acc = self.flows.entry(flow).or_insert_with(FlowAcc::new);
+        let acc = self.flows.entry(flow).or_default();
         acc.sojourn_cycles.observe(sojourn_cycles);
         acc.wait_ns.observe(wait_ns);
         acc.service_ns.observe(service_ns);
@@ -130,7 +88,7 @@ impl LatencyTracker {
     pub fn record_cycles(&mut self, flow: u32, sojourn_cycles: u64) {
         self.flows
             .entry(flow)
-            .or_insert_with(FlowAcc::new)
+            .or_default()
             .sojourn_cycles
             .observe(sojourn_cycles);
     }
@@ -142,7 +100,7 @@ impl LatencyTracker {
 
     /// Total number of recorded samples (cycle-domain count).
     pub fn samples(&self) -> u64 {
-        self.flows.values().map(|a| a.sojourn_cycles.count).sum()
+        self.flows.values().map(|a| a.sojourn_cycles.count()).sum()
     }
 
     /// The cycle-domain sojourn histogram of one flow, if it has
@@ -160,7 +118,7 @@ impl LatencyTracker {
     pub fn export(&self, snap: &mut Snapshot) {
         for (flow, acc) in &self.flows {
             snap.add_histogram(acc.sojourn_cycles.snapshot(format!("flow{flow}_sojourn")));
-            if acc.wait_ns.count > 0 {
+            if acc.wait_ns.count() > 0 {
                 snap.add_histogram(acc.wait_ns.snapshot(format!("flow{flow}_wait_ns")));
                 snap.add_histogram(acc.service_ns.snapshot(format!("flow{flow}_service_ns")));
                 snap.add_histogram(acc.sojourn_ns.snapshot(format!("flow{flow}_sojourn_ns")));
@@ -175,7 +133,7 @@ impl LatencyTracker {
 /// cycle-domain [`LatencyTracker`].
 ///
 /// Usable standalone (feed it with [`EventJoiner::observe`], e.g. over
-/// `Snapshot::events` or `Tracer::drain` output) or attached as a
+/// `Snapshot::events` or `EventRing::drain` output) or attached as a
 /// streaming [`EventSink`]. Dequeues whose matching enqueue was never
 /// seen (e.g. a trace that starts mid-run, or a ring that evicted the
 /// enqueue before a drain) are counted as [`EventJoiner::unmatched`],

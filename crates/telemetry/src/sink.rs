@@ -1,22 +1,17 @@
-//! Pluggable streaming event sinks.
+//! Streaming event sinks.
 //!
 //! The per-shard rings keep only the *tail* of a run — fine for
 //! post-mortems, useless for offline analysis of a long run. Attaching
-//! an [`EventSink`] ([`crate::Tracer::set_sink`]) streams **every**
+//! an [`EventSink`] ([`crate::Telemetry::set_sink`]) streams **every**
 //! event out at emit time instead: the ring still keeps its tail for
 //! snapshots, but nothing is lost (the eviction counter stays at zero
 //! while a sink is attached).
 //!
-//! Three implementations ship here:
-//!
-//! * [`MemorySink`] — collects into a shared in-memory vector (tests,
-//!   in-process analysis such as [`crate::EventJoiner`]).
-//! * [`CallbackSink`] — adapts any `FnMut(&Event)` closure.
-//! * [`FileSink`] — line-delimited JSON (one flat object per event) or
-//!   the delta-encoded compact format ([`EventLogFormat`]), the formats
-//!   `wfqsim --event-log` writes. I/O errors are deferred and surfaced
-//!   by [`EventSink::flush`] so the hot emit path never propagates
-//!   `Result`s.
+//! [`FileSink`] writes line-delimited JSON (one flat object per event)
+//! or the delta-encoded compact format ([`EventLogFormat`]), the
+//! formats `wfqsim --event-log` writes. I/O errors are deferred and
+//! surfaced by [`EventSink::flush`] so the hot emit path never
+//! propagates `Result`s. [`crate::EventJoiner`] is a sink too.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,77 +20,21 @@ use std::io::{self, BufWriter, Write};
 use std::num::IntErrorKind;
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
 
 use crate::trace::{Event, EventKind};
 
 /// A streaming consumer of traced events.
 ///
 /// [`record`](EventSink::record) is called once per event, at emit time,
-/// in emit order (time-ordered per shard; across shards, the order is
-/// the tracer's emit interleaving — deterministic for single-threaded
-/// drivers). Implementations must be `Send`: a shard may record on
-/// another thread than the one that attached the sink.
-pub trait EventSink: Send {
+/// in emit order (time-ordered per shard; across shards, the order in
+/// which the run's schedulers emitted them).
+pub trait EventSink {
     /// Consumes one event.
     fn record(&mut self, event: &Event);
 
     /// Flushes buffered output and reports any deferred I/O error.
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-/// Collects every event into a shared, growable in-memory buffer.
-///
-/// The sink is `Clone`; clones share one buffer, so a caller can keep a
-/// clone, hand the other to [`crate::Tracer::set_sink`], and read the
-/// events back without detaching the sink.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    events: Arc<Mutex<Vec<Event>>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A copy of every event recorded so far, in record order.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("memory sink lock").clone()
-    }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("memory sink lock").len()
-    }
-
-    /// Whether no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EventSink for MemorySink {
-    fn record(&mut self, event: &Event) {
-        self.events.lock().expect("memory sink lock").push(*event);
-    }
-}
-
-/// Adapts a closure into an [`EventSink`].
-pub struct CallbackSink<F: FnMut(&Event) + Send>(pub F);
-
-impl<F: FnMut(&Event) + Send> EventSink for CallbackSink<F> {
-    fn record(&mut self, event: &Event) {
-        (self.0)(event)
-    }
-}
-
-impl<F: FnMut(&Event) + Send> std::fmt::Debug for CallbackSink<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CallbackSink")
     }
 }
 
@@ -315,29 +254,6 @@ mod tests {
             a: 7,
             b: 9,
         }
-    }
-
-    #[test]
-    fn memory_sink_shares_its_buffer_across_clones() {
-        let sink = MemorySink::new();
-        let mut writer = sink.clone();
-        writer.record(&ev(0, 1));
-        writer.record(&ev(1, 2));
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink.events()[1].cycle, 2);
-        assert!(!sink.is_empty());
-    }
-
-    #[test]
-    fn callback_sink_invokes_the_closure() {
-        let mut cycles = Vec::new();
-        {
-            let mut sink = CallbackSink(|e: &Event| cycles.push(e.cycle));
-            sink.record(&ev(0, 5));
-            sink.record(&ev(0, 6));
-            sink.flush().unwrap();
-        }
-        assert_eq!(cycles, vec![5, 6]);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Deterministic snapshots and their exporters.
 //!
-//! A [`Snapshot`] is the merged, frozen view of a registry (plus any
-//! externally supplied figures — see [`Snapshot::put`]). Two exporters:
+//! A [`Snapshot`] is a frozen view of what a scheduler counted: its
+//! counters and gauges (one column per shard), its histograms, its
+//! traced events, and any externally supplied figures (see
+//! [`Snapshot::put`]). The scheduler that owns the facts builds it;
+//! [`Snapshot::join`] lines up one snapshot per port into a frontend's
+//! view. Two exporters:
 //!
 //! * [`Snapshot::to_json`] — a **flat** JSON object of numeric metrics
 //!   with keys in sorted order. Identical runs produce byte-identical
@@ -12,8 +16,16 @@
 //!   histogram quantiles, and the traced event log.
 
 use crate::histogram::{bucket_upper_bound, BUCKETS};
-use crate::registry::GaugeMerge;
 use crate::trace::Event;
+
+/// How a gauge's per-shard values merge into one number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GaugeMerge {
+    /// Shards add (e.g. total queue depth across ports).
+    Sum,
+    /// Shards take the maximum (e.g. the worst per-port peak).
+    Max,
+}
 
 /// A merged histogram: bucket counts plus exact sum and max.
 #[derive(Debug, Clone)]
@@ -69,6 +81,17 @@ impl HistogramSnapshot {
         self.max
     }
 
+    /// Adds `other`'s observations: buckets, counts and sums add, the
+    /// max is the larger.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
     /// Mean observed value (0 for an empty histogram).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -79,7 +102,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// A frozen, merged view of a registry; see the module docs.
+/// A frozen view of one scheduler's or one frontend's telemetry; see
+/// the module docs.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     shards: usize,
@@ -113,25 +137,87 @@ impl Snapshot {
     }
 
     /// Adds a counter's per-shard values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a `[A-Za-z0-9_]` slug (snapshot keys must
+    /// be JSON-safe and shell-safe).
     pub fn add_counter(&mut self, name: String, per_shard: Vec<u64>) {
+        check_key(&name);
         self.counters.push((name, per_shard));
     }
 
     /// Adds a gauge's per-shard values and merge rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a `[A-Za-z0-9_]` slug.
     pub fn add_gauge(&mut self, name: String, merge: GaugeMerge, per_shard: Vec<u64>) {
+        check_key(&name);
         self.gauges.push((name, merge, per_shard));
     }
 
-    /// Adds a merged histogram.
+    /// Adds a histogram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if its name is not a `[A-Za-z0-9_]` slug.
     pub fn add_histogram(&mut self, hist: HistogramSnapshot) {
+        check_key(&hist.name);
         self.histograms.push(hist);
     }
 
-    /// Installs the traced event log (done by `Tracer::collect_into`).
-    pub fn set_events(&mut self, events: Vec<Event>, evicted: u64) {
+    /// Installs the traced event log, merged in time order (see
+    /// [`Snapshot::events`]), and how many events the rings evicted.
+    pub fn set_events(&mut self, mut events: Vec<Event>, evicted: u64) {
+        events.sort_by_key(|e| (e.cycle, e.shard));
         self.events = events;
         self.events_evicted = evicted;
         self.has_events = true;
+    }
+
+    /// Joins one single-shard snapshot per shard into a snapshot over
+    /// them all: part *i*'s counter and gauge values become column *i*,
+    /// histograms merge bucket by bucket, the event logs merge in time
+    /// order with their evictions summed, and [`Snapshot::put`] figures
+    /// carry over. Joining no parts, or parts over zero shards (what a
+    /// scheduler without telemetry reports), gives an empty snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every part names the same metrics in the same
+    /// order — what the same code writing each shard produces.
+    pub fn join(parts: Vec<Snapshot>) -> Snapshot {
+        let names = |s: &Snapshot| -> Vec<String> {
+            let counters = s.counters.iter().map(|c| &c.0);
+            let gauges = s.gauges.iter().map(|g| &g.0);
+            let hists = s.histograms.iter().map(|h| &h.name);
+            counters.chain(gauges).chain(hists).cloned().collect()
+        };
+        let mut parts = parts.into_iter();
+        let Some(mut out) = parts.next() else {
+            return Snapshot::empty(0);
+        };
+        for part in parts {
+            let same = names(&out) == names(&part);
+            assert!(same, "joined shards name other metrics");
+            out.shards += part.shards;
+            for (c, (_, column)) in out.counters.iter_mut().zip(part.counters) {
+                c.1.extend(column);
+            }
+            for (g, (_, _, column)) in out.gauges.iter_mut().zip(part.gauges) {
+                g.2.extend(column);
+            }
+            for (h, other) in out.histograms.iter_mut().zip(&part.histograms) {
+                h.merge(other);
+            }
+            out.events.extend(part.events);
+            out.events_evicted += part.events_evicted;
+            out.has_events |= part.has_events;
+            out.extra.extend(part.extra);
+        }
+        out.events.sort_by_key(|e| (e.cycle, e.shard));
+        out
     }
 
     /// The traced events, merged in time order — sorted by
@@ -142,17 +228,14 @@ impl Snapshot {
 
     /// Adds one externally computed numeric figure — the bridge that
     /// routes `AccessStats`/`BufferStats`-style numbers through the same
-    /// snapshot as the registry metrics.
+    /// snapshot as the scheduler's telemetry.
     ///
     /// # Panics
     ///
     /// Panics if `key` is not a `[A-Za-z0-9_]` slug or `value` is not
     /// finite (the JSON exporter's contract).
     pub fn put(&mut self, key: &str, value: f64) {
-        assert!(
-            !key.is_empty() && key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-            "snapshot key {key:?} must be a [A-Za-z0-9_] slug"
-        );
+        check_key(key);
         assert!(value.is_finite(), "snapshot value for {key} is not finite");
         self.extra.push((key.to_string(), value));
     }
@@ -311,6 +394,13 @@ impl Snapshot {
     }
 }
 
+fn check_key(key: &str) {
+    assert!(
+        !key.is_empty() && key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
+        "snapshot key {key:?} must be a [A-Za-z0-9_] slug"
+    );
+}
+
 /// Parses the flat `{"key": number, ...}` objects [`Snapshot::to_json`]
 /// emits (whitespace-insensitive; no nesting, no string values).
 /// Returns `None` if the text is not such an object.
@@ -332,15 +422,59 @@ pub fn parse_flat_json(text: &str) -> Option<Vec<(String, f64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Telemetry;
+    use crate::histogram::Histogram;
     use crate::trace::EventKind;
+
+    /// One shard's snapshot with one counter, one gauge of each merge
+    /// rule, and one histogram.
+    fn shard(served: u64, depth: u64, peak: u64, lat: &[u64]) -> Snapshot {
+        let mut snap = Snapshot::empty(1);
+        snap.add_counter("served".into(), vec![served]);
+        snap.add_gauge("depth".into(), GaugeMerge::Sum, vec![depth]);
+        snap.add_gauge("peak".into(), GaugeMerge::Max, vec![peak]);
+        let mut h = Histogram::new();
+        lat.iter().for_each(|&v| h.observe(v));
+        snap.add_histogram(h.snapshot("lat"));
+        snap
+    }
+
+    #[test]
+    fn join_lines_up_per_shard_columns() {
+        let snap = Snapshot::join(vec![
+            shard(1, 3, 10, &[4]),
+            shard(2, 4, 9, &[]),
+            shard(3, 0, 7, &[12]),
+        ]);
+        assert_eq!(snap.shards(), 3);
+        assert_eq!(snap.value("served_total"), Some(6.0));
+        assert_eq!(snap.value("served_port1"), Some(2.0));
+        assert_eq!(snap.value("depth"), Some(7.0), "Sum gauges add");
+        assert_eq!(snap.value("peak"), Some(10.0), "Max gauges take the max");
+        assert_eq!(snap.value("peak_port2"), Some(7.0));
+        assert_eq!(snap.value("lat_count"), Some(2.0));
+        assert_eq!(snap.value("lat_max"), Some(12.0));
+        let alone = Snapshot::join(vec![shard(5, 1, 1, &[])]);
+        assert_eq!(alone.value("served_total"), Some(5.0));
+        assert_eq!(
+            alone.value("served_port0"),
+            None,
+            "one shard has no columns"
+        );
+        assert_eq!(Snapshot::join(vec![Snapshot::empty(0)]).shards(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "name other metrics")]
+    fn join_refuses_shards_that_disagree_on_metrics() {
+        let mut odd = Snapshot::empty(1);
+        odd.add_counter("other".into(), vec![1]);
+        Snapshot::join(vec![shard(1, 0, 0, &[]), odd]);
+    }
 
     #[test]
     fn json_is_sorted_flat_and_round_trips() {
-        let tel = Telemetry::new(2);
-        tel.counter("zeta").inc(0, 1);
-        tel.counter("alpha").inc(1, 2);
-        let mut snap = tel.snapshot();
+        let mut snap = Snapshot::join(vec![shard(1, 0, 0, &[]), shard(0, 2, 0, &[])]);
+        snap.add_counter("alpha".into(), vec![0, 2]);
         snap.put("hw_trie_reads", 123.0);
         let json = snap.to_json();
         let parsed = parse_flat_json(&json).expect("parseable");
@@ -349,30 +483,38 @@ mod tests {
         sorted.sort();
         assert_eq!(keys, sorted, "keys must come out sorted");
         assert!(keys.contains(&"alpha_total"));
-        assert!(keys.contains(&"zeta_port0"));
+        assert!(keys.contains(&"served_port0"));
         assert!(keys.contains(&"hw_trie_reads"));
     }
 
     #[test]
     fn identical_runs_are_byte_identical() {
         let run = || {
-            let tel = Telemetry::with_tracing(2, 4);
-            tel.counter("ops").inc(0, 7);
-            tel.histogram("lat").observe(1, 4);
-            tel.tracer().emit(0, 40, EventKind::Enqueue, 1, 2);
-            tel.snapshot().to_json()
+            let mut snap = Snapshot::join(vec![shard(7, 0, 0, &[]), shard(0, 0, 0, &[4])]);
+            let event = Event {
+                shard: 0,
+                cycle: 40,
+                kind: EventKind::Enqueue,
+                a: 1,
+                b: 2,
+            };
+            snap.set_events(vec![event], 0);
+            snap.to_json()
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn table_renders_all_sections() {
-        let tel = Telemetry::with_tracing(2, 4);
-        tel.counter("served").inc(0, 1);
-        tel.gauge("depth", GaugeMerge::Sum).set(1, 3);
-        tel.histogram("lat").observe(0, 4);
-        tel.tracer().emit(1, 8, EventKind::Drop, 5, 64);
-        let mut snap = tel.snapshot();
+        let mut snap = Snapshot::join(vec![shard(1, 0, 0, &[4]), shard(0, 3, 0, &[])]);
+        let event = Event {
+            shard: 1,
+            cycle: 8,
+            kind: EventKind::Drop,
+            a: 5,
+            b: 64,
+        };
+        snap.set_events(vec![event], 0);
         snap.put("agg_buf_peak", 9.0);
         let table = snap.to_table();
         for needle in [
@@ -389,6 +531,12 @@ mod tests {
         ] {
             assert!(table.contains(needle), "missing {needle}:\n{table}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "slug")]
+    fn non_slug_metric_names_are_rejected() {
+        Snapshot::empty(1).add_counter("Bad Name".into(), vec![0]);
     }
 
     #[test]

@@ -1,24 +1,26 @@
 //! Cycle-stamped bounded event tracing.
 //!
-//! Every shard owns a bounded ring of [`Event`]s; when the ring is full
-//! the oldest event is evicted (and counted), so tracing a long run
+//! Every shard owns an [`EventRing`] of [`Event`]s; when the ring is
+//! full the oldest event is evicted (and counted), so tracing a long run
 //! keeps the *last* `capacity` events per shard — the ones that explain
-//! the state the run ended in. Rings are per-shard, and only shard `i`'s
-//! writer touches ring `i`, so the per-ring mutex is uncontended (the
-//! snapshot reader is the only other party).
+//! the state the run ended in. The ring is a plain field of the
+//! scheduler it describes and is written through `&mut self`.
 //!
-//! A disabled tracer ([`Tracer::disabled`], or capacity 0) holds no
-//! rings at all: [`Tracer::emit`] checks one `Option` and returns.
+//! A run that traces nothing holds no ring at all
+//! ([`crate::Telemetry::ring`] returns `None`), so every record site is
+//! one branch on an `Option`.
 //!
 //! Long runs that need *every* event (not just the tail) attach a
-//! streaming [`EventSink`] via [`Tracer::set_sink`]: each emit is
-//! forwarded to the sink before it enters the ring, and ring evictions
-//! stop counting as losses (the sink already has the event). Pull-based
-//! exporters can instead call [`Tracer::drain`] periodically.
+//! streaming [`EventSink`] via [`crate::Telemetry::set_sink`]: every
+//! ring of the run forwards each emit to that one sink before the event
+//! enters the ring, so the sink sees the run's emit order, and ring
+//! evictions stop counting as losses (the sink already has the event).
+//! Pull-based exporters can instead call [`EventRing::drain`]
+//! periodically.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::sink::EventSink;
 use crate::snapshot::Snapshot;
@@ -137,195 +139,135 @@ pub struct Event {
     pub b: u64,
 }
 
-struct Ring {
+/// The one streaming sink a run's rings write, in emit order.
+pub(crate) type SharedSink = Rc<RefCell<Option<Box<dyn EventSink>>>>;
+
+/// One shard's bounded, cycle-stamped event ring, plus a handle on its
+/// run's streaming sink. Obtained from [`crate::Telemetry::ring`].
+#[derive(Clone)]
+pub struct EventRing {
+    shard: u32,
+    capacity: usize,
     events: VecDeque<Event>,
     evicted: u64,
+    sink: SharedSink,
 }
 
-struct Rings {
-    capacity: usize,
-    per_shard: Box<[Mutex<Ring>]>,
-    /// Fast-path flag mirroring `sink.is_some()` so emits without a sink
-    /// never touch the sink mutex.
-    has_sink: AtomicBool,
-    sink: Mutex<Option<Box<dyn EventSink>>>,
-}
-
-/// Handle to the per-shard event rings; cheap to clone, `None` inside
-/// when disabled.
-#[derive(Clone)]
-pub struct Tracer {
-    rings: Option<Arc<Rings>>,
-}
-
-impl Tracer {
-    /// A tracer that records nothing and allocates nothing.
-    pub fn disabled() -> Self {
-        Self { rings: None }
-    }
-
-    /// A tracer with a ring of `capacity` events per shard; capacity 0
-    /// yields a disabled tracer.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        if capacity == 0 {
-            return Self::disabled();
-        }
+impl EventRing {
+    pub(crate) fn new(shard: usize, capacity: usize, sink: SharedSink) -> Self {
         Self {
-            rings: Some(Arc::new(Rings {
-                capacity,
-                per_shard: (0..shards)
-                    .map(|_| {
-                        Mutex::new(Ring {
-                            events: VecDeque::with_capacity(capacity),
-                            evicted: 0,
-                        })
-                    })
-                    .collect(),
-                has_sink: AtomicBool::new(false),
-                sink: Mutex::new(None),
-            })),
+            shard: shard as u32,
+            capacity,
+            events: VecDeque::with_capacity(capacity),
+            evicted: 0,
+            sink,
         }
     }
 
-    /// Number of shards the tracer records for (0 when disabled).
-    pub fn shards(&self) -> usize {
-        self.rings.as_ref().map_or(0, |r| r.per_shard.len())
-    }
-
-    /// Whether events are recorded at all.
-    pub fn is_enabled(&self) -> bool {
-        self.rings.is_some()
-    }
-
-    /// Records one event on `shard`'s ring, evicting the oldest if full.
+    /// Records one event, evicting the oldest if the ring is full.
     ///
-    /// With a sink attached ([`Tracer::set_sink`]) the event is streamed
-    /// to the sink first, and a subsequent ring eviction is *not*
-    /// counted as a loss — the sink already holds the event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range (enabled tracer only).
+    /// With a sink attached the event is streamed to the sink first,
+    /// and a resulting eviction is *not* counted as a loss — the sink
+    /// already holds the event.
     #[inline]
-    pub fn emit(&self, shard: usize, cycle: u64, kind: EventKind, a: u64, b: u64) {
-        let Some(rings) = &self.rings else {
-            return;
-        };
+    pub fn emit(&mut self, cycle: u64, kind: EventKind, a: u64, b: u64) {
         let event = Event {
-            shard: shard as u32,
+            shard: self.shard,
             cycle,
             kind,
             a,
             b,
         };
-        let mut streamed = false;
-        if rings.has_sink.load(Ordering::Acquire) {
-            let mut sink = rings.sink.lock().expect("sink lock");
-            if let Some(sink) = sink.as_mut() {
+        let streamed = match self.sink.borrow_mut().as_mut() {
+            Some(sink) => {
                 sink.record(&event);
-                streamed = true;
+                true
             }
-        }
-        let mut ring = rings.per_shard[shard].lock().expect("ring lock");
-        if ring.events.len() == rings.capacity {
-            ring.events.pop_front();
+            None => false,
+        };
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
             if !streamed {
-                ring.evicted += 1;
+                self.evicted += 1;
             }
         }
-        ring.events.push_back(event);
+        self.events.push_back(event);
     }
 
-    /// Attaches a streaming sink; every subsequent [`Tracer::emit`] is
-    /// forwarded to it at emit time. Returns the previously attached
-    /// sink, if any. On a disabled tracer the sink is handed straight
-    /// back (no event would ever reach it).
-    pub fn set_sink(&self, sink: Box<dyn EventSink>) -> Option<Box<dyn EventSink>> {
-        let Some(rings) = &self.rings else {
-            return Some(sink);
-        };
-        let mut slot = rings.sink.lock().expect("sink lock");
-        let prev = slot.replace(sink);
-        rings.has_sink.store(true, Ordering::Release);
-        prev
+    /// Removes and returns everything currently buffered, oldest first,
+    /// leaving the ring empty (the eviction count is untouched).
+    /// Pull-based alternative to a sink for incremental export.
+    pub fn drain(&mut self) -> Vec<Event> {
+        self.events.drain(..).collect()
     }
 
-    /// Detaches and returns the streaming sink (call
-    /// [`EventSink::flush`] on it to surface deferred I/O errors).
-    /// Subsequent ring evictions count as losses again.
-    pub fn take_sink(&self) -> Option<Box<dyn EventSink>> {
-        let rings = self.rings.as_ref()?;
-        let mut slot = rings.sink.lock().expect("sink lock");
-        rings.has_sink.store(false, Ordering::Release);
-        slot.take()
-    }
-
-    /// Removes and returns everything currently buffered on `shard`'s
-    /// ring, oldest first, leaving the ring empty (the eviction count is
-    /// untouched). Pull-based alternative to [`Tracer::set_sink`] for
-    /// incremental export of long runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range (enabled tracer only).
-    pub fn drain(&self, shard: usize) -> Vec<Event> {
-        let Some(rings) = &self.rings else {
-            return Vec::new();
-        };
-        let mut ring = rings.per_shard[shard].lock().expect("ring lock");
-        ring.events.drain(..).collect()
-    }
-
-    /// Merges every shard's ring into the snapshot in time order —
-    /// sorted by `(cycle, shard)`, ties preserving per-shard emit order
-    /// (per-shard cycle stamps are monotone, so a stable sort is a true
-    /// merge) — together with the eviction count. The order is
-    /// deterministic even when shards raced in real time, and identical
-    /// logical runs export identical streams regardless of shard count.
+    /// Installs the buffered events and the eviction count into `snap`
+    /// (see [`Snapshot::set_events`]).
     pub fn collect_into(&self, snap: &mut Snapshot) {
-        let Some(rings) = &self.rings else {
-            return;
-        };
-        let mut events = Vec::new();
-        let mut evicted = 0;
-        for ring in rings.per_shard.iter() {
-            let ring = ring.lock().expect("ring lock");
-            events.extend(ring.events.iter().copied());
-            evicted += ring.evicted;
-        }
-        events.sort_by_key(|e| (e.cycle, e.shard));
-        snap.set_events(events, evicted);
+        snap.set_events(self.events.iter().copied().collect(), self.evicted);
     }
 }
 
-impl std::fmt::Debug for Tracer {
+impl std::fmt::Debug for EventRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Tracer(enabled={})", self.is_enabled())
+        f.debug_struct("EventRing")
+            .field("shard", &self.shard)
+            .field("capacity", &self.capacity)
+            .field("len", &self.events.len())
+            .field("evicted", &self.evicted)
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
+
+    fn ring(shards: usize, capacity: usize, shard: usize) -> EventRing {
+        Telemetry::with_tracing(shards, capacity)
+            .ring(shard)
+            .expect("tracing on")
+    }
+
+    /// Every ring's snapshot, joined the way a sharded frontend joins
+    /// its ports.
+    fn joined(rings: &[&EventRing]) -> Snapshot {
+        Snapshot::join(
+            rings
+                .iter()
+                .map(|r| {
+                    let mut snap = Snapshot::empty(1);
+                    r.collect_into(&mut snap);
+                    snap
+                })
+                .collect(),
+        )
+    }
+
+    /// Collects what it records into a buffer the test keeps a handle on.
+    struct Recording(Rc<RefCell<Vec<Event>>>);
+
+    impl EventSink for Recording {
+        fn record(&mut self, event: &Event) {
+            self.0.borrow_mut().push(*event);
+        }
+    }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::disabled();
-        t.emit(0, 1, EventKind::Enqueue, 2, 3);
-        let mut snap = Snapshot::empty(1);
-        t.collect_into(&mut snap);
-        assert_eq!(snap.events().len(), 0);
-        assert!(!Tracer::new(4, 0).is_enabled(), "capacity 0 disables");
+    fn no_ring_exists_without_tracing_capacity() {
+        assert!(Telemetry::disabled().ring(0).is_none());
+        assert!(Telemetry::new(4).ring(3).is_none(), "capacity 0 disables");
+        assert!(Telemetry::with_tracing(4, 0).ring(0).is_none());
     }
 
     #[test]
     fn ring_keeps_the_last_capacity_events() {
-        let t = Tracer::new(1, 3);
+        let mut t = ring(1, 3, 0);
         for i in 0..5 {
-            t.emit(0, i, EventKind::Dequeue, i, 0);
+            t.emit(i, EventKind::Dequeue, i, 0);
         }
-        let mut snap = Snapshot::empty(1);
-        t.collect_into(&mut snap);
+        let snap = joined(&[&t]);
         let cycles: Vec<u64> = snap.events().iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
         assert_eq!(snap.value("events_evicted"), Some(2.0));
@@ -334,15 +276,15 @@ mod tests {
 
     #[test]
     fn events_merge_time_ordered_across_shards() {
-        // Regression: collect_into used to concatenate shard-major, so
-        // two shards whose cycles interleave exported a permuted stream.
-        let t = Tracer::new(2, 8);
-        t.emit(1, 10, EventKind::Enqueue, 0, 0);
-        t.emit(0, 5, EventKind::Enqueue, 1, 0);
-        t.emit(0, 20, EventKind::Dequeue, 1, 0);
-        t.emit(1, 15, EventKind::Dequeue, 0, 0);
-        let mut snap = Snapshot::empty(2);
-        t.collect_into(&mut snap);
+        // Regression: the merge used to concatenate shard-major, so two
+        // shards whose cycles interleave exported a permuted stream.
+        let tel = Telemetry::with_tracing(2, 8);
+        let (mut t0, mut t1) = (tel.ring(0).unwrap(), tel.ring(1).unwrap());
+        t1.emit(10, EventKind::Enqueue, 0, 0);
+        t0.emit(5, EventKind::Enqueue, 1, 0);
+        t0.emit(20, EventKind::Dequeue, 1, 0);
+        t1.emit(15, EventKind::Dequeue, 0, 0);
+        let snap = joined(&[&t0, &t1]);
         let order: Vec<(u64, u32)> = snap.events().iter().map(|e| (e.cycle, e.shard)).collect();
         assert_eq!(
             order,
@@ -353,62 +295,64 @@ mod tests {
 
     #[test]
     fn equal_cycles_tie_break_by_shard_then_emit_order() {
-        let t = Tracer::new(2, 8);
-        t.emit(1, 4, EventKind::Enqueue, 10, 0);
-        t.emit(0, 4, EventKind::Enqueue, 20, 0);
-        t.emit(0, 4, EventKind::Dequeue, 21, 0);
-        let mut snap = Snapshot::empty(2);
-        t.collect_into(&mut snap);
+        let tel = Telemetry::with_tracing(2, 8);
+        let (mut t0, mut t1) = (tel.ring(0).unwrap(), tel.ring(1).unwrap());
+        t1.emit(4, EventKind::Enqueue, 10, 0);
+        t0.emit(4, EventKind::Enqueue, 20, 0);
+        t0.emit(4, EventKind::Dequeue, 21, 0);
+        let snap = joined(&[&t1, &t0]);
         let order: Vec<(u32, u64)> = snap.events().iter().map(|e| (e.shard, e.a)).collect();
         assert_eq!(order, vec![(0, 20), (0, 21), (1, 10)]);
     }
 
     #[test]
     fn sink_sees_every_event_and_evictions_stop_counting_as_losses() {
-        let t = Tracer::new(1, 2);
-        let sink = crate::sink::MemorySink::new();
-        assert!(t.set_sink(Box::new(sink.clone())).is_none());
+        let tel = Telemetry::with_tracing(2, 2);
+        let (mut t0, mut t1) = (tel.ring(0).unwrap(), tel.ring(1).unwrap());
+        let streamed = Rc::new(RefCell::new(Vec::new()));
+        assert!(tel
+            .set_sink(Box::new(Recording(Rc::clone(&streamed))))
+            .is_none());
         for i in 0..5 {
-            t.emit(0, i, EventKind::Enqueue, i, 0);
+            t0.emit(i, EventKind::Enqueue, i, 0);
         }
-        let mut snap = Snapshot::empty(1);
-        t.collect_into(&mut snap);
+        t1.emit(2, EventKind::Drop, 9, 0);
+        let snap = joined(&[&t0]);
         assert_eq!(snap.value("events_evicted"), Some(0.0), "sink lost nothing");
         assert_eq!(snap.value("events_captured"), Some(2.0), "ring keeps tail");
-        let streamed: Vec<u64> = sink.events().iter().map(|e| e.cycle).collect();
-        assert_eq!(streamed, vec![0, 1, 2, 3, 4], "sink streamed all 5");
+        let order: Vec<(u32, u64)> = streamed
+            .borrow()
+            .iter()
+            .map(|e| (e.shard, e.cycle))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 2)],
+            "one sink streams every ring's events in emit order"
+        );
 
         // Detaching restores loss accounting.
-        assert!(t.take_sink().is_some());
-        t.emit(0, 5, EventKind::Enqueue, 5, 0);
-        let mut snap = Snapshot::empty(1);
-        t.collect_into(&mut snap);
-        assert_eq!(snap.value("events_evicted"), Some(1.0));
-        assert_eq!(sink.len(), 5, "detached sink sees no new events");
-    }
-
-    #[test]
-    fn set_sink_on_disabled_tracer_hands_the_sink_back() {
-        let t = Tracer::disabled();
-        let sink = crate::sink::MemorySink::new();
-        assert!(t.set_sink(Box::new(sink)).is_some());
-        assert!(t.take_sink().is_none());
-        assert_eq!(t.shards(), 0);
+        assert!(tel.take_sink().is_some());
+        t0.emit(5, EventKind::Enqueue, 5, 0);
+        assert_eq!(joined(&[&t0]).value("events_evicted"), Some(1.0));
+        assert_eq!(
+            streamed.borrow().len(),
+            6,
+            "detached sink sees no new events"
+        );
     }
 
     #[test]
     fn drain_empties_one_ring_and_preserves_order() {
-        let t = Tracer::new(2, 4);
-        assert_eq!(t.shards(), 2);
-        t.emit(0, 1, EventKind::Enqueue, 0, 0);
-        t.emit(0, 2, EventKind::Dequeue, 0, 0);
-        t.emit(1, 3, EventKind::Enqueue, 9, 0);
-        let drained = t.drain(0);
-        let cycles: Vec<u64> = drained.iter().map(|e| e.cycle).collect();
+        let tel = Telemetry::with_tracing(2, 4);
+        let (mut t0, mut t1) = (tel.ring(0).unwrap(), tel.ring(1).unwrap());
+        t0.emit(1, EventKind::Enqueue, 0, 0);
+        t0.emit(2, EventKind::Dequeue, 0, 0);
+        t1.emit(3, EventKind::Enqueue, 9, 0);
+        let cycles: Vec<u64> = t0.drain().iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![1, 2]);
-        assert!(t.drain(0).is_empty(), "drain leaves the ring empty");
-        assert_eq!(t.drain(1).len(), 1, "other shards untouched");
-        assert!(Tracer::disabled().drain(0).is_empty());
+        assert!(t0.drain().is_empty(), "drain leaves the ring empty");
+        assert_eq!(t1.drain().len(), 1, "other shards untouched");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use telemetry::{
     parse_compact_event_log, parse_flat_json, CompactEncoder, Event, EventKind, GaugeMerge,
-    Telemetry,
+    Histogram, Snapshot,
 };
 
 const SEED: u64 = 0x5eed_f00d_2006_0001;
@@ -81,17 +81,26 @@ fn compact_log(rng: &mut Rng, max: usize) -> String {
 
 /// A valid flat-JSON snapshot with counters, gauges and histograms.
 fn snapshot_json(rng: &mut Rng) -> String {
-    let tel = Telemetry::with_tracing(2, 4);
-    let served = tel.counter("served");
-    let depth = tel.gauge("depth", GaugeMerge::Max);
-    let lat = tel.histogram("lat_cycles");
+    let mut served = [0u64; 2];
+    let mut depth = [0u64; 2];
+    let mut lat = [Histogram::new(), Histogram::new()];
     for _ in 0..rng.below(16) {
         let shard = rng.below(2);
-        served.inc(shard, rng.next() % 100);
-        depth.record_max(shard, rng.next() % 100);
-        lat.observe(shard, rng.next() % 5000);
+        served[shard] += rng.next() % 100;
+        depth[shard] = depth[shard].max(rng.next() % 100);
+        lat[shard].observe(rng.next() % 5000);
     }
-    let mut snap = tel.snapshot();
+    let shards = (0..2)
+        .map(|i| {
+            let mut snap = Snapshot::empty(1);
+            snap.add_counter("served".into(), vec![served[i]]);
+            snap.add_gauge("depth".into(), GaugeMerge::Max, vec![depth[i]]);
+            snap.add_histogram(lat[i].snapshot("lat_cycles"));
+            snap.set_events(Vec::new(), 0);
+            snap
+        })
+        .collect();
+    let mut snap = Snapshot::join(shards);
     snap.put("hw_ratio", rng.next() as f64 / 3.0);
     snap.to_json()
 }

@@ -500,7 +500,7 @@ const REBALANCE_EVERY: usize = 1024;
 /// bounds what a later `--metrics` snapshot would also carry.
 const EVENT_LOG_RING: usize = 256;
 
-/// Builds the run's telemetry registry: enabled over `shards` shards
+/// Builds the run's telemetry: enabled over `shards` shards
 /// when `--metrics` or `--event-log` was given (with the
 /// `--trace-events` ring, or a default ring for the event log), fully
 /// disabled otherwise.
@@ -518,7 +518,7 @@ fn build_telemetry(args: &Args, shards: usize) -> Telemetry {
     Telemetry::with_tracing(shards, ring)
 }
 
-/// Attaches a line-delimited JSON [`FileSink`] to the tracer when
+/// Attaches a line-delimited JSON [`FileSink`] to the run when
 /// `--event-log` asked for one, so every event streams to disk at emit
 /// time instead of competing for ring capacity.
 fn attach_event_sink(args: &Args, tel: &Telemetry) -> Result<(), String> {
@@ -528,7 +528,7 @@ fn attach_event_sink(args: &Args, tel: &Telemetry) -> Result<(), String> {
     let format = args.event_log_format.unwrap_or_default();
     let sink = FileSink::create_with_format(path, format)
         .map_err(|e| format!("--event-log: cannot create {path}: {e}"))?;
-    if tel.tracer().set_sink(Box::new(sink)).is_some() {
+    if tel.set_sink(Box::new(sink)).is_some() {
         return Err("--event-log: event tracing is disabled for this run".into());
     }
     Ok(())
@@ -541,7 +541,6 @@ fn finish_event_sink(args: &Args, tel: &Telemetry) -> Result<(), String> {
         return Ok(());
     };
     let mut sink = tel
-        .tracer()
         .take_sink()
         .ok_or_else(|| format!("--event-log: the sink writing {path} disappeared mid-run"))?;
     sink.flush()
@@ -845,7 +844,7 @@ fn run_multiport<B: SortBackend>(args: &Args, flows: &[FlowSpec], trace: &[Packe
         );
     }
     if let Some(path) = &args.metrics {
-        let mut snap = tel.snapshot();
+        let mut snap = sim.frontend().telemetry_snapshot();
         stats.export("hw", &mut snap);
         for (port, rollup) in rollups.iter().enumerate() {
             snap.put(&format!("fairq_port{port}_packets"), rollup.packets as f64);
@@ -870,12 +869,12 @@ fn run_multiport<B: SortBackend>(args: &Args, flows: &[FlowSpec], trace: &[Packe
 /// The single-port hardware pipeline, generic over the sorting backend:
 /// builds the scheduler, wires telemetry and fault instrumentation, runs
 /// the trace, and emits every requested artifact. Returns the departures
-/// plus the telemetry/stats pair a later `--metrics` export needs.
+/// plus the telemetry snapshot and stats a later `--metrics` export needs.
 fn run_hw<B: SortBackend>(
     args: &Args,
     flows: &[FlowSpec],
     trace: &[Packet],
-) -> Result<(Vec<Departure>, Telemetry, SchedulerStats), String> {
+) -> Result<(Vec<Departure>, Snapshot, SchedulerStats), String> {
     let policy = args.policy_choice();
     let mut hw = HwScheduler::<B, AnyPolicy>::with_backend_and_policy(
         flows,
@@ -915,7 +914,7 @@ fn run_hw<B: SortBackend>(
         emit_latency_report(path, lat)?;
     }
     let stats = sim.scheduler().stats();
-    Ok((deps, tel, stats))
+    Ok((deps, sim.scheduler().telemetry_snapshot(), stats))
 }
 
 fn main() -> ExitCode {
@@ -994,7 +993,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let mut hw_export: Option<(Telemetry, SchedulerStats)> = None;
+    let mut hw_export: Option<(Snapshot, SchedulerStats)> = None;
     let departures = if args.scheduler_name() == "hw" {
         let run = match args.backend_choice() {
             BackendChoice::Trie => run_hw::<SortRetrieveCircuit>(&args, &flows, &trace),
@@ -1003,8 +1002,8 @@ fn main() -> ExitCode {
             BackendChoice::Pipelined => run_hw::<PipelinedSortBackend>(&args, &flows, &trace),
         };
         match run {
-            Ok((deps, tel, stats)) => {
-                hw_export = Some((tel, stats));
+            Ok((deps, snap, stats)) => {
+                hw_export = Some((snap, stats));
                 deps
             }
             Err(msg) => {
@@ -1065,8 +1064,7 @@ fn main() -> ExitCode {
         lmax / args.rate * 1e3
     );
     if let Some(path) = &args.metrics {
-        let (tel, stats) = hw_export.expect("parse_args allows --metrics only with hw");
-        let mut snap = tel.snapshot();
+        let (mut snap, stats) = hw_export.expect("parse_args allows --metrics only with hw");
         stats.export("hw", &mut snap);
         let rollup = metrics::aggregate(&report);
         snap.put("fairq_packets", rollup.packets as f64);

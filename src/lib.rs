@@ -22,9 +22,9 @@
 //!   wall-clock Mpps (E16).
 //! * [`baselines`] — every Table I lookup structure, instrumented.
 //! * [`traffic`] — deterministic workload generation.
-//! * [`telemetry`] — the unified observability layer: per-shard metric
-//!   registry, cycle-stamped event tracing, and deterministic snapshot
-//!   exporters shared by every scheduler layer.
+//! * [`telemetry`] — the unified observability layer: histograms,
+//!   cycle-stamped event rings, streaming sinks, and the deterministic
+//!   snapshot every scheduler builds from its own counts.
 //! * [`faultsim`] — deterministic SEU fault models, detection bookkeeping,
 //!   and the repair policies wired through the scheduler stack.
 //! * [`campaign`] — the million-flow campaign runner: grid sweeps over
